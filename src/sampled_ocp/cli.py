@@ -13,6 +13,7 @@ formatting, and identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -78,8 +79,6 @@ def _build_parser() -> _Parser:
     p_conv = sub.add_parser("converge", help="partition-refinement sweep")
     add_problem_flags(p_conv)
     p_conv.add_argument("--Ns", help="comma-separated resolutions, e.g. 2,4,8")
-    p_conv.add_argument("--jobs", type=int, default=1,
-                        help="max concurrent rows (cold starts only)")
     p_conv.add_argument("--warm-start", choices=("cascade", "cold"),
                         default="cascade")
     p_conv.add_argument("--feas-tol", type=float)
@@ -128,25 +127,19 @@ def _partition_from_args(args, horizon: float) -> Partition:
         raise _UsageError(f"--times-file: {exc}")
 
 
-def _solver_options(args) -> SolverOptions:
-    kwargs = {}
-    if getattr(args, "feas_tol", None) is not None:
-        kwargs["feas_tol"] = args.feas_tol
-    if getattr(args, "stat_tol", None) is not None:
-        kwargs["stat_tol"] = args.stat_tol
-    if getattr(args, "h_max", None) is not None:
-        kwargs["h_max"] = args.h_max
-    if getattr(args, "max_outer", None) is not None:
-        kwargs["max_outer"] = args.max_outer
-    if getattr(args, "max_inner", None) is not None:
-        kwargs["max_inner"] = args.max_inner
-    return SolverOptions(**kwargs)
+def _solver_options(args, base: SolverOptions) -> SolverOptions:
+    """`base` with every solver flag that was given applied on top."""
+    given = {name: getattr(args, name, None)
+             for name in ("feas_tol", "stat_tol", "h_max", "max_outer",
+                          "max_inner")}
+    return dataclasses.replace(
+        base, **{name: v for name, v in given.items() if v is not None})
 
 
 def run_solve(args) -> int:
     prob = _load_problem(args)
     partition = _partition_from_args(args, prob.horizon)
-    opts = _solver_options(args)
+    opts = _solver_options(args, SolverOptions())
     out = _output_dir(args, "solution")
     try:
         sol = solve(prob, partition, opts)
@@ -157,9 +150,7 @@ def run_solve(args) -> int:
     report = sol.residuals
     print(report.to_json())
     print(f"bundle written to {out}")
-    ok = (report.ae_residual is not None and report.ae_residual <= 1e-6
-          and report.ahg_sup is not None and report.ahg_sup <= 1e-5)
-    if not ok:
+    if not report.certifies_solve():
         print("certification failed: adjoint or averaged-gradient residual "
               "above threshold", file=sys.stderr)
         return EXIT_CERTIFICATION
@@ -223,20 +214,12 @@ def run_converge(args) -> int:
     except (SurrogateRejectedError, OracleError) as exc:
         print(f"reference rejected: {exc}", file=sys.stderr)
         return EXIT_REFERENCE
-    opts_kwargs = {}
-    if args.feas_tol is not None:
-        opts_kwargs["feas_tol"] = args.feas_tol
-    if args.stat_tol is not None:
-        opts_kwargs["stat_tol"] = args.stat_tol
-    if args.h_max is not None:
-        opts_kwargs["h_max"] = args.h_max
-    solver_opts = SolverOptions(feas_tol=1e-9, **opts_kwargs) \
-        if "feas_tol" not in opts_kwargs else SolverOptions(**opts_kwargs)
+    solver_opts = _solver_options(args, harness.default_solver_options())
     cfg = harness.SweepConfig(problem=prob, reference=reference,
                               resolutions=ns,
                               warm_start_policy=args.warm_start,
                               solver_options=solver_opts)
-    report = harness.sweep(cfg, jobs=max(1, args.jobs))
+    report = harness.sweep(cfg)
     csv_path = os.path.join(out, "report.csv")
     summary_path = os.path.join(out, "summary")
     harness.write_report(csv_path, summary_path, report)

@@ -16,18 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError
-from .problem_model import ControlSet, distance_to
+from .problem_model import _FLOAT_FMT, ControlSet, _frozen, distance_to
 
 Array = np.ndarray
 
 PIECEWISE_CONSTANT = "piecewise_constant"
 PIECEWISE_LINEAR = "piecewise_linear"
-
-
-def _frozen(a) -> Array:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -288,8 +282,6 @@ def resample_onto(u: PiecewiseConstantControl,
 
 # ---------------------------------------------------------------------------
 # Serialization
-
-_FLOAT_FMT = "%.17g"
 
 
 def write_control_csv(path, u: PiecewiseConstantControl) -> None:

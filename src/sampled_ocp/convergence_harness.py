@@ -22,7 +22,7 @@ import numpy as np
 
 from .control_partition import resample_onto, uniform_partition
 from .errors import SampledOcpError
-from .problem_model import OcpProblem, project
+from .problem_model import _FLOAT_FMT, OcpProblem, project
 from .reference_oracles import PermanentReference
 from .solver_sampled import SampledSolution, SolverOptions, solve
 
@@ -31,10 +31,6 @@ Array = np.ndarray
 REPORT_HEADER = ("N,partition_norm,cost,cost_err,state_sup_err,"
                  "costate_sup_err,ahg_sup_residual,feasibility,iterations")
 
-# Certification gate for a row to enter the report.
-GATE_AE = 1e-6
-GATE_AHG = 1e-5
-
 # Verdict constants (shared with the acceptance criteria).
 FINAL_RATIO_LIMIT = 0.1
 NOISE_STEP_FACTOR = 1.05
@@ -42,10 +38,8 @@ COST_FLOOR_SLACK = 1e-7
 LIMITATION_NOTE = ("single stationary point tracked per resolution; global "
                    "optimality not certified")
 
-_FLOAT_FMT = "%.17g"
 
-
-def _default_solver_options() -> SolverOptions:
+def default_solver_options() -> SolverOptions:
     # Tighter terminal feasibility than the general default so the
     # cost-floor comparison against the reference keeps a clean margin.
     return SolverOptions(feas_tol=1e-9)
@@ -127,18 +121,16 @@ class ConvergenceReport:
         return all(bool(v) for v in self.verdicts.values())
 
 
-def sweep(cfg: SweepConfig, jobs: int = 1, return_solutions: bool = False):
+def sweep(cfg: SweepConfig, return_solutions: bool = False):
     """Run the refinement sweep and assemble the convergence report.
 
-    With cold starts the rows are independent and `jobs` caps how many
-    run concurrently; cascade mode is inherently sequential and ignores
-    `jobs`.  Report assembly order is fixed either way.  With
-    `return_solutions` the per-resolution solver outputs come back too.
+    Rows are solved in resolution order.  With `return_solutions` the
+    per-resolution solver outputs come back too.
     """
     prob = cfg.problem
     ref = cfg.reference
     opts = cfg.solver_options if cfg.solver_options is not None \
-        else _default_solver_options()
+        else default_solver_options()
     ts = np.linspace(0.0, prob.horizon, cfg.comparison_points)
     ref_x = ref.x.sample(ts)
     ref_p = ref.p.sample(ts)
@@ -146,38 +138,23 @@ def sweep(cfg: SweepConfig, jobs: int = 1, return_solutions: bool = False):
 
     solutions: dict = {}
     failures = []
-    if cfg.warm_start_policy == "cold" and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def run_one(N):
-            return solve(prob, uniform_partition(N, prob.horizon), opts)
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {N: pool.submit(run_one, N) for N in cfg.resolutions}
-        for N in cfg.resolutions:
-            try:
-                solutions[N] = futures[N].result()
-            except SampledOcpError as exc:
-                failures.append({"N": N, "error": type(exc).__name__,
-                                 "message": str(exc)})
-    else:
-        previous: Optional[SampledSolution] = None
-        for N in cfg.resolutions:
-            partition = uniform_partition(N, prob.horizon)
-            warm = None
-            warm_mu = None
-            if cfg.warm_start_policy == "cascade" and previous is not None:
-                warm = resample_onto(previous.control, partition)
-                warm_mu = previous.multiplier
-            try:
-                sol = solve(prob, partition, opts, warm_start=warm,
-                            warm_multiplier=warm_mu)
-            except SampledOcpError as exc:
-                failures.append({"N": N, "error": type(exc).__name__,
-                                 "message": str(exc)})
-                continue
-            previous = sol
-            solutions[N] = sol
+    previous: Optional[SampledSolution] = None
+    for N in cfg.resolutions:
+        partition = uniform_partition(N, prob.horizon)
+        warm = None
+        warm_mu = None
+        if cfg.warm_start_policy == "cascade" and previous is not None:
+            warm = resample_onto(previous.control, partition)
+            warm_mu = previous.multiplier
+        try:
+            sol = solve(prob, partition, opts, warm_start=warm,
+                        warm_multiplier=warm_mu)
+        except SampledOcpError as exc:
+            failures.append({"N": N, "error": type(exc).__name__,
+                             "message": str(exc)})
+            continue
+        previous = sol
+        solutions[N] = sol
 
     rows = []
     for N in cfg.resolutions:
@@ -186,11 +163,7 @@ def sweep(cfg: SweepConfig, jobs: int = 1, return_solutions: bool = False):
         sol = solutions[N]
         partition = uniform_partition(N, prob.horizon)
         report = sol.residuals
-        certified = (report is not None
-                     and report.ae_residual is not None
-                     and report.ae_residual <= GATE_AE
-                     and report.ahg_sup is not None
-                     and report.ahg_sup <= GATE_AHG
+        certified = (report is not None and report.certifies_solve()
                      and sol.p0 == -1.0)
         state_err = float(np.max(np.linalg.norm(sol.state.sample(ts) - ref_x,
                                                 axis=1)))

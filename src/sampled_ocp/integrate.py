@@ -19,19 +19,13 @@ from .control_partition import (Partition, PiecewiseConstantControl,
                                 SampledControlSignal)
 from .errors import (GridAlignmentError, IntegrationDivergedError,
                      TrivialLiftError)
-from .problem_model import OcpProblem
+from .problem_model import _FLOAT_FMT, OcpProblem, _frozen
 
 Array = np.ndarray
 
 # Grid default: h <= T / 1024 unless the caller asks otherwise.
 DEFAULT_STEP_DIVISOR = 1024
 BLOWUP_NORM = 1e12
-
-
-def _frozen(a) -> Array:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -144,37 +138,53 @@ def _control_values_per_segment(u, grid: TimeGrid):
     raise TypeError(f"unsupported control of type {type(u)!r}")
 
 
-def _hermite(y0, d0, y1, d1, h, s):
-    """Cubic Hermite on [0, 1] with endpoint values and derivatives."""
-    s2 = s * s
-    s3 = s2 * s
-    return ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * h * d0
-            + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * h * d1)
+@dataclass(frozen=True)
+class HermitePath:
+    """Cubic-Hermite dense output over strictly increasing node times
+    (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6).
 
+    `deriv_right[k]` is the derivative at the left node of segment k and
+    `deriv_left[k + 1]` the one at its right node; they differ only where
+    the vector field jumps.  Times that hit a node return the stored
+    value; times outside [t_0, t_K] extrapolate the end segment.
+    """
 
-class _DensePiece:
-    """Shared dense-output logic over one grid."""
-
-    def __init__(self, grid: TimeGrid, values: Array, deriv_right: Array,
-                 deriv_left: Array):
-        self.grid = grid
-        self._values = values
-        self._dr = deriv_right
-        self._dl = deriv_left
-
-    def at(self, t: float) -> Array:
-        k = self.grid.locate(t)
-        t0, t1 = self.grid.times[k], self.grid.times[k + 1]
-        if t == t0:
-            return self._values[k]
-        if t == t1:
-            return self._values[k + 1]
-        h = t1 - t0
-        return _hermite(self._values[k], self._dr[k], self._values[k + 1],
-                        self._dl[k + 1], h, (t - t0) / h)
+    times: Array        # (K+1,)
+    values: Array       # (K+1, n)
+    deriv_right: Array  # (K, n)
+    deriv_left: Array   # (K+1, n); index 0 unused
 
     def sample(self, ts) -> Array:
-        return np.array([self.at(float(t)) for t in np.atleast_1d(ts)])
+        """Values at every time in `ts`, shape (len(ts), n)."""
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        times = self.times
+        k = np.clip(np.searchsorted(times, ts, side="right") - 1,
+                    0, times.size - 2)
+        t0, t1 = times[k], times[k + 1]
+        y0, y1 = self.values[k], self.values[k + 1]
+        h = t1 - t0
+        s = (ts - t0) / h
+        s2 = s * s
+        s3 = s2 * s
+        out = ((2 * s3 - 3 * s2 + 1)[:, None] * y0
+               + ((s3 - 2 * s2 + s) * h)[:, None] * self.deriv_right[k]
+               + (-2 * s3 + 3 * s2)[:, None] * y1
+               + ((s3 - s2) * h)[:, None] * self.deriv_left[k + 1])
+        on_left = ts == t0
+        out[on_left] = y0[on_left]
+        on_right = ts == t1
+        out[on_right] = y1[on_right]
+        return out
+
+    def at(self, t: float) -> Array:
+        return self.sample([t])[0]
+
+    def midpoints(self) -> Array:
+        """Values at every segment midpoint in closed form (s = 1/2); the
+        RK4 stage tables read these instead of sampling at t_k + h/2."""
+        h = (self.times[1:] - self.times[:-1])[:, None]
+        return (0.5 * (self.values[:-1] + self.values[1:])
+                + 0.125 * h * (self.deriv_right - self.deriv_left[1:]))
 
 
 @dataclass(frozen=True)
@@ -200,13 +210,16 @@ class Trajectory:
     def final_state(self) -> Array:
         return self.states[-1]
 
+    @property
+    def path(self) -> HermitePath:
+        return HermitePath(self.grid.times, self.states, self.deriv_right,
+                           self.deriv_left)
+
     def at(self, t: float) -> Array:
-        return _DensePiece(self.grid, self.states, self.deriv_right,
-                           self.deriv_left).at(float(t))
+        return self.path.at(t)
 
     def sample(self, ts) -> Array:
-        piece = _DensePiece(self.grid, self.states, self.deriv_right, self.deriv_left)
-        return piece.sample(ts)
+        return self.path.sample(ts)
 
 
 @dataclass(frozen=True)
@@ -229,14 +242,16 @@ class CostateTrajectory:
     def final_costate(self) -> Array:
         return self.costates[-1]
 
+    @property
+    def path(self) -> HermitePath:
+        return HermitePath(self.grid.times, self.costates, self.deriv_right,
+                           self.deriv_left)
+
     def at(self, t: float) -> Array:
-        return _DensePiece(self.grid, self.costates, self.deriv_right,
-                           self.deriv_left).at(float(t))
+        return self.path.at(t)
 
     def sample(self, ts) -> Array:
-        piece = _DensePiece(self.grid, self.costates, self.deriv_right,
-                            self.deriv_left)
-        return piece.sample(ts)
+        return self.path.sample(ts)
 
     def scaled(self, lam: float) -> "CostateTrajectory":
         """Positive rescaling of the whole pair (p, p0)."""
@@ -291,20 +306,11 @@ def _rk4_march(rhs, grid: TimeGrid, y0: Array, forward: bool, what: str):
     return ys, d_right, d_left
 
 
-def _segment_midpoints(values: Array, d_right: Array, d_left: Array,
-                       times: Array) -> Array:
-    """Hermite values at all segment midpoints, vectorized."""
-    h = (times[1:] - times[:-1])[:, None]
-    return (0.5 * (values[:-1] + values[1:])
-            + 0.125 * h * (d_right - d_left[1:]))
-
-
 def _stage_tables(x: "Trajectory", grid: TimeGrid):
     """Node and midpoint state values aligned with `grid`."""
     if x.grid.times is grid.times or np.array_equal(x.grid.times, grid.times):
         nodes = x.states
-        mids = _segment_midpoints(x.states, x.deriv_right, x.deriv_left,
-                                  grid.times)
+        mids = x.path.midpoints()
     else:
         nodes = x.sample(grid.times)
         mids = x.sample(0.5 * (grid.times[:-1] + grid.times[1:]))
@@ -518,8 +524,6 @@ def integrate_nodal(grid: TimeGrid, values: Array) -> Array:
 
 # ---------------------------------------------------------------------------
 # Trajectory serialization
-
-_FLOAT_FMT = "%.17g"
 
 
 def write_state_csv(path, traj: Trajectory) -> None:

@@ -27,6 +27,10 @@ Array = np.ndarray
 
 PASS_THRESHOLD = 1e-6
 WARN_THRESHOLD = 1e-3
+# Gate on a sampled solve's own output (the CLI `solve` exit code and the
+# rows a sweep reports): ae at the pass level, ahg looser.
+SOLVE_GATE_AE = PASS_THRESHOLD
+SOLVE_GATE_AHG = 1e-5
 
 
 def hamiltonian(prob: OcpProblem, x: Array, u: Array, p: Array, p0: float,
@@ -379,6 +383,14 @@ class ResidualReport:
             if val is None or val > PASS_THRESHOLD:
                 return False
         return True
+
+    def certifies_solve(self) -> bool:
+        """True iff ae and ahg were evaluated and are within the solve
+        gate (SOLVE_GATE_AE, SOLVE_GATE_AHG)."""
+        return (self.ae_residual is not None
+                and self.ae_residual <= SOLVE_GATE_AE
+                and self.ahg_sup is not None
+                and self.ahg_sup <= SOLVE_GATE_AHG)
 
     def to_json(self) -> str:
         values = self.section_values()

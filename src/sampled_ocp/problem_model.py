@@ -27,9 +27,15 @@ Scalar = Callable[[Array, Array, float], float]
 
 
 def _frozen(a) -> Array:
+    """Read-only float copy of `a`."""
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+# Float format of every CSV the package writes: 17 significant digits
+# round-trip a double exactly.
+_FLOAT_FMT = "%.17g"
 
 
 # ---------------------------------------------------------------------------

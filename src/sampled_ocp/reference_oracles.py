@@ -25,74 +25,29 @@ from .control_partition import (Partition, PiecewiseConstantControl,
                                 resample_onto, uniform_partition)
 from .errors import (ActiveSetBudgetError, OracleError, SurrogateRejectedError,
                      UnreachableTargetError)
-from .integrate import CostateTrajectory, Trajectory, build_time_grid
-from .problem_model import Box, ControlSet, LqProblemData, OcpProblem
+from .integrate import (CostateTrajectory, HermitePath, Trajectory,
+                        build_time_grid)
+from .problem_model import (Box, ControlSet, LqProblemData, OcpProblem,
+                            _frozen)
 
 Array = np.ndarray
 
 SHOOTING_CONDITION_LIMIT = 1e12
 
 
-def _frozen(a) -> Array:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
-class DensePath:
-    """Uniformly gridded path with cubic-Hermite dense evaluation."""
-
-    def __init__(self, times: Array, values: Array, derivs: Array):
-        self.times = _frozen(times)
-        self.values = _frozen(np.atleast_2d(np.asarray(values, dtype=float))
-                              if np.ndim(values) == 1 else values)
-        self.derivs = _frozen(derivs)
-
-    def at(self, t: float) -> Array:
-        t = float(t)
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        k = min(max(k, 0), self.times.size - 2)
-        t0, t1 = self.times[k], self.times[k + 1]
-        if t == t0:
-            return self.values[k]
-        if t == t1:
-            return self.values[k + 1]
-        h = t1 - t0
-        s = (t - t0) / h
-        s2, s3 = s * s, s * s * s
-        return ((2 * s3 - 3 * s2 + 1) * self.values[k]
-                + (s3 - 2 * s2 + s) * h * self.derivs[k]
-                + (-2 * s3 + 3 * s2) * self.values[k + 1]
-                + (s3 - s2) * h * self.derivs[k + 1])
-
-    def sample(self, ts) -> Array:
-        return np.array([self.at(t) for t in np.atleast_1d(ts)])
-
-    def __call__(self, t: float) -> Array:
-        return self.at(t)
-
-
 @dataclass
 class PermanentReference:
     """A trusted permanent-control solution used as sweep baseline."""
 
-    x: object            # dense path with .at / .sample
-    u: object            # dense path or PC control
-    p: object            # dense path with .at / .sample
+    x: object            # HermitePath or Trajectory (.at / .sample)
+    u: object            # HermitePath or PC control
+    p: object            # HermitePath or CostateTrajectory (.at / .sample)
     p0: float
     cost: float
     provenance: str
     error_bar: Optional[float] = None
     quadrature_error: Optional[float] = None
     notes: list = field(default_factory=list)
-
-    @property
-    def final_costate(self) -> Array:
-        return np.atleast_1d(self.p.at(self._horizon()))
-
-    def _horizon(self) -> float:
-        return float(self.x.times[-1]) if hasattr(self.x, "times") \
-            else float(self.x.grid.times[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +98,15 @@ def solve_lq_permanent(data: LqProblemData, resolution: int = 4096,
     Upath = Z[:, n:] @ Rinv_Bt.T
     dU = dZ[:, n:] @ Rinv_Bt.T
 
-    x_path = DensePath(times, Z[:, :n], dZ[:, :n])
-    p_path = DensePath(times, Z[:, n:], dZ[:, n:])
-    u_path = DensePath(times, Upath, dU)
+    times = _frozen(times)
+
+    def path(values, derivs):
+        derivs = _frozen(derivs)
+        return HermitePath(times, _frozen(values), derivs[:-1], derivs)
+
+    x_path = path(Z[:, :n], dZ[:, :n])
+    p_path = path(Z[:, n:], dZ[:, n:])
+    u_path = path(Upath, dU)
 
     cost, quad_err = _lq_cost_quadrature(data, M, Z[0], gauss_nodes)
     notes = []
@@ -507,12 +468,13 @@ def fine_surrogate(prob: OcpProblem, n_ref: int, solver_options=None,
             f"a surrogate at N_ref={n_ref}")
     opts = solver_options if solver_options is not None else SolverOptions()
 
-    chain = [16]
-    while chain[-1] < 2 * n_ref:
-        chain.append(2 * chain[-1])
-    sol = None
-    keep = None
+    # halvings of n_ref while the half is an integer >= 16, n_ref, 2 n_ref
+    chain = [n_ref, 2 * n_ref]
+    while chain[0] % 2 == 0 and chain[0] // 2 >= 16:
+        chain.insert(0, chain[0] // 2)
+    coarse = sol = None
     for N in chain:
+        coarse = sol
         if cache is not None and N in cache:
             sol = cache[N]
         else:
@@ -523,9 +485,7 @@ def fine_surrogate(prob: OcpProblem, n_ref: int, solver_options=None,
                         warm_multiplier=warm_mu)
             if cache is not None:
                 cache[N] = sol
-        if N == n_ref:
-            keep = sol
-    coarse, fine = keep, sol
+    fine = sol
 
     ts = np.linspace(0.0, prob.horizon, comparison_points)
     err_bar = float(np.max(np.linalg.norm(

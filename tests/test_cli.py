@@ -185,11 +185,11 @@ class TestConverge:
         assert (tmp_path / "report" / "report.csv").exists()
 
     def test_jobs_flag_cold_rows(self, tmp_path):
-        """Capped concurrent rows; the degenerate zero-transfer problem
-        keeps every row instant."""
+        """Cold-start rows through the CLI; the degenerate zero-transfer
+        problem keeps every row instant."""
         out = tmp_path / "jobs"
         code = cli.main(["converge", "--problem", "lq_generic",
-                         "--Ns", "2,4", "--jobs", "2",
+                         "--Ns", "2,4",
                          "--warm-start", "cold", "--out", str(out)])
         assert code == 0
         assert len((out / "report.csv").read_text().splitlines()) == 3

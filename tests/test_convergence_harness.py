@@ -191,17 +191,3 @@ class TestControlRecovery:
             sups.append(max(dev))
         assert sups[1] <= 0.2 * sups[0] + 1e-12
 
-
-class TestColdParallelSweep:
-    def test_jobs_cold_matches_sequential(self):
-        """Concurrent cold rows assemble in the same fixed order; the
-        degenerate zero-transfer problem keeps the solves instant."""
-        prob = build_problem("lq_generic", A=0.0, B=1.0, Q=1.0, R=1.0,
-                             x0=[0.0, 0.0], xT=[0.0, 0.0])
-        ref = solve_lq_permanent(prob.lq)
-        cfg = SweepConfig(problem=prob, reference=ref,
-                          resolutions=(2, 4, 8), warm_start_policy="cold",
-                          comparison_points=257)
-        seq = sweep(cfg, jobs=1)
-        par = sweep(cfg, jobs=3)
-        assert seq.to_csv() == par.to_csv()

@@ -165,6 +165,62 @@ class TestCostateIntegration:
                               p0=0.0, pT=np.array([0.0]))
 
 
+def _hermite_point_by_point(times, values, d_right, d_left, ts):
+    """Reference dense output: one segment lookup and one scalar cubic
+    Hermite formula per time, node hits returning the stored value."""
+    out = []
+    for t in np.atleast_1d(ts):
+        t = float(t)
+        k = int(np.searchsorted(times, t, side="right")) - 1
+        k = min(max(k, 0), times.size - 2)
+        t0, t1 = times[k], times[k + 1]
+        if t == t0:
+            out.append(values[k])
+            continue
+        if t == t1:
+            out.append(values[k + 1])
+            continue
+        h = t1 - t0
+        s = (t - t0) / h
+        s2 = s * s
+        s3 = s2 * s
+        out.append((2 * s3 - 3 * s2 + 1) * values[k]
+                   + (s3 - 2 * s2 + s) * h * d_right[k]
+                   + (-2 * s3 + 3 * s2) * values[k + 1]
+                   + (s3 - s2) * h * d_left[k + 1])
+    return np.array(out)
+
+
+class TestHermiteDenseOutput:
+    def test_bitwise_equal_to_point_by_point(self, di_problem, di_reference):
+        """The vectorized evaluator reproduces the scalar formula bit for
+        bit on a state, a costate (derivatives jump at sampling times) and
+        the permanent reference's x, p and u."""
+        part = uniform_partition(5, 1.0)
+        u = PiecewiseConstantControl(part, [[-3.0], [1.5], [0.25], [2.0], [-1.0]])
+        grid = build_time_grid(1.0, part, h_max=1.0 / 200.0)
+        x = integrate_state(di_problem, u, grid)
+        p = integrate_costate(di_problem, x, u, p0=-1.0, pT=[0.7, -1.3])
+        ref = di_reference
+        cases = [(grid.times, x.states, x.deriv_right, x.deriv_left, x),
+                 (grid.times, p.costates, p.deriv_right, p.deriv_left, p)]
+        for path in (ref.x, ref.p, ref.u):
+            cases.append((path.times, path.values, path.deriv_right,
+                          path.deriv_left, path))
+        rng = np.random.default_rng(7)
+        for times, values, d_right, d_left, dense in cases:
+            T = times[-1]
+            ts = np.concatenate([times, 0.5 * (times[:-1] + times[1:]), [T],
+                                 rng.uniform(0.0, T, 1000)])
+            expected = _hermite_point_by_point(times, values, d_right, d_left,
+                                               ts)
+            got = dense.sample(ts)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            for t, row in zip(ts[::97], expected[::97]):
+                assert dense.at(t).tobytes() == row.tobytes()
+
+
 class TestVariation:
     def test_zero_direction(self, di_problem):
         grid = build_time_grid(1.0, h_max=1.0 / 64.0)

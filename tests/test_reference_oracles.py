@@ -237,6 +237,41 @@ class TestFineSurrogate:
         with pytest.raises(SurrogateRejectedError):
             fine_surrogate(aq_problem, 256, sweep_max_n=100000)
 
+    @pytest.mark.parametrize("n_ref, chain", [
+        (300, [75, 150, 300, 600]),
+        (256, [16, 32, 64, 128, 256, 512]),
+    ])
+    def test_chain_reaches_n_ref(self, aq_problem, monkeypatch, n_ref, chain):
+        """The warm chain halves n_ref while the half is an integer >= 16
+        and ends at 2 n_ref; the error bar compares the n_ref and 2 n_ref
+        solves.
+        The solves are stubbed: each state is N in its first component."""
+        import sampled_ocp.solver_sampled as solver_sampled
+        from types import SimpleNamespace
+
+        from sampled_ocp import PiecewiseConstantControl
+
+        calls = []
+
+        def fake_solve(prob, partition, opts, warm_start=None,
+                       warm_multiplier=None):
+            N = partition.N
+            calls.append(N)
+            value = np.zeros(prob.n)
+            value[0] = N
+            return SimpleNamespace(
+                control=PiecewiseConstantControl(partition,
+                                                 np.zeros((N, prob.m))),
+                multiplier=np.zeros(prob.n), costate=None, cost=float(N),
+                state=SimpleNamespace(
+                    sample=lambda ts: np.tile(value, (len(ts), 1))))
+
+        monkeypatch.setattr(solver_sampled, "solve", fake_solve)
+        ref = fine_surrogate(aq_problem, n_ref)
+        assert calls == chain
+        assert ref.error_bar == float(n_ref)
+        assert ref.cost == float(2 * n_ref)
+
     def test_lq_surrogate_agrees_with_analytic(self, di_surrogates,
                                                di_reference):
         """Self-consistency route vs the analytic one: a fine sampled
