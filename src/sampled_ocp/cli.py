@@ -132,8 +132,11 @@ def _solver_options(args, base: SolverOptions) -> SolverOptions:
     given = {name: getattr(args, name, None)
              for name in ("feas_tol", "stat_tol", "h_max", "max_outer",
                           "max_inner")}
-    return dataclasses.replace(
-        base, **{name: v for name, v in given.items() if v is not None})
+    try:
+        return dataclasses.replace(
+            base, **{name: v for name, v in given.items() if v is not None})
+    except ValueError as exc:
+        raise _UsageError(f"solver options: {exc}") from exc
 
 
 def run_solve(args) -> int:
@@ -158,6 +161,8 @@ def run_solve(args) -> int:
 
 
 def run_check(args) -> int:
+    if args.probes < 0:
+        raise _UsageError("--probes must be nonnegative")
     prob = _load_problem(args)
     bundle = args.bundle
     try:
@@ -173,13 +178,16 @@ def run_check(args) -> int:
         return EXIT_USAGE
     p0 = p0_file if args.p0 is None else float(args.p0)
     n = P.shape[1]
-    costate = CostateTrajectory(traj.grid, P, p0,
-                                np.zeros((traj.grid.K, n)),
-                                np.zeros((times.size, n)))
-    extremal = Extremal(prob, traj, control, costate, p0)
+    try:
+        costate = CostateTrajectory(traj.grid, P, p0,
+                                    np.zeros((traj.grid.K, n)),
+                                    np.zeros((times.size, n)))
+        extremal = Extremal(prob, traj, control, costate, p0)
+    except ValueError as exc:
+        raise _UsageError(f"--p0 or costate.csv: {exc}") from exc
     try:
         report = evaluate_extremal(extremal, with_hm=args.require_hm,
-                                   lift_probes=max(0, args.probes),
+                                   lift_probes=args.probes,
                                    probe_seed=0)
     except SampledOcpError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
@@ -215,10 +223,13 @@ def run_converge(args) -> int:
         print(f"reference rejected: {exc}", file=sys.stderr)
         return EXIT_REFERENCE
     solver_opts = _solver_options(args, harness.default_solver_options())
-    cfg = harness.SweepConfig(problem=prob, reference=reference,
-                              resolutions=ns,
-                              warm_start_policy=args.warm_start,
-                              solver_options=solver_opts)
+    try:
+        cfg = harness.SweepConfig(problem=prob, reference=reference,
+                                  resolutions=ns,
+                                  warm_start_policy=args.warm_start,
+                                  solver_options=solver_opts)
+    except ValueError as exc:
+        raise _UsageError(f"--Ns: {exc}") from exc
     report = harness.sweep(cfg)
     csv_path = os.path.join(out, "report.csv")
     summary_path = os.path.join(out, "summary")

@@ -56,8 +56,9 @@ class SweepConfig:
 
     def __post_init__(self):
         ns = tuple(int(n) for n in self.resolutions)
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("resolution list must be strictly increasing")
+        if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+            raise ValueError("resolution list must be positive and "
+                             "strictly increasing")
         if self.warm_start_policy not in ("cascade", "cold"):
             raise ValueError("warm_start_policy must be 'cascade' or 'cold'")
         object.__setattr__(self, "resolutions", ns)

@@ -67,9 +67,5 @@ class UnreachableTargetError(OracleError):
     """Shooting/KKT system singular or hopelessly ill-conditioned."""
 
 
-class ActiveSetBudgetError(OracleError):
-    """Active-set enumeration would exceed its combinatorial budget."""
-
-
 class SurrogateRejectedError(OracleError):
     """Fine-partition surrogate failed its self-consistency check."""

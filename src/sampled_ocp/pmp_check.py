@@ -18,8 +18,8 @@ import numpy as np
 
 from .control_partition import PiecewiseConstantControl
 from .errors import GridAlignmentError, MembershipError, TrivialLiftError
-from .integrate import (ControlDifference, CostateTrajectory, Trajectory,
-                        integrate_variation, simpson_on_interval)
+from .integrate import (ControlDifference, CostateTrajectory, TimeGrid,
+                        Trajectory, integrate_variation, simpson_on_interval)
 from .problem_model import (OcpProblem, grid_spacing, normal_cone_residual,
                             project, sample_grid)
 
@@ -207,6 +207,24 @@ class AhgResult:
     integrals: Array
 
 
+def interval_grad_integrals(prob: OcpProblem, grid: TimeGrid, states: Array,
+                            values: Array, costates: Array,
+                            p0: float) -> Array:
+    """(N, m) integrals of grad_u H(x(s), u_i, p(s), s) over each sampling
+    interval, by composite Simpson on the grid nodes; the grid must be
+    aligned with the partition of the interval values."""
+    integrals = np.empty((values.shape[0], prob.m))
+    for i in range(values.shape[0]):
+        sl = grid.interval_slice(i)
+        ts = grid.times[sl]
+        vals = np.empty((ts.size, prob.m))
+        for j, k in enumerate(range(sl.start, sl.stop)):
+            vals[j] = grad_u_hamiltonian(prob, states[k], values[i],
+                                         costates[k], p0, float(ts[j]))
+        integrals[i] = simpson_on_interval(vals, float(ts[1] - ts[0]))
+    return integrals
+
+
 def ahg_residual(e: Extremal) -> AhgResult:
     """Interval-averaged gradient condition for a PC control.
 
@@ -220,21 +238,10 @@ def ahg_residual(e: Extremal) -> AhgResult:
     if grid.partition is None or \
             not np.all(np.isin(e.u.partition.times, grid.times)):
         raise GridAlignmentError("grid is not aligned with the control partition")
-    prob = e.problem
-    U = prob.control_set
-    N = e.u.partition.N
-    residuals = np.empty(N)
-    integrals = np.empty((N, prob.m))
-    for i in range(N):
-        sl = grid.interval_slice(i)
-        ts = grid.times[sl]
-        ui = e.u.values[i]
-        vals = np.empty((ts.size, prob.m))
-        for j, k in enumerate(range(sl.start, sl.stop)):
-            vals[j] = grad_u_hamiltonian(prob, e.x.states[k], ui,
-                                         e.p.costates[k], e.p0, float(ts[j]))
-        integrals[i] = simpson_on_interval(vals, float(ts[1] - ts[0]))
-        residuals[i] = normal_cone_residual(U, ui, integrals[i])
+    integrals = interval_grad_integrals(e.problem, grid, e.x.states,
+                                        e.u.values, e.p.costates, e.p0)
+    residuals = np.array([normal_cone_residual(e.problem.control_set, ui, gi)
+                          for ui, gi in zip(e.u.values, integrals)])
     return AhgResult(float(np.max(residuals)), residuals, integrals)
 
 

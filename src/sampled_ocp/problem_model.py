@@ -656,15 +656,23 @@ def _control_set_from_dict(d: dict) -> ControlSet:
         kind = d["kind"]
     except (TypeError, KeyError):
         raise ConfigFormatError("control_set: missing 'kind'")
-    if kind == "box":
-        if "bounds" in d:
-            lo, up = d["bounds"]
-            return Box(np.atleast_1d(lo), np.atleast_1d(up))
-        return Box(np.atleast_1d(d["lower"]), np.atleast_1d(d["upper"]))
-    if kind == "ball":
-        return Ball(np.atleast_1d(d["center"]), float(d["radius"]))
-    if kind == "product":
-        return ProductSet(tuple(_control_set_from_dict(f) for f in d["factors"]))
+    try:
+        if kind == "box":
+            if "bounds" in d:
+                lo, up = d["bounds"]
+                return Box(np.atleast_1d(lo), np.atleast_1d(up))
+            return Box(np.atleast_1d(d["lower"]), np.atleast_1d(d["upper"]))
+        if kind == "ball":
+            return Ball(np.atleast_1d(d["center"]), float(d["radius"]))
+        if kind == "product":
+            return ProductSet(tuple(_control_set_from_dict(f)
+                                    for f in d["factors"]))
+    except ConfigFormatError:
+        raise
+    except KeyError as exc:
+        raise ConfigFormatError(f"control_set: {kind} needs key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigFormatError(f"control_set: {kind}: {exc}") from exc
     raise ConfigFormatError(f"control_set: unknown kind {kind!r}")
 
 
@@ -689,9 +697,10 @@ def load_problem_config(path: str) -> OcpProblem:
         name = raw["problem"]
     except KeyError:
         raise ConfigFormatError(f"{path}: missing required key 'problem'")
-    params = dict(raw.get("params", {}))
+    params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigFormatError(f"{path}: 'params' must be an object")
+    params = dict(params)
     for key in ("horizon", "x0", "xT"):
         if key in raw:
             params[key] = raw[key]

@@ -35,9 +35,9 @@ from .errors import (InfeasibleStalledError, IntegrationDivergedError,
                      MultiplierDivergedError)
 from .integrate import (CostateTrajectory, TimeGrid, Trajectory,
                         build_time_grid, integrate_costate, integrate_state,
-                        simpson_on_interval, write_costate_csv,
-                        write_state_csv)
-from .pmp_check import Extremal, ResidualReport, evaluate_extremal, grad_u_hamiltonian
+                        write_costate_csv, write_state_csv)
+from .pmp_check import (Extremal, ResidualReport, evaluate_extremal,
+                        interval_grad_integrals)
 from .problem_model import OcpProblem, project
 
 Array = np.ndarray
@@ -49,8 +49,15 @@ Array = np.ndarray
 SOLVER_STEP_DIVISOR = 256
 
 MULTIPLIER_LIMIT = 1e8
+PENALTY_INIT = 10.0
+PENALTY_GROWTH = 10.0
 PENALTY_LIMIT = 1e12
 STALL_ROUNDS = 5
+# sufficient-decrease constant, backtracking factor and first trial step
+# of the projected-gradient line search
+ARMIJO_C = 1e-4
+ARMIJO_BACKTRACK = 0.5
+ARMIJO_STEP_INIT = 1.0
 
 
 @dataclass(frozen=True)
@@ -59,26 +66,17 @@ class SolverOptions:
 
     max_outer: int = 50
     max_inner: int = 2000
-    penalty_init: float = 10.0
-    penalty_growth: float = 10.0
     feas_tol: float = 1e-8
     stat_tol: float = 1e-8
-    armijo_c: float = 1e-4
-    armijo_backtrack: float = 0.5
-    armijo_step_init: float = 1.0
-    step_rule: str = "bb"  # "bb" (spectral trial steps) or "fixed"
     h_max: Optional[float] = None
 
     def __post_init__(self):
         if min(self.max_outer, self.max_inner) <= 0:
             raise ValueError("iteration limits must be positive")
-        if min(self.penalty_init, self.feas_tol, self.stat_tol, self.armijo_c,
-               self.armijo_backtrack, self.armijo_step_init) <= 0:
-            raise ValueError("solver parameters must be positive")
-        if self.penalty_growth <= 1:
-            raise ValueError("penalty growth must exceed 1")
-        if self.step_rule not in ("bb", "fixed"):
-            raise ValueError("step_rule must be 'bb' or 'fixed'")
+        if min(self.feas_tol, self.stat_tol) <= 0:
+            raise ValueError("solver tolerances must be positive")
+        if self.h_max is not None and self.h_max <= 0:
+            raise ValueError("h_max must be positive")
 
 
 @dataclass(frozen=True)
@@ -137,18 +135,8 @@ class _AugmentedObjective:
         lam_T = mu + rho * defect
         costate = integrate_costate(self.prob, traj, self.control(values),
                                     p0=-1.0, pT=-lam_T, grid=self.grid)
-        g = np.empty_like(values)
-        prob = self.prob
-        for i in range(self.partition.N):
-            sl = self.grid.interval_slice(i)
-            ts = self.grid.times[sl]
-            ui = values[i]
-            dens = np.empty((ts.size, prob.m))
-            for j, k in enumerate(range(sl.start, sl.stop)):
-                dens[j] = -grad_u_hamiltonian(prob, traj.states[k], ui,
-                                              costate.costates[k], -1.0,
-                                              float(ts[j]))
-            g[i] = simpson_on_interval(dens, float(ts[1] - ts[0]))
+        g = -interval_grad_integrals(self.prob, self.grid, traj.states, values,
+                                     costate.costates, -1.0)
         return g, costate, defect
 
 
@@ -203,7 +191,7 @@ def solve(prob: OcpProblem, partition: Partition,
     h_weights = np.diff(partition.times)[:, None]
     mu = np.zeros(prob.n) if warm_multiplier is None \
         else np.asarray(warm_multiplier, dtype=float).copy()
-    rho = opts.penalty_init
+    rho = PENALTY_INIT
     total_inner = 0
     objective_log = []
     feas_history = []
@@ -216,7 +204,7 @@ def solve(prob: OcpProblem, partition: Partition,
         phi = aug.value(traj, mu, rho)
         prev_values = None
         prev_g = None
-        alpha = opts.armijo_step_init
+        alpha = ARMIJO_STEP_INIT
         # nonmonotone (GLL) reference window for the sufficient-decrease
         # test: spectral steps need it to keep their fast local behavior
         recent_phi = [phi]
@@ -229,7 +217,7 @@ def solve(prob: OcpProblem, partition: Partition,
             # spectral (Barzilai-Borwein) trial step in the h-weighted
             # metric; the 1/h scaling keeps the fixed points identical
             # (positive per-interval scaling preserves the normal cone)
-            if opts.step_rule == "bb" and prev_values is not None:
+            if prev_values is not None:
                 s = values - prev_values
                 y = (g - prev_g) / h_weights
                 denom = float(np.sum(s * y * h_weights))
@@ -254,10 +242,10 @@ def solve(prob: OcpProblem, partition: Partition,
                     cand_phi = aug.value(cand_traj, mu, rho)
                 except IntegrationDivergedError:
                     cand_phi = np.inf
-                if cand_phi <= reference + opts.armijo_c * decrease:
+                if cand_phi <= reference + ARMIJO_C * decrease:
                     accepted = True
                     break
-                trial_alpha *= opts.armijo_backtrack
+                trial_alpha *= ARMIJO_BACKTRACK
             if not accepted:
                 break
             prev_values, prev_g = values, g
@@ -268,8 +256,6 @@ def solve(prob: OcpProblem, partition: Partition,
             total_inner += 1
             objective_log.append((outer, total_inner, phi))
             g, costate, defect = aug.gradient(values, traj, mu, rho)
-            if opts.step_rule == "fixed":
-                alpha = opts.armijo_step_init
 
         stat = _stationarity(prob, values, g)
         feas = float(np.linalg.norm(defect))
@@ -294,7 +280,7 @@ def solve(prob: OcpProblem, partition: Partition,
                 f"{STALL_ROUNDS} outer rounds; the target may be unreachable "
                 "with piecewise-constant controls on this partition")
         if len(feas_history) >= 2 and feas > 0.1 * feas_history[-2]:
-            rho = min(rho * opts.penalty_growth, PENALTY_LIMIT)
+            rho = min(rho * PENALTY_GROWTH, PENALTY_LIMIT)
     raise MaxIterationsError(
         f"no convergence within {opts.max_outer} outer rounds "
         f"(best feasibility {best[1]:.3e}, stationarity {best[0]:.3e})")

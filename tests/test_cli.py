@@ -101,6 +101,22 @@ class TestSolve:
         rows = (out / "state.csv").read_text().splitlines()
         assert len(rows) == 6  # header + 5 nodes (2 intervals x 2 steps)
 
+    @pytest.mark.parametrize("flag", ["--feas-tol", "--stat-tol", "--h-max",
+                                      "--max-outer", "--max-inner"])
+    def test_nonpositive_solver_option_is_usage_error(self, tmp_path, flag):
+        code = cli.main(["solve", "--problem", "lq_double_integrator",
+                         "--N", "2", flag, "0", "--out", str(tmp_path)])
+        assert code == 1
+
+    def test_malformed_config_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "noradius.json"
+        cfg.write_text(json.dumps({
+            "problem": "lq_double_integrator",
+            "control_set": {"kind": "ball", "center": [0.0]}}))
+        code = cli.main(["solve", "--config", str(cfg), "--N", "2",
+                         "--out", str(tmp_path)])
+        assert code == 1
+
 
 class TestCheck:
     def test_bundle_passes(self, di_bundle):
@@ -142,6 +158,13 @@ class TestCheck:
                          "lq_double_integrator"])
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value", [("--probes", "-1"),
+                                             ("--p0", "1")])
+    def test_out_of_range_flag_is_usage_error(self, di_bundle, flag, value):
+        code = cli.main(["check", str(di_bundle), "--problem",
+                         "lq_double_integrator", flag, value])
+        assert code == 1
+
     def test_missing_bundle_dir(self, tmp_path):
         code = cli.main(["check", str(tmp_path / "nope"), "--problem",
                          "lq_double_integrator"])
@@ -176,6 +199,12 @@ class TestConverge:
                          "--Ns", "2,4", "--surrogate-N", "64",
                          "--out", str(tmp_path)])
         assert code == 4
+
+    @pytest.mark.parametrize("ns", ["0", "2,0", "4,2"])
+    def test_bad_resolutions_are_usage_error(self, tmp_path, ns):
+        code = cli.main(["converge", "--problem", "lq_double_integrator",
+                         "--Ns", ns, "--out", str(tmp_path)])
+        assert code == 1
 
     def test_env_var_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SAMPLED_OCP_OUT", str(tmp_path))

@@ -230,6 +230,22 @@ class TestConfig:
         out = prob.control_set.project(np.array([5.0, -4.0]))
         np.testing.assert_allclose(out, [1.0, -3.0])
 
+    @pytest.mark.parametrize("extra", [
+        {"params": [1, 2]},
+        {"control_set": {"kind": "ball", "center": [0.0]}},
+        {"control_set": {"kind": "box", "lower": [-1.0]}},
+        {"control_set": {"kind": "box", "lower": [1.0], "upper": [-1.0]}},
+        {"control_set": {"kind": "product"}},
+        {"control_set": {"kind": "product", "factors": 5}},
+    ], ids=["params_list", "ball_without_radius", "box_without_upper",
+            "empty_box", "product_without_factors", "product_factors_int"])
+    def test_malformed_entries_are_config_errors(self, tmp_path, extra):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"problem": "lq_double_integrator",
+                                    **extra}))
+        with pytest.raises(ConfigFormatError):
+            load_problem_config(str(path))
+
 
 class TestFiniteDifferenceHelpers:
     def test_second_order_decay(self):

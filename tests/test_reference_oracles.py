@@ -162,16 +162,21 @@ class TestSampledExact:
         assert lq8_oracle_report.ae_residual <= 1e-8
 
     def test_active_set_against_brute_enumeration(self, rng):
-        """Small bounded instances: the guided active-set result equals
-        exhaustive enumeration over all clamp patterns."""
-        prob = build_problem("lq_double_integrator", u_bound=5.0)
-        data = prob.lq
-        for N in (2, 3, 4):
+        """Small bounded instances: the active-set result equals
+        exhaustive enumeration over all clamp patterns.  At u_bound=5 the
+        optimum is interior; from (0.9, 0) with u_bound=4 two to four
+        entries are clamped."""
+        for bound, x0, N in [(5.0, None, 2), (5.0, None, 3), (5.0, None, 4),
+                             (4.0, [0.9, 0.0], 4), (4.0, [0.9, 0.0], 5),
+                             (4.0, [0.9, 0.0], 6), (4.0, [0.9, 0.0], 7)]:
+            prob = build_problem("lq_double_integrator", u_bound=bound,
+                                 **({} if x0 is None else {"x0": x0}))
+            data = prob.lq
             part = uniform_partition(N, 1.0)
             sol = solve_lq_sampled_exact(data, part, prob.control_set)
             qp = _ReducedQp(data, part)
-            lo = np.full(N, -5.0)
-            up = np.full(N, 5.0)
+            lo = np.full(N, -bound)
+            up = np.full(N, bound)
             best, best_val = None, np.inf
             for pattern in itertools.product((0, 1, 2), repeat=N):
                 fixed_idx = np.array([j for j, a in enumerate(pattern) if a],
@@ -191,6 +196,38 @@ class TestSampledExact:
                     best_val, best = val, u_try
             np.testing.assert_allclose(sol.control.values.ravel(), best,
                                        atol=1e-8)
+
+    @pytest.mark.parametrize("N", [16, 64, 256])
+    def test_active_bounds_kkt_certificate(self, N):
+        """From (0.9, 0) with u_bound=4 the box binds on many intervals;
+        the returned control and multiplier satisfy the KKT conditions of
+        the condensed QP, recomputed here from its matrices."""
+        prob = build_problem("lq_double_integrator", u_bound=4.0,
+                             x0=[0.9, 0.0])
+        part = uniform_partition(N, 1.0)
+        sol = solve_lq_sampled_exact(prob.lq, part, prob.control_set)
+        qp = _ReducedQp(prob.lq, part)
+        u = sol.control.values.ravel()
+        grad = qp.H @ u + qp.g + qp.A_eq.T @ np.asarray(sol.multiplier)
+        scale = 1.0 + float(np.max(np.abs(qp.H @ u + qp.g)))
+        at_lo, at_up = u == -4.0, u == 4.0
+        free = ~(at_lo | at_up)
+        assert np.count_nonzero(~free) >= 2
+        assert np.linalg.norm(qp.A_eq @ u - qp.b_eq) <= 1e-10
+        assert np.all(np.abs(u) <= 4.0)
+        assert np.max(np.abs(grad[free])) <= 1e-9 * scale
+        assert np.all(grad[at_lo] >= -1e-9 * scale)
+        assert np.all(grad[at_up] <= 1e-9 * scale)
+
+    def test_single_vertex_box_raises(self):
+        """From (1, 0) with u_bound=4 at N=8 the feasible set is one
+        vertex whose multiplier is not unique: the oracle raises instead
+        of returning a point."""
+        from sampled_ocp.errors import OracleError
+        prob = build_problem("lq_double_integrator", u_bound=4.0)
+        with pytest.raises(OracleError):
+            solve_lq_sampled_exact(prob.lq, uniform_partition(8, 1.0),
+                                   prob.control_set)
 
     def test_box_bound_saturation_at_fine_partitions(self):
         """The permanent optimum peaks past 6, so a [-6, 6] box saturates

@@ -40,11 +40,7 @@ class TestBasics:
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
-            SolverOptions(penalty_growth=0.5)
-        with pytest.raises(ValueError):
             SolverOptions(max_outer=0)
-        with pytest.raises(ValueError):
-            SolverOptions(step_rule="newton")
 
 
 class TestOracleEquivalence:
