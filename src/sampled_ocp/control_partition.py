@@ -58,9 +58,6 @@ class Partition:
         i = int(np.searchsorted(self.times, t, side="right")) - 1
         return min(max(i, 0), self.N - 1)
 
-    def refines(self, coarser: "Partition") -> bool:
-        return bool(np.all(np.isin(coarser.times, self.times)))
-
 
 def uniform_partition(N: int, horizon: float) -> Partition:
     """Uniform partition with N intervals, endpoints exact."""

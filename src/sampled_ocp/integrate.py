@@ -2,7 +2,9 @@
 
 Classical fixed-step RK4 for the state (with the running cost carried as
 an augmented quadrature state), the backward adjoint equation, the
-linearized variation equations, and the state-transition matrix.  Grids
+linearized variation equations, and the state-transition matrix to T
+from every grid node; the last three are linear marches along one
+`Linearization` of (f, L) at (x, u).  Grids
 contain every sampling time bit-exactly and stages never straddle a
 sampling time, so piecewise-constant controls stay piecewise smooth
 across steps and results are bitwise reproducible for a fixed grid.
@@ -62,11 +64,6 @@ class TimeGrid:
     def interval_slice(self, i: int) -> slice:
         """Node index range [lo, hi] covering partition interval i."""
         return slice(int(self.boundaries[i]), int(self.boundaries[i + 1]) + 1)
-
-    def locate(self, t: float) -> int:
-        """Segment index whose [t_k, t_{k+1}] contains t."""
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        return min(max(k, 0), self.K - 1)
 
 
 def build_time_grid(horizon: float, partition: Optional[Partition] = None,
@@ -306,17 +303,6 @@ def _rk4_march(rhs, grid: TimeGrid, y0: Array, forward: bool, what: str):
     return ys, d_right, d_left
 
 
-def _stage_tables(x: "Trajectory", grid: TimeGrid):
-    """Node and midpoint state values aligned with `grid`."""
-    if x.grid.times is grid.times or np.array_equal(x.grid.times, grid.times):
-        nodes = x.states
-        mids = x.path.midpoints()
-    else:
-        nodes = x.sample(grid.times)
-        mids = x.sample(0.5 * (grid.times[:-1] + grid.times[1:]))
-    return nodes, mids
-
-
 def integrate_state(prob: OcpProblem, u, grid: TimeGrid) -> Trajectory:
     """Forward solve of xdot = f(x, u(t), t), x(0) = x0, plus running cost.
 
@@ -340,37 +326,6 @@ def integrate_state(prob: OcpProblem, u, grid: TimeGrid) -> Trajectory:
                       _frozen(dl[:, :n]), _frozen(ys[:, n]))
 
 
-def integrate_costate(prob: OcpProblem, x: Trajectory, u, p0: float,
-                      pT: Array, grid: Optional[TimeGrid] = None) -> CostateTrajectory:
-    """Backward solve of pdot = -grad_x f' p - p0 grad_x L, p(T) = pT."""
-    grid = grid if grid is not None else x.grid
-    pT = np.atleast_1d(np.asarray(pT, dtype=float))
-    p0 = float(p0)
-    if p0 > 0:
-        raise ValueError("p0 must be nonpositive")
-    if float(np.linalg.norm(pT)) + abs(p0) == 0.0:
-        raise TrivialLiftError("refusing the trivial pair pT = 0, p0 = 0")
-    uval = _control_values_per_segment(u, grid)
-    x_nodes, x_mid = _stage_tables(x, grid)
-
-    def rhs(k, t, p, stage):
-        # backward step inside segment k: stage 0 sits at node k+1,
-        # stage 2 at node k, stage 1 at the stored Hermite midpoint
-        if stage == 0:
-            xt = x_nodes[k + 1]
-        elif stage == 2:
-            xt = x_nodes[k]
-        else:
-            xt = x_mid[k]
-        uu = uval(k, t)
-        return (-prob.dynamics_jac_x(xt, uu, t).T @ p
-                - p0 * prob.cost_grad_x(xt, uu, t))
-
-    ps, dr, dl = _rk4_march(rhs, grid, pT, forward=False,
-                            what="costate integration")
-    return CostateTrajectory(grid, _frozen(ps), p0, _frozen(dr), _frozen(dl))
-
-
 @dataclass(frozen=True)
 class VariationResult:
     """Linearized state/cost response (w, w0) to a control direction."""
@@ -388,109 +343,123 @@ class VariationResult:
         return float(self.w0[-1])
 
 
-def integrate_variation(prob: OcpProblem, x: Trajectory, u, direction,
-                        grid: Optional[TimeGrid] = None) -> VariationResult:
-    """Forward solve of the coupled linear variation equations.
+class Linearization:
+    """Derivatives of (f, L) along (x, u) at the RK4 stage points.
 
-    wdot  = grad_x f w + grad_u f v,          w(0) = 0
-    w0dot = <grad_x L, w> + <grad_u L, v>,    w0(0) = 0
-
-    `direction` is the control perturbation v, given as a control-like
-    object or callable.
-    """
-    grid = grid if grid is not None else x.grid
-    uval = _control_values_per_segment(u, grid)
-    vval = _control_values_per_segment(direction, grid)
-    n = prob.n
-    x_nodes, x_mid = _stage_tables(x, grid)
-
-    def rhs(k, t, y, stage):
-        w = y[:n]
-        if stage == 0:
-            xt = x_nodes[k]
-        elif stage == 2:
-            xt = x_nodes[k + 1]
-        else:
-            xt = x_mid[k]
-        uu = uval(k, t)
-        vv = vval(k, t)
-        out = np.empty(n + 1)
-        out[:n] = prob.dynamics_jac_x(xt, uu, t) @ w + prob.dynamics_jac_u(xt, uu, t) @ vv
-        out[n] = prob.cost_grad_x(xt, uu, t) @ w + prob.cost_grad_u(xt, uu, t) @ vv
-        return out
-
-    y0 = np.zeros(n + 1)
-    ys, _, _ = _rk4_march(rhs, grid, y0, forward=True, what="variation integration")
-    return VariationResult(grid, _frozen(ys[:, :n]), _frozen(ys[:, n]))
-
-
-class TransitionMap:
-    """State-transition matrix of the linearization along (x, u).
-
-    `at_final()` returns Phi(T, t_k) for every grid node from a single
-    backward sweep of d/ds Phi(T, s) = -Phi(T, s) A(s).  Calling the
-    object evaluates Phi(t, s) for arbitrary node pairs by integrating
-    the homogeneous variational equation from identity at s.
+    The costate, variation and transition marches are linear ODEs along
+    this one linearization.  Each derivative a march asks for is
+    evaluated once, on first use, at the three stage points of every
+    segment k: `[k][0]` at node k, `[k][1]` at the Hermite midpoint and
+    `[k][2]` at node k+1, all under segment k's control.  Forward marches
+    read `[k][stage]`, backward ones `[k][2 - stage]`.  The midpoint time
+    t_k + h/2 equals a backward step's t_{k+1} - h/2 bit for bit whenever
+    the step t_{k+1} - t_k is exact, e.g. when t_k = 0 or t_{k+1} <= 2 t_k
+    (Sterbenz).
     """
 
     def __init__(self, prob: OcpProblem, x: Trajectory, u,
                  grid: Optional[TimeGrid] = None):
         self.prob = prob
-        self.x = x
         self.grid = grid if grid is not None else x.grid
-        self._uval = _control_values_per_segment(u, self.grid)
-        self._final: Optional[Array] = None
+        times = self.grid.times
+        if x.grid.times is times or np.array_equal(x.grid.times, times):
+            nodes, mids = x.states, x.path.midpoints()
+        else:
+            nodes = x.sample(times)
+            mids = x.sample(0.5 * (times[:-1] + times[1:]))
+        t_mid = times[:-1] + 0.5 * (times[1:] - times[:-1])
+        uval = _control_values_per_segment(u, self.grid)
+        # per segment: (states, controls, times) at the three stage points
+        self._stages = [
+            ((nodes[k], mids[k], nodes[k + 1]),
+             (uval(k, times[k]), uval(k, t_mid[k]), uval(k, times[k + 1])),
+             (times[k], t_mid[k], times[k + 1]))
+            for k in range(self.grid.K)]
+        self._tables: dict = {}
 
-    def _jac(self, k, t):
-        return self.prob.dynamics_jac_x(self.x.at(t), self._uval(k, t), t)
+    def _table(self, name: str) -> list:
+        """Nested list [k][j] of the problem's evaluator `name`."""
+        table = self._tables.get(name)
+        if table is None:
+            d = getattr(self.prob, name)
+            table = self._tables[name] = [[d(*point) for point in zip(*stage)]
+                                          for stage in self._stages]
+        return table
+
+    def costate(self, p0: float, pT) -> CostateTrajectory:
+        """Backward solve of pdot = -grad_x f' p - p0 grad_x L, p(T) = pT."""
+        pT = np.atleast_1d(np.asarray(pT, dtype=float))
+        p0 = float(p0)
+        if p0 > 0:
+            raise ValueError("p0 must be nonpositive")
+        if float(np.linalg.norm(pT)) + abs(p0) == 0.0:
+            raise TrivialLiftError("refusing the trivial pair pT = 0, p0 = 0")
+        fx = self._table("dynamics_jac_x")
+        lx = self._table("cost_grad_x")
+
+        def rhs(k, t, p, stage):
+            return -fx[k][2 - stage].T @ p - p0 * lx[k][2 - stage]
+
+        ps, dr, dl = _rk4_march(rhs, self.grid, pT, forward=False,
+                                what="costate integration")
+        return CostateTrajectory(self.grid, _frozen(ps), p0, _frozen(dr),
+                                 _frozen(dl))
+
+    def variation(self, direction) -> VariationResult:
+        """Forward solve of the coupled linear variation equations.
+
+        wdot  = grad_x f w + grad_u f v,          w(0) = 0
+        w0dot = <grad_x L, w> + <grad_u L, v>,    w0(0) = 0
+        """
+        n = self.prob.n
+        fx, fu = self._table("dynamics_jac_x"), self._table("dynamics_jac_u")
+        lx, lu = self._table("cost_grad_x"), self._table("cost_grad_u")
+        vval = _control_values_per_segment(direction, self.grid)
+
+        def rhs(k, t, y, stage):
+            w = y[:n]
+            vv = vval(k, t)
+            out = np.empty(n + 1)
+            out[:n] = fx[k][stage] @ w + fu[k][stage] @ vv
+            out[n] = lx[k][stage] @ w + lu[k][stage] @ vv
+            return out
+
+        ys, _, _ = _rk4_march(rhs, self.grid, np.zeros(n + 1), forward=True,
+                              what="variation integration")
+        return VariationResult(self.grid, _frozen(ys[:, :n]), _frozen(ys[:, n]))
 
     def at_final(self) -> Array:
-        """(K+1, n, n) array of Phi(T, t_k) on the grid nodes."""
-        if self._final is None:
-            n = self.prob.n
-            x_nodes, x_mid = _stage_tables(self.x, self.grid)
-
-            def rhs(k, t, m_flat, stage):
-                if stage == 0:
-                    xt = x_nodes[k + 1]
-                elif stage == 2:
-                    xt = x_nodes[k]
-                else:
-                    xt = x_mid[k]
-                A = self.prob.dynamics_jac_x(xt, self._uval(k, t), t)
-                M = m_flat.reshape(n, n)
-                return (-M @ A).ravel()
-
-            ms, _, _ = _rk4_march(rhs, self.grid, np.eye(n).ravel(),
-                                  forward=False, what="transition matrix")
-            self._final = ms.reshape(-1, n, n)
-        return self._final
-
-    def __call__(self, t: float, s: float) -> Array:
+        """(K+1, n, n) array of Phi(T, t_k) on the grid nodes, from one
+        backward sweep of d/ds Phi(T, s) = -Phi(T, s) A(s)."""
         n = self.prob.n
-        if t == s:
-            return np.eye(n)
-        lo, hi = (s, t) if t > s else (t, s)
-        klo, khi = self.grid.locate(lo), self.grid.locate(hi)
-        nodes = [lo] + [float(tt) for tt in self.grid.times[klo + 1:khi + 1]
-                        if lo < tt < hi] + [hi]
-        Phi = np.eye(n)
-        seq = zip(nodes[:-1], nodes[1:]) if t > s else \
-            zip(reversed(nodes[1:]), reversed(nodes[:-1]))
-        for a, b in seq:
-            k = self.grid.locate(min(a, b))
-            h = b - a
-            M1 = self._jac(k, a) @ Phi
-            M2 = self._jac(k, a + 0.5 * h) @ (Phi + 0.5 * h * M1)
-            M3 = self._jac(k, a + 0.5 * h) @ (Phi + 0.5 * h * M2)
-            M4 = self._jac(k, b) @ (Phi + h * M3)
-            Phi = Phi + (h / 6.0) * (M1 + 2 * M2 + 2 * M3 + M4)
-        return Phi
+        fx = self._table("dynamics_jac_x")
+
+        def rhs(k, t, m_flat, stage):
+            return (-m_flat.reshape(n, n) @ fx[k][2 - stage]).ravel()
+
+        ms, _, _ = _rk4_march(rhs, self.grid, np.eye(n).ravel(),
+                              forward=False, what="transition matrix")
+        return ms.reshape(-1, n, n)
+
+
+def integrate_costate(prob: OcpProblem, x: Trajectory, u, p0: float,
+                      pT: Array, grid: Optional[TimeGrid] = None) -> CostateTrajectory:
+    """Backward solve of pdot = -grad_x f' p - p0 grad_x L, p(T) = pT."""
+    return Linearization(prob, x, u, grid).costate(p0, pT)
+
+
+def integrate_variation(prob: OcpProblem, x: Trajectory, u, direction,
+                        grid: Optional[TimeGrid] = None) -> VariationResult:
+    """Linearized response (w, w0) to the control perturbation
+    `direction`, given as a control-like object or callable."""
+    return Linearization(prob, x, u, grid).variation(direction)
 
 
 def transition_matrix(prob: OcpProblem, x: Trajectory, u,
-                      grid: Optional[TimeGrid] = None) -> TransitionMap:
-    return TransitionMap(prob, x, u, grid)
+                      grid: Optional[TimeGrid] = None) -> Linearization:
+    """The linearization along (x, u); `.at_final()` gives Phi(T, t_k) on
+    the grid nodes."""
+    return Linearization(prob, x, u, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +551,9 @@ def grid_from_times(times: Array, partition: Optional[Partition]) -> TimeGrid:
 
 def read_state_csv(path, prob: OcpProblem, u) -> Trajectory:
     """Reload a state CSV; derivatives are re-evaluated from the problem
-    so dense output and residual checks work on external bundles."""
+    so dense output and residual checks work on external bundles, and the
+    running cost is rebuilt step by step with Simpson's rule on the nodes
+    and Hermite midpoints under each segment's control."""
     t, X, _ = _read_csv_columns(path, "x_")
     partition = u.partition if isinstance(u, PiecewiseConstantControl) else None
     grid = grid_from_times(t, partition)
@@ -594,7 +565,15 @@ def read_state_csv(path, prob: OcpProblem, u) -> Trajectory:
         dr[k] = prob.dynamics(X[k], uval(k, grid.times[k]), float(grid.times[k]))
         dl[k + 1] = prob.dynamics(X[k + 1], uval(k, grid.times[k + 1]),
                                   float(grid.times[k + 1]))
+    mids = HermitePath(grid.times, X, dr, dl).midpoints()
     cost = np.zeros(t.size)
+    for k in range(K):
+        ta, tb = float(grid.times[k]), float(grid.times[k + 1])
+        tm = ta + 0.5 * (tb - ta)
+        simpson = (prob.cost(X[k], uval(k, ta), ta)
+                   + 4.0 * prob.cost(mids[k], uval(k, tm), tm)
+                   + prob.cost(X[k + 1], uval(k, tb), tb))
+        cost[k + 1] = cost[k] + (tb - ta) / 6.0 * simpson
     return Trajectory(grid, _frozen(X), _frozen(dr), _frozen(dl), _frozen(cost))
 
 

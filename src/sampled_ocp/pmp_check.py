@@ -189,9 +189,10 @@ def _differentiate_block(values: Array, h: float) -> Array:
 
 def hg_residual(e: Extremal) -> ProfileResult:
     """Pointwise gradient condition: sup over nodes of the normal-cone
-    defect of grad_u H at u(t).  Meaningful for permanent controls;
-    for sampled controls it is informative only (the averaged condition
-    is the sampled-data stationarity notion)."""
+    defect of grad_u H at u(t).  Meaningful for permanent controls; a
+    sampled optimum leaves an O(partition norm) defect here, so
+    `evaluate_extremal` gates piecewise-constant controls on the averaged
+    condition (`ahg_residual`) and leaves hg not evaluated."""
     grid = e.x.grid
     U = e.problem.control_set
     uu, gu = _nodal_grad_u(e)
@@ -428,25 +429,23 @@ def evaluate_extremal(e: Extremal, *, with_hm: bool = False,
     """Assemble a residual report for an extremal candidate.
 
     The averaged condition is evaluated when the control is piecewise
-    constant; the pointwise maximization gap only on request (it scans
-    the whole control set).  Lift probes draw random piecewise-constant
-    controls valued in U.
+    constant, the pointwise gradient condition otherwise; the pointwise
+    maximization gap only on request (it scans the whole control set).
+    Lift probes draw random piecewise-constant controls valued in U.
     """
     e.validate()
     report = ResidualReport()
     report.feasibility = e.feasibility
     report.normality = classify_normality(e)
     report.ae_residual = ae_residual(e).sup
-    report.hg_residual = hg_residual(e).sup
     gating = ["ae"]
     if isinstance(e.u, PiecewiseConstantControl):
         res = ahg_residual(e)
         report.ahg_sup = res.sup
         report.ahg_per_interval = res.per_interval
         gating.append("ahg")
-        report.notes.append(
-            "hg is informative for sampled controls; the averaged condition gates")
     else:
+        report.hg_residual = hg_residual(e).sup
         gating.append("hg")
     if with_hm:
         report.hm_gap = hm_gap(e, density=hm_density,

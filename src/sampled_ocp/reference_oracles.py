@@ -290,6 +290,25 @@ def _box_bounds_stacked(U: Box, N: int) -> tuple[Array, Array]:
     return np.tile(U.lower, N), np.tile(U.upper, N)
 
 
+def _vertex_multiplier(qp: _ReducedQp, u: Array, side: Array) -> Array:
+    """Multiplier nu for a vertex u that clamps every entry (side -1 at
+    the lower bound, +1 at the upper): u must meet the terminal equality,
+    and nu is any feasible point of the gradient-sign conditions
+    side * (H u + g + A_eq' nu) <= 0, found by a small linear program."""
+    from scipy.optimize import linprog
+
+    miss = float(np.linalg.norm(qp.A_eq @ u - qp.b_eq))
+    if miss > 1e-8 * (1.0 + float(np.linalg.norm(qp.b_eq))):
+        raise UnreachableTargetError(
+            f"the all-clamped vertex misses the target by {miss:.3e}")
+    lp = linprog(np.zeros(qp.A_eq.shape[0]), A_ub=side[:, None] * qp.A_eq.T,
+                 b_ub=-side * (qp.H @ u + qp.g), bounds=(None, None),
+                 method="highs")
+    if lp.status != 0:
+        raise OracleError(f"no multiplier certifies the vertex: {lp.message}")
+    return lp.x
+
+
 def _solve_box_qp(qp: _ReducedQp, U: Optional[ControlSet]):
     """Exact solve of the condensed QP, with the primal-dual active-set
     method (Hintermueller, Ito & Kunisch, SIAM J. Optim. 2002) when the
@@ -297,7 +316,9 @@ def _solve_box_qp(qp: _ReducedQp, U: Optional[ControlSet]):
 
     Each round predicts the entries clamped at the lower and upper
     bounds from u - grad and re-solves the KKT system with them clamped;
-    the loop stops when the prediction repeats.  The point is returned
+    the loop stops when the prediction repeats, or at a vertex that
+    clamps every entry, whose multiplier is not unique and comes from
+    `_vertex_multiplier` instead of a KKT solve.  The point is returned
     only if it is a KKT point of the box-constrained QP, which is then
     the optimum (the QP is strictly convex).
     """
@@ -320,8 +341,12 @@ def _solve_box_qp(qp: _ReducedQp, U: Optional[ControlSet]):
             break
         side = predicted
         fixed_idx = np.flatnonzero(side)
-        u, nu = qp.kkt_solve(fixed_idx, np.where(side < 0, lo, up)[fixed_idx])
+        fixed_val = np.where(side < 0, lo, up)[fixed_idx]
         solves += 1
+        if fixed_idx.size == side.size:
+            u, nu = fixed_val, _vertex_multiplier(qp, fixed_val, side)
+            break
+        u, nu = qp.kkt_solve(fixed_idx, fixed_val)
     else:
         raise OracleError(f"primal-dual active set did not settle within "
                           f"{ACTIVE_SET_MAX_ROUNDS} rounds")

@@ -111,13 +111,11 @@ class _AugmentedObjective:
         self.prob = prob
         self.partition = partition
         self.grid = grid
-        self.forward_count = 0
 
     def control(self, values: Array) -> PiecewiseConstantControl:
         return PiecewiseConstantControl(self.partition, values)
 
     def forward(self, values: Array) -> Trajectory:
-        self.forward_count += 1
         return integrate_state(self.prob, self.control(values), self.grid)
 
     def value(self, traj: Trajectory, mu: Array, rho: float) -> float:

@@ -219,15 +219,23 @@ class TestSampledExact:
         assert np.all(grad[at_lo] >= -1e-9 * scale)
         assert np.all(grad[at_up] <= 1e-9 * scale)
 
-    def test_single_vertex_box_raises(self):
+    def test_single_vertex_box_certified(self):
         """From (1, 0) with u_bound=4 at N=8 the feasible set is one
-        vertex whose multiplier is not unique: the oracle raises instead
-        of returning a point."""
-        from sampled_ocp.errors import OracleError
+        vertex, clamped on every interval, whose multiplier is not
+        unique: the oracle returns the vertex with a multiplier that
+        satisfies the KKT conditions recomputed from the condensed QP."""
         prob = build_problem("lq_double_integrator", u_bound=4.0)
-        with pytest.raises(OracleError):
-            solve_lq_sampled_exact(prob.lq, uniform_partition(8, 1.0),
-                                   prob.control_set)
+        part = uniform_partition(8, 1.0)
+        sol = solve_lq_sampled_exact(prob.lq, part, prob.control_set)
+        qp = _ReducedQp(prob.lq, part)
+        u = sol.control.values.ravel()
+        np.testing.assert_array_equal(u, [-4.0] * 4 + [4.0] * 4)
+        grad = qp.H @ u + qp.g + qp.A_eq.T @ np.asarray(sol.multiplier)
+        scale = 1.0 + float(np.max(np.abs(qp.H @ u + qp.g)))
+        assert np.linalg.norm(qp.A_eq @ u - qp.b_eq) <= 1e-10
+        assert np.all(grad[:4] >= -1e-9 * scale)
+        assert np.all(grad[4:] <= 1e-9 * scale)
+        assert sol.cost == pytest.approx(qp.objective(u), rel=1e-12)
 
     def test_box_bound_saturation_at_fine_partitions(self):
         """The permanent optimum peaks past 6, so a [-6, 6] box saturates
