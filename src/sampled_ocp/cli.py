@@ -187,8 +187,7 @@ def run_check(args) -> int:
         raise _UsageError(f"--p0 or costate.csv: {exc}") from exc
     try:
         report = evaluate_extremal(extremal, with_hm=args.require_hm,
-                                   lift_probes=args.probes,
-                                   probe_seed=0)
+                                   lift_probes=args.probes)
     except SampledOcpError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION

@@ -54,13 +54,6 @@ class TimeGrid:
     def n_intervals(self) -> int:
         return self.boundaries.size - 1
 
-    def segment_owners(self) -> Array:
-        """Partition-interval index owning each grid segment."""
-        owners = np.empty(self.K, dtype=int)
-        for i in range(self.n_intervals):
-            owners[self.boundaries[i]:self.boundaries[i + 1]] = i
-        return owners
-
     def interval_slice(self, i: int) -> slice:
         """Node index range [lo, hi] covering partition interval i."""
         return slice(int(self.boundaries[i]), int(self.boundaries[i + 1]) + 1)
@@ -377,7 +370,7 @@ class Linearization:
             for k in range(self.grid.K)]
         self._tables: dict = {}
 
-    def _table(self, name: str) -> list:
+    def table(self, name: str) -> list:
         """Nested list [k][j] of the problem's evaluator `name`."""
         table = self._tables.get(name)
         if table is None:
@@ -394,8 +387,8 @@ class Linearization:
             raise ValueError("p0 must be nonpositive")
         if float(np.linalg.norm(pT)) + abs(p0) == 0.0:
             raise TrivialLiftError("refusing the trivial pair pT = 0, p0 = 0")
-        fx = self._table("dynamics_jac_x")
-        lx = self._table("cost_grad_x")
+        fx = self.table("dynamics_jac_x")
+        lx = self.table("cost_grad_x")
 
         def rhs(k, t, p, stage):
             return -fx[k][2 - stage].T @ p - p0 * lx[k][2 - stage]
@@ -412,8 +405,8 @@ class Linearization:
         w0dot = <grad_x L, w> + <grad_u L, v>,    w0(0) = 0
         """
         n = self.prob.n
-        fx, fu = self._table("dynamics_jac_x"), self._table("dynamics_jac_u")
-        lx, lu = self._table("cost_grad_x"), self._table("cost_grad_u")
+        fx, fu = self.table("dynamics_jac_x"), self.table("dynamics_jac_u")
+        lx, lu = self.table("cost_grad_x"), self.table("cost_grad_u")
         vval = _control_values_per_segment(direction, self.grid)
 
         def rhs(k, t, y, stage):
@@ -432,7 +425,7 @@ class Linearization:
         """(K+1, n, n) array of Phi(T, t_k) on the grid nodes, from one
         backward sweep of d/ds Phi(T, s) = -Phi(T, s) A(s)."""
         n = self.prob.n
-        fx = self._table("dynamics_jac_x")
+        fx = self.table("dynamics_jac_x")
 
         def rhs(k, t, m_flat, stage):
             return (-m_flat.reshape(n, n) @ fx[k][2 - stage]).ravel()

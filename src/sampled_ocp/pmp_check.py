@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .control_partition import PiecewiseConstantControl
 from .errors import GridAlignmentError, MembershipError, TrivialLiftError
-from .integrate import (ControlDifference, CostateTrajectory, TimeGrid,
-                        Trajectory, integrate_variation, simpson_on_interval)
+from .integrate import (ControlDifference, CostateTrajectory, Linearization,
+                        TimeGrid, Trajectory, simpson_on_interval)
 from .problem_model import (OcpProblem, grid_spacing, normal_cone_residual,
                             project, sample_grid)
 
@@ -53,7 +54,7 @@ class Extremal:
     """A candidate extremal: state path, control, costate pair.
 
     The pair (p, p0) must be nontrivial; the state must start at x0 and
-    end within `feas_tol` of the target.
+    end within `feas_tol` of the target; state and costate share one grid.
     """
 
     problem: OcpProblem
@@ -68,6 +69,14 @@ class Extremal:
             raise ValueError("p0 must be nonpositive")
         if abs(self.p0 - self.p.p0) > 0:
             raise ValueError("p0 disagrees with the costate trajectory")
+        if not np.array_equal(self.x.grid.times, self.p.grid.times):
+            raise GridAlignmentError("state and costate grids differ")
+
+    @cached_property
+    def linearization(self) -> Linearization:
+        """The one linearization along (x, u) behind the adjoint residual
+        and every lift probe; derivative tables fill on first use."""
+        return Linearization(self.problem, self.x, self.u)
 
     def validate(self) -> None:
         if float(np.linalg.norm(self.p.final_costate)) + abs(self.p0) == 0.0:
@@ -84,8 +93,6 @@ class Extremal:
         return float(np.linalg.norm(self.x.final_state - self.problem.xT))
 
     def control_value(self, t: float) -> Array:
-        if isinstance(self.u, PiecewiseConstantControl):
-            return self.u.value(t)
         if callable(self.u):
             return np.atleast_1d(np.asarray(self.u(t), dtype=float))
         return self.u.value(t)
@@ -128,43 +135,37 @@ def ae_residual(e: Extremal) -> ProfileResult:
     """Adjoint-equation defect along the stored costate.
 
     Uses the costate's stored derivatives when available: the right-hand
-    side is re-evaluated from (x, u, p) at every node and compared with
-    the derivative recorded during integration, which certifies that the
+    side at every node, read from the extremal's linearization with the
+    same stage data the costate march uses, is compared with the
+    derivative recorded during integration, which certifies that the
     stored triple solves the adjoint equation (rather than some other
     trajectory's).  Costates loaded from files fall back to high-order
     finite differencing per sampling interval.
     """
     grid = e.p.grid
-    prob = e.problem
-    have_derivs = bool(np.any(e.p.deriv_right) or np.any(e.p.deriv_left))
+    p = e.p.costates
+    fx = e.linearization.table("dynamics_jac_x")
+    lx = e.linearization.table("cost_grad_x")
 
-    def rhs(t, xk, pk, u_t):
-        return (-prob.dynamics_jac_x(xk, u_t, t).T @ pk
-                - e.p0 * prob.cost_grad_x(xk, u_t, t))
+    def rhs(k, stage, node):
+        """Adjoint right-hand side at `node`, stage `stage` of segment k."""
+        return -fx[k][stage].T @ p[node] - e.p0 * lx[k][stage]
 
     res = np.zeros(grid.times.size)
-    if have_derivs:
+    if np.any(e.p.deriv_right) or np.any(e.p.deriv_left):
         for k in range(grid.K):
-            tL, tR = float(grid.times[k]), float(grid.times[k + 1])
-            u_seg = e.control_value(tL)
-            rL = rhs(tL, e.x.states[k], e.p.costates[k], u_seg)
-            rR = rhs(tR, e.x.states[k + 1], e.p.costates[k + 1], u_seg)
-            res[k] = max(res[k], float(np.linalg.norm(e.p.deriv_right[k] - rL)))
-            res[k + 1] = max(res[k + 1],
-                             float(np.linalg.norm(e.p.deriv_left[k + 1] - rR)))
+            res[k] = max(res[k], float(np.linalg.norm(
+                e.p.deriv_right[k] - rhs(k, 0, k))))
+            res[k + 1] = max(res[k + 1], float(np.linalg.norm(
+                e.p.deriv_left[k + 1] - rhs(k, 2, k + 1))))
     else:
         for i in range(grid.n_intervals):
             sl = grid.interval_slice(i)
-            block_t = grid.times[sl]
-            block_p = e.p.costates[sl]
-            h = float(block_t[1] - block_t[0])
-            dp = _differentiate_block(block_p, h)
-            pc = isinstance(e.u, PiecewiseConstantControl)
+            h = float(grid.times[sl.start + 1] - grid.times[sl.start])
+            dp = _differentiate_block(p[sl], h)
             for j, k in enumerate(range(sl.start, sl.stop)):
-                t = float(grid.times[k])
-                u_node = e.u.values[min(i, e.u.partition.N - 1)] if pc \
-                    else e.control_value(t)
-                r = rhs(t, e.x.states[k], e.p.costates[k], u_node)
+                # an interval's right end keeps the interval's control
+                r = rhs(k - 1, 2, k) if k == sl.stop - 1 else rhs(k, 0, k)
                 res[k] = max(res[k], float(np.linalg.norm(dp[j] - r)))
     return ProfileResult(float(np.max(res)), grid.times, res)
 
@@ -324,7 +325,7 @@ def lift_inequality(e: Extremal, v, tol_set: float = 1e-10) -> float:
     set.
     """
     _check_probe_membership(e.problem, v, tol_set)
-    var = integrate_variation(e.problem, e.x, e.u, ControlDifference(v, e.u))
+    var = e.linearization.variation(ControlDifference(v, e.u))
     return float(e.p.final_costate @ var.final_w + e.p0 * var.final_w0)
 
 
@@ -425,13 +426,14 @@ class ResidualReport:
 
 def evaluate_extremal(e: Extremal, *, with_hm: bool = False,
                       hm_density: int = 1001, hm_time_stride: int = 1,
-                      lift_probes: int = 0, probe_seed: int = 0) -> ResidualReport:
+                      lift_probes: int = 0) -> ResidualReport:
     """Assemble a residual report for an extremal candidate.
 
     The averaged condition is evaluated when the control is piecewise
     constant, the pointwise gradient condition otherwise; the pointwise
     maximization gap only on request (it scans the whole control set).
-    Lift probes draw random piecewise-constant controls valued in U.
+    Lift probes draw random piecewise-constant controls valued in U from
+    a generator seeded with 0, so a report is reproducible.
     """
     e.validate()
     report = ResidualReport()
@@ -453,7 +455,7 @@ def evaluate_extremal(e: Extremal, *, with_hm: bool = False,
         gating.append("hm")
     if lift_probes > 0:
         worst = -np.inf
-        rng = np.random.default_rng(probe_seed)
+        rng = np.random.default_rng(0)
         for _ in range(lift_probes):
             probe = random_admissible_control(e.problem, _probe_partition(e), rng)
             worst = max(worst, lift_inequality(e, probe))

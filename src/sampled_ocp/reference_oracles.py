@@ -35,6 +35,12 @@ SHOOTING_CONDITION_LIMIT = 1e12
 # gives up; bounded double-integrator instances up to N=256 settle in
 # under ten.
 ACTIVE_SET_MAX_ROUNDS = 50
+# Permanent LQ reference: nodes of its dense paths, and the first
+# Gauss-Legendre node count of its cost quadrature (doubled twice at most).
+PERMANENT_RESOLUTION = 4096
+PERMANENT_GAUSS_NODES = 96
+# Points on which the fine surrogate compares its two finest states.
+SURROGATE_COMPARISON_POINTS = 2049
 
 
 @dataclass
@@ -67,8 +73,7 @@ def _hamiltonian_system_matrix(data: LqProblemData) -> Array:
     return M
 
 
-def solve_lq_permanent(data: LqProblemData, resolution: int = 4096,
-                       gauss_nodes: int = 96) -> PermanentReference:
+def solve_lq_permanent(data: LqProblemData) -> PermanentReference:
     """Permanent LQ optimum via the coupled state-costate linear system.
 
     With the normal normalization the interior stationarity of the
@@ -88,7 +93,7 @@ def solve_lq_permanent(data: LqProblemData, resolution: int = 4096,
             f"{SHOOTING_CONDITION_LIMIT:.1e}: target unreachable or degenerate")
     p0vec = np.linalg.solve(E12, data.xT - E11 @ data.x0)
 
-    times = np.linspace(0.0, data.horizon, resolution + 1)
+    times = np.linspace(0.0, data.horizon, PERMANENT_RESOLUTION + 1)
     step = expm(M * (times[1] - times[0]))
     Z = np.empty((times.size, 2 * n))
     Z[0] = np.concatenate([data.x0, p0vec])
@@ -110,7 +115,7 @@ def solve_lq_permanent(data: LqProblemData, resolution: int = 4096,
     p_path = path(Z[:, n:], dZ[:, n:])
     u_path = path(Upath, dU)
 
-    cost, quad_err = _lq_cost_quadrature(data, M, Z[0], gauss_nodes)
+    cost, quad_err = _lq_cost_quadrature(data, M, Z[0], PERMANENT_GAUSS_NODES)
     notes = []
     if float(np.linalg.norm(p0vec)) == 0.0 and \
             float(np.linalg.norm(data.xT - E11 @ data.x0)) == 0.0:
@@ -454,7 +459,6 @@ MIN_SURROGATE_N = 256
 def fine_surrogate(prob: OcpProblem, n_ref: int, solver_options=None,
                    reject_above: Optional[float] = None,
                    sweep_max_n: Optional[int] = None,
-                   comparison_points: int = 2049,
                    cache: Optional[dict] = None) -> PermanentReference:
     """Very fine sampled solution standing in for the permanent optimum.
 
@@ -498,7 +502,7 @@ def fine_surrogate(prob: OcpProblem, n_ref: int, solver_options=None,
                 cache[N] = sol
     fine = sol
 
-    ts = np.linspace(0.0, prob.horizon, comparison_points)
+    ts = np.linspace(0.0, prob.horizon, SURROGATE_COMPARISON_POINTS)
     err_bar = float(np.max(np.linalg.norm(
         fine.state.sample(ts) - coarse.state.sample(ts), axis=1)))
     if reject_above is not None and err_bar > reject_above:

@@ -155,8 +155,7 @@ def _default_initial_control(prob: OcpProblem, partition: Partition) -> Array:
 def solve(prob: OcpProblem, partition: Partition,
           options: Optional[SolverOptions] = None,
           warm_start: Optional[PiecewiseConstantControl] = None,
-          warm_multiplier: Optional[Array] = None,
-          certify: bool = True) -> SampledSolution:
+          warm_multiplier: Optional[Array] = None) -> SampledSolution:
     """Solve the sampled-data problem on the given partition.
 
     Outer loop: multiplier update mu <- mu + rho * (x(T) - xT), penalty
@@ -210,8 +209,6 @@ def solve(prob: OcpProblem, partition: Partition,
             stat = _stationarity(prob, values, g)
             if stat <= inner_tol:
                 break
-            if total_inner >= opts.max_inner * opts.max_outer:
-                break
             # spectral (Barzilai-Borwein) trial step in the h-weighted
             # metric; the 1/h scaling keeps the fixed points identical
             # (positive per-interval scaling preserves the normal cone)
@@ -264,7 +261,7 @@ def solve(prob: OcpProblem, partition: Partition,
         if feas <= opts.feas_tol and stat <= opts.stat_tol:
             return _package(prob, partition, values, traj, costate,
                             mu_certificate, total_inner, outer, feas, stat,
-                            objective_log, feas_history, certify)
+                            objective_log, feas_history)
         mu = mu_certificate
         if float(np.linalg.norm(mu)) > MULTIPLIER_LIMIT:
             raise MultiplierDivergedError(
@@ -285,37 +282,32 @@ def solve(prob: OcpProblem, partition: Partition,
 
 
 def _package(prob, partition, values, traj, costate, mu, total_inner, outer,
-             feas, stat, objective_log, feas_history, certify) -> SampledSolution:
+             feas, stat, objective_log, feas_history) -> SampledSolution:
     control = PiecewiseConstantControl(partition, values)
     diags = SolveDiagnostics(iterations=total_inner, outer_iterations=outer,
                              feasibility=feas, stationarity=stat,
                              objective_log=tuple(objective_log),
                              feasibility_log=tuple(feas_history))
-    report = None
-    if certify:
-        extremal = Extremal(prob, traj, control, costate, -1.0,
-                            feas_tol=max(10 * feas, 1e-12))
-        report = evaluate_extremal(extremal)
+    extremal = Extremal(prob, traj, control, costate, -1.0,
+                        feas_tol=max(10 * feas, 1e-12))
     return SampledSolution(control=control, state=traj, costate=costate,
                            cost=traj.cost, multiplier=mu, diagnostics=diags,
-                           residuals=report)
+                           residuals=evaluate_extremal(extremal))
 
 
 def gradient_check(prob: OcpProblem, partition: Partition,
                    u: PiecewiseConstantControl, mu: Array, rho: float,
-                   fd_step: float = 1e-3,
-                   h_max: Optional[float] = None) -> float:
+                   fd_step: float = 1e-3) -> float:
     """Relative error between the adjoint gradient and central finite
     differences of the augmented objective, entry by entry.
 
     The FD probes move single control entries, so the control should sit
     in the interior of the control set.  Central differencing is
     second order in `fd_step`; halving the step should shrink the error
-    about fourfold on problems with genuine third derivatives.
+    about fourfold on problems with genuine third derivatives.  The
+    marches run on the default grid, h <= T / 1024.
     """
-    if h_max is None:
-        h_max = prob.horizon / 1024
-    grid = build_time_grid(prob.horizon, partition, h_max)
+    grid = build_time_grid(prob.horizon, partition)
     aug = _AugmentedObjective(prob, partition, grid)
     mu = np.asarray(mu, dtype=float)
     values = u.values.copy()

@@ -1,13 +1,17 @@
 """Optimality-condition residuals and the extremal-lift characterizations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sampled_ocp import (Extremal, PiecewiseConstantControl, build_problem,
                          build_time_grid, classify_normality, hamiltonian,
                          integrate_costate, integrate_state, lift_inequality,
                          uniform_partition)
-from sampled_ocp.errors import TrivialLiftError
+from sampled_ocp.errors import GridAlignmentError, TrivialLiftError
 from sampled_ocp.pmp_check import (ae_residual, ahg_residual, evaluate_extremal,
                                    hg_residual, hm_gap,
                                    random_admissible_control)
@@ -309,3 +313,79 @@ class TestReport:
     def test_report_passes_without_hm(self, cubic_extremal):
         report = evaluate_extremal(cubic_extremal, lift_probes=10)
         assert report.all_pass()
+
+
+class TestSharedLinearization:
+    def test_ae_exact_for_callable_control(self, aq_problem):
+        """The residual reads the stage data the costate march used, so a
+        costate integrated under a smooth control certifies exactly; a
+        segment's right end carries u(t_{k+1}), not u(t_k)."""
+        grid = build_time_grid(1.0, h_max=1.0 / 256.0)
+
+        def u(t):
+            return np.array([np.sin(3.0 * t)])
+        x = integrate_state(aq_problem, u, grid)
+        p = integrate_costate(aq_problem, x, u, p0=-1.0, pT=[1.0, 0.5])
+        e = Extremal(aq_problem, x, u, p, -1.0)
+        assert ae_residual(e).sup <= 1e-12
+
+    def test_report_evaluates_grad_x_f_once_per_stage_point(self, aq_problem):
+        """ae and every lift probe share one table: 3K calls of grad_x f
+        in a whole report, however many probes it runs."""
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return aq_problem.dynamics_jac_x(*args)
+
+        prob = dataclasses.replace(aq_problem, dynamics_jac_x=counting)
+        part = uniform_partition(4, 1.0)
+        grid = build_time_grid(1.0, part, h_max=1.0 / 64.0)
+        rng = np.random.default_rng(3)
+        u = PiecewiseConstantControl(part, rng.uniform(-1, 1, size=(4, 1)))
+        x = integrate_state(prob, u, grid)
+        p = integrate_costate(prob, x, u, p0=-1.0, pT=[1.0, -0.5])
+        e = Extremal(prob, x, u, p, -1.0, feas_tol=100.0)
+        calls[0] = 0
+        evaluate_extremal(e, lift_probes=5)
+        assert grid.K == 64
+        assert calls[0] == 3 * grid.K
+
+    def test_mismatched_grids_rejected(self, aq_problem):
+        part = uniform_partition(4, 1.0)
+        u = PiecewiseConstantControl(part, np.zeros((4, 1)))
+        x = integrate_state(aq_problem, u,
+                            build_time_grid(1.0, part, h_max=1.0 / 64.0))
+        x_fine = integrate_state(aq_problem, u,
+                                 build_time_grid(1.0, part, h_max=1.0 / 128.0))
+        p = integrate_costate(aq_problem, x_fine, u, p0=-1.0, pT=[1.0, 0.5])
+        with pytest.raises(GridAlignmentError):
+            Extremal(aq_problem, x, u, p, -1.0)
+
+
+@pytest.fixture(scope="module")
+def di_probe_extremal():
+    prob = build_problem("lq_double_integrator")
+    part = uniform_partition(4, 1.0)
+    grid = build_time_grid(1.0, part, h_max=1.0 / 64.0)
+    u = PiecewiseConstantControl(part, np.array([[1.5], [-0.5], [0.25], [-2.0]]))
+    x = integrate_state(prob, u, grid)
+    p = integrate_costate(prob, x, u, p0=-1.0, pT=[0.7, -1.3])
+    return Extremal(prob, x, u, p, -1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_lift_probe_matches_fresh_variation_march(di_probe_extremal, data):
+    """A probe through the extremal's shared linearization gives, bit for
+    bit, the value of a fresh variation march."""
+    from sampled_ocp.integrate import ControlDifference, integrate_variation
+    e = di_probe_extremal
+    lo, up = e.problem.control_set.bounding_box()
+    values = np.array([[data.draw(st.floats(float(lo[j]), float(up[j])))
+                        for j in range(e.problem.m)]
+                       for _ in range(e.u.partition.N)])
+    v = PiecewiseConstantControl(e.u.partition, values)
+    var = integrate_variation(e.problem, e.x, e.u, ControlDifference(v, e.u))
+    fresh = float(e.p.final_costate @ var.final_w + e.p0 * var.final_w0)
+    assert lift_inequality(e, v) == fresh
