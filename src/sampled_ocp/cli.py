@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import convergence_harness as harness
-from .control_partition import Partition, read_control_csv
+from .control_partition import Partition, read_control_csv, uniform_partition
 from .errors import (ConfigFormatError, IntegrationDivergedError, OracleError,
                      ProblemLookupError, SampledOcpError, SolverError,
                      SurrogateRejectedError)
@@ -112,7 +112,6 @@ def _output_dir(args, default_name: str) -> str:
 
 
 def _partition_from_args(args, horizon: float) -> Partition:
-    from .control_partition import uniform_partition
     if bool(args.N) == bool(args.times_file):
         raise _UsageError("exactly one of --N or --times-file is required")
     if args.N:
@@ -122,9 +121,14 @@ def _partition_from_args(args, horizon: float) -> Partition:
     try:
         with open(args.times_file, "r", encoding="utf-8") as fh:
             times = [float(line.strip()) for line in fh if line.strip()]
-        return Partition(np.asarray(times))
+        partition = Partition(np.asarray(times))
     except (OSError, ValueError) as exc:
         raise _UsageError(f"--times-file: {exc}")
+    if partition.horizon != horizon:
+        raise _UsageError(f"--times-file: the partition ends at "
+                          f"{partition.horizon!r}, the problem horizon is "
+                          f"{horizon!r}")
+    return partition
 
 
 def _solver_options(args, base: SolverOptions) -> SolverOptions:

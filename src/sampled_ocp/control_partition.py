@@ -34,6 +34,8 @@ class Partition:
         t = _frozen(np.atleast_1d(self.times))
         if t.ndim != 1 or t.size < 2:
             raise ValueError("a partition needs at least two times")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("partition times must be finite")
         if t[0] != 0.0:
             raise ValueError("partition must start exactly at 0")
         if np.any(np.diff(t) <= 0):

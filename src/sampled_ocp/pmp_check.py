@@ -11,18 +11,18 @@ warn <= 1e-3, fail otherwise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .control_partition import PiecewiseConstantControl
+from .control_partition import PiecewiseConstantControl, uniform_partition
 from .errors import GridAlignmentError, MembershipError, TrivialLiftError
 from .integrate import (ControlDifference, CostateTrajectory, Linearization,
                         TimeGrid, Trajectory, simpson_on_interval)
-from .problem_model import (OcpProblem, grid_spacing, normal_cone_residual,
-                            project, sample_grid)
+from .problem_model import (TOL_SET, OcpProblem, grid_spacing,
+                            normal_cone_residual, project, sample_grid)
 
 Array = np.ndarray
 
@@ -317,22 +317,22 @@ def _coordinate_scan(prob, U, x, p, p0, t, u_start, density, sweeps: int = 3):
     return best, lip
 
 
-def lift_inequality(e: Extremal, v, tol_set: float = 1e-10) -> float:
+def lift_inequality(e: Extremal, v) -> float:
     """Terminal variational value z_v(T) = <p(T), w(T)> + p0 w0(T).
 
     Nonpositive for every admissible probe v exactly when (p, p0) is an
     extremal lift of (x, u); the probe must take values in the control
     set.
     """
-    _check_probe_membership(e.problem, v, tol_set)
+    _check_probe_membership(e.problem, v)
     var = e.linearization.variation(ControlDifference(v, e.u))
     return float(e.p.final_costate @ var.final_w + e.p0 * var.final_w0)
 
 
-def _check_probe_membership(prob, v, tol_set):
+def _check_probe_membership(prob, v):
     if isinstance(v, PiecewiseConstantControl):
         d = v.max_set_distance(prob.control_set)
-        if d > tol_set:
+        if d > TOL_SET:
             raise MembershipError(
                 f"probe leaves the control set by {d:.3e}")
 
@@ -359,7 +359,6 @@ class ResidualReport:
     feasibility: Optional[float] = None
     normality: Optional[str] = None
     gating: tuple = ("ae", "ahg")
-    notes: list = field(default_factory=list)
 
     @staticmethod
     def _verdict(value: Optional[float]) -> str:
@@ -419,7 +418,6 @@ class ResidualReport:
             "feasibility": self.feasibility,
             "normality": self.normality,
             "thresholds": {"pass": PASS_THRESHOLD, "warn": WARN_THRESHOLD},
-            "notes": list(self.notes),
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -467,7 +465,6 @@ def evaluate_extremal(e: Extremal, *, with_hm: bool = False,
 
 
 def _probe_partition(e: Extremal):
-    from .control_partition import uniform_partition
     if isinstance(e.u, PiecewiseConstantControl):
         return e.u.partition
     return uniform_partition(8, e.problem.horizon)

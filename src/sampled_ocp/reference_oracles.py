@@ -3,10 +3,12 @@
 For constant-coefficient linear-quadratic problems two references are
 available to machine precision: the permanent-control optimum from the
 Hamiltonian two-point boundary system (one matrix exponential plus an
-n-by-n solve), and the sampled-data optimum from exact zero-order-hold
-discretization (block matrix exponentials) followed by an
-equality-constrained QP.  Nonlinear problems get a fine-partition
-surrogate whose trust is established by a two-resolution self-check.
+n-by-n solve; the cost follows from the boundary values of <p, x>), and
+the sampled-data optimum from exact zero-order-hold discretization
+(block matrix exponentials) followed by an equality-constrained QP,
+whose hold blocks also give its state, costate and running cost on the
+grid.  Nonlinear problems get a fine-partition surrogate whose trust is
+established by a two-resolution self-check.
 
 Everything here is deterministic: matrix exponentials use scipy's
 scaling-and-squaring Pade implementation and all solves are direct.
@@ -35,10 +37,8 @@ SHOOTING_CONDITION_LIMIT = 1e12
 # gives up; bounded double-integrator instances up to N=256 settle in
 # under ten.
 ACTIVE_SET_MAX_ROUNDS = 50
-# Permanent LQ reference: nodes of its dense paths, and the first
-# Gauss-Legendre node count of its cost quadrature (doubled twice at most).
+# Steps of the permanent LQ reference's dense paths.
 PERMANENT_RESOLUTION = 4096
-PERMANENT_GAUSS_NODES = 96
 # Points on which the fine surrogate compares its two finest states.
 SURROGATE_COMPARISON_POINTS = 2049
 
@@ -54,7 +54,6 @@ class PermanentReference:
     cost: float
     provenance: str
     error_bar: Optional[float] = None
-    quadrature_error: Optional[float] = None
     notes: list = field(default_factory=list)
 
 
@@ -115,44 +114,17 @@ def solve_lq_permanent(data: LqProblemData) -> PermanentReference:
     p_path = path(Z[:, n:], dZ[:, n:])
     u_path = path(Upath, dU)
 
-    cost, quad_err = _lq_cost_quadrature(data, M, Z[0], PERMANENT_GAUSS_NODES)
+    # d/dt <p, x> = x'Qx + u'Ru along the extremal, so the cost is half
+    # the boundary difference of <p, x>, with p(T) from the shooting map.
+    pT = ET[n:] @ Z[0]
+    cost = 0.5 * (float(pT @ data.xT) - float(p0vec @ data.x0))
     notes = []
     if float(np.linalg.norm(p0vec)) == 0.0 and \
             float(np.linalg.norm(data.xT - E11 @ data.x0)) == 0.0:
         notes.append("zero transfer: the normal lift is (p = 0, p0 = -1), "
                      "nontrivial through p0")
     return PermanentReference(x=x_path, u=u_path, p=p_path, p0=-1.0,
-                              cost=cost, provenance="lq_analytic",
-                              quadrature_error=quad_err, notes=notes)
-
-
-def _lq_cost_quadrature(data: LqProblemData, M: Array, z0: Array,
-                        gauss_nodes: int):
-    """Gauss-Legendre quadrature of the quadratic running cost, with the
-    node count doubled until two estimates agree to 1e-12."""
-    n = data.n
-    Rinv_Bt = np.linalg.solve(data.R, data.B.T)
-    W = np.zeros((2 * n, 2 * n))
-    W[:n, :n] = data.Q
-    W[n:, n:] = Rinv_Bt.T @ data.R @ Rinv_Bt
-
-    def estimate(k: int) -> float:
-        nodes, weights = np.polynomial.legendre.leggauss(k)
-        ts = 0.5 * data.horizon * (nodes + 1.0)
-        total = 0.0
-        for t, w in zip(ts, weights):
-            z = expm(M * t) @ z0
-            total += w * 0.5 * float(z @ W @ z)
-        return 0.5 * data.horizon * total
-
-    value = estimate(gauss_nodes)
-    for k in (2 * gauss_nodes, 4 * gauss_nodes):
-        refined = estimate(k)
-        err = abs(refined - value)
-        value = refined
-        if err <= 1e-12 * (1.0 + abs(refined)):
-            return refined, err
-    raise OracleError(f"cost quadrature did not settle: last change {err:.3e}")
+                              cost=cost, provenance="lq_analytic", notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -189,24 +161,6 @@ def _zoh_blocks(data: LqProblemData, h: float):
     return E, F, S
 
 
-def _joint_state_costate_blocks(data: LqProblemData, h: float):
-    """Exact propagation of (x, lambda) over a step with held control,
-    where lambdadot = -A' lambda - Q x rides along xdot = A x + B u."""
-    n, m = data.n, data.m
-    N2 = 2 * n
-    Nmat = np.zeros((N2, N2))
-    Nmat[:n, :n] = data.A
-    Nmat[n:, :n] = -data.Q
-    Nmat[n:, n:] = -data.A.T
-    G = np.zeros((N2, m))
-    G[:n, :] = data.B
-    big = np.zeros((N2 + m, N2 + m))
-    big[:N2, :N2] = Nmat
-    big[:N2, N2:] = G
-    Exp = expm(big * h)
-    return Exp[:N2, :N2], Exp[:N2, N2:]
-
-
 class _ReducedQp:
     """Condensed QP over stacked controls for the exact discretization."""
 
@@ -216,16 +170,9 @@ class _ReducedQp:
         self.data = data
         self.partition = partition
         self.blocks = {}
-        E_list, F_list, S_list = [], [], []
-        for i in range(N):
-            h = float(partition.times[i + 1] - partition.times[i])
-            key = round(h, 15)
-            if key not in self.blocks:
-                self.blocks[key] = _zoh_blocks(data, h)
-            E_list.append(self.blocks[key][0])
-            F_list.append(self.blocks[key][1])
-            S_list.append(self.blocks[key][2])
-        self.E_list, self.F_list, self.S_list = E_list, F_list, S_list
+        E_list, F_list, S_list = zip(*(
+            self.step_blocks(float(partition.times[i + 1] - partition.times[i]))
+            for i in range(N)))
 
         D = N * m
         c = np.empty((N + 1, n))
@@ -254,6 +201,13 @@ class _ReducedQp:
         self.const = const
         self.A_eq = G[N]
         self.b_eq = data.xT - c[N]
+
+    def step_blocks(self, h: float):
+        """`_zoh_blocks` over a step of length h, cached by h to 1e-15."""
+        key = round(h, 15)
+        if key not in self.blocks:
+            self.blocks[key] = _zoh_blocks(self.data, h)
+        return self.blocks[key]
 
     def objective(self, u: Array) -> float:
         return 0.5 * float(u @ self.H @ u) + float(self.g @ u) + self.const
@@ -386,61 +340,40 @@ def solve_lq_sampled_exact(data: LqProblemData, partition: Partition,
     control = PiecewiseConstantControl(partition, u_values)
     cost = qp.objective(u_vec)
 
-    # discrete nodes and adjoint recursion (exact correspondence with the
-    # continuous adjoint under exact discretization)
-    x_nodes = np.empty((N + 1, n))
-    x_nodes[0] = data.x0
-    for i in range(N):
-        x_nodes[i + 1] = qp.E_list[i] @ x_nodes[i] + qp.F_list[i] @ u_values[i]
-    lam = np.empty((N + 1, n))
-    lam[N] = nu
-    for i in range(N - 1, -1, -1):
-        S = qp.S_list[i]
-        lam[i] = qp.E_list[i].T @ lam[i + 1] + S[:n, :n] @ x_nodes[i] \
-            + S[:n, n:] @ u_values[i]
-
+    # The hold blocks are exact on every grid step: the state and the
+    # running cost go forward, and the discrete adjoint
+    # lambda_k = E' lambda_{k+1} + S_xx x_k + S_xu u from lambda_K = nu is
+    # the continuous one (lambdadot = -A' lambda - Q x) at the nodes.
     grid = build_time_grid(data.horizon, partition, h_max)
-    X = np.empty((grid.times.size, n))
-    Lam = np.empty((grid.times.size, n))
-    cost_path = np.zeros(grid.times.size)
-    dx_r = np.zeros((grid.K, n))
-    dx_l = np.zeros((grid.times.size, n))
-    dp_r = np.zeros((grid.K, n))
-    dp_l = np.zeros((grid.times.size, n))
-    joint_cache: dict = {}
-    cost_cache: dict = {}
-    for i in range(N):
-        sl = grid.interval_slice(i)
-        segments = range(sl.start, sl.stop - 1)
-        h_sub = float(grid.times[sl.start + 1] - grid.times[sl.start])
-        key = round(h_sub, 15)
-        if key not in joint_cache:
-            joint_cache[key] = _joint_state_costate_blocks(data, h_sub)
-            cost_cache[key] = _zoh_blocks(data, h_sub)[2]
-        E_sub, F_sub = joint_cache[key]
-        S_sub = cost_cache[key]
-        ui = u_values[i]
-        y = np.concatenate([x_nodes[i], lam[i]])
-        X[sl.start] = y[:n]
-        Lam[sl.start] = y[n:]
-        for k in segments:
-            z = np.concatenate([y[:n], ui])
-            step_cost = 0.5 * float(z @ S_sub @ z)
-            y = E_sub @ y + F_sub @ ui
-            X[k + 1] = y[:n]
-            Lam[k + 1] = y[n:]
-            cost_path[k + 1] = cost_path[k] + step_cost
-        for k in segments:
-            dx_r[k] = data.A @ X[k] + data.B @ ui
-            dp_r[k] = data.A.T @ Lam[k] + data.Q @ X[k]
-            dx_l[k + 1] = data.A @ X[k + 1] + data.B @ ui
-            dp_l[k + 1] = data.A.T @ Lam[k + 1] + data.Q @ X[k + 1]
+    blocks = [qp.step_blocks(float(grid.times[k + 1] - grid.times[k]))
+              for k in grid.boundaries[:-1]]
+    owner = np.repeat(np.arange(N), np.diff(grid.boundaries))
+    U = u_values[owner]
+    X = np.empty((grid.K + 1, n))
+    Lam = np.empty((grid.K + 1, n))
+    cost_path = np.zeros(grid.K + 1)
+    X[0] = data.x0
+    for k, i in enumerate(owner):
+        E, F, S = blocks[i]
+        z = np.concatenate([X[k], U[k]])
+        cost_path[k + 1] = cost_path[k] + 0.5 * float(z @ S @ z)
+        X[k + 1] = E @ X[k] + F @ U[k]
+    Lam[-1] = nu
+    for k in range(grid.K - 1, -1, -1):
+        E, _, S = blocks[owner[k]]
+        Lam[k] = E.T @ Lam[k + 1] + S[:n, :n] @ X[k] + S[:n, n:] @ U[k]
 
-    P = -Lam
-    traj = Trajectory(grid, _frozen(X), _frozen(dx_r), _frozen(dx_l),
+    # the derivative from the right of node k and from the left of node
+    # k+1 both use segment k's control; left derivatives start at node 1
+    BU = U @ data.B.T
+    dx = X @ data.A.T
+    dp = Lam @ data.A + X @ data.Q.T
+    unused = np.zeros((1, n))
+    traj = Trajectory(grid, _frozen(X), _frozen(dx[:-1] + BU),
+                      _frozen(np.vstack([unused, dx[1:] + BU])),
                       _frozen(cost_path))
-    costate = CostateTrajectory(grid, _frozen(P), -1.0, _frozen(dp_r),
-                                _frozen(dp_l))
+    costate = CostateTrajectory(grid, _frozen(-Lam), -1.0, _frozen(dp[:-1]),
+                                _frozen(np.vstack([unused, dp[1:]])))
     feasibility = float(np.linalg.norm(X[-1] - data.xT))
     diags = SolveDiagnostics(iterations=solves, outer_iterations=0,
                              feasibility=feasibility, stationarity=0.0,

@@ -93,6 +93,19 @@ class TestSolve:
         rows = (out / "control.csv").read_text().splitlines()
         assert len(rows) == 4  # header + 3 intervals
 
+    @pytest.mark.parametrize("text", ["0\n0.5\n2\n", "0\n0.5\ninf\n",
+                                      "0\nnan\n1\n"],
+                             ids=["past_horizon", "inf", "nan"])
+    def test_bad_times_file_is_usage_error(self, tmp_path, text):
+        """A times file that ends off the problem horizon or holds a
+        non-finite time exits 1."""
+        times = tmp_path / "times.txt"
+        times.write_text(text)
+        code = cli.main(["solve", "--problem", "lq_double_integrator",
+                         "--times-file", str(times),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+
     def test_h_max_flag_controls_grid(self, tmp_path):
         out = tmp_path / "coarse"
         code = cli.main(["solve", "--problem", "cubic_counterexample",

@@ -42,6 +42,13 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition([0.0, 0.5, 0.5, 1.0])
 
+    @pytest.mark.parametrize("times", [[0.0, float("nan"), 1.0],
+                                       [0.0, 0.5, float("inf")]],
+                             ids=["nan", "inf"])
+    def test_finite_required(self, times):
+        with pytest.raises(ValueError):
+            Partition(times)
+
 
 class TestPiecewiseConstant:
     def test_right_continuity(self):

@@ -84,6 +84,41 @@ class TestPermanentLq:
             rhs = -A.T @ di_reference.p.at(t) + Q @ di_reference.x.at(t)
             assert np.linalg.norm(dp - rhs) <= 1e-6
 
+    def test_unstable_hamiltonian_instance(self):
+        """A well-posed 3-state instance whose Hamiltonian matrix has an
+        eigenvalue near 5.4: the boundary-identity cost agrees with a
+        Gauss-Legendre quadrature of the running cost along
+        expm(M t) z0, with z0 read from the reference at t = 0."""
+        data = LqProblemData(
+            A=[[-0.127, 0.433, 0.172], [0.284, -0.523, -0.104],
+               [0.627, 1.195, -1.007]],
+            B=[[1.514, 1.346], [0.781, 0.264], [-0.314, 1.458]],
+            Q=[[8.818, -1.482, -0.515], [-1.482, 1.588, 1.79],
+               [-0.515, 1.79, 2.247]],
+            R=1.176 * np.eye(2), horizon=2.491, x0=[-1.184, -0.662, -0.436],
+            xT=[-1.17, 1.739, -0.496])
+        ref = solve_lq_permanent(data)
+        n = data.n
+        Rinv_Bt = np.linalg.solve(data.R, data.B.T)
+        M = np.block([[data.A, data.B @ Rinv_Bt], [data.Q, -data.A.T]])
+        z0 = np.concatenate([ref.x.at(0.0), ref.p.at(0.0)])
+        nodes, weights = np.polynomial.legendre.leggauss(128)
+        total = 0.0
+        for t, w in zip(0.5 * data.horizon * (nodes + 1.0), weights):
+            z = expm(M * t) @ z0
+            u = Rinv_Bt @ z[n:]
+            total += w * 0.5 * (z[:n] @ data.Q @ z[:n] + u @ data.R @ u)
+        assert ref.cost == pytest.approx(0.5 * data.horizon * total,
+                                         rel=1e-9, abs=0.0)
+
+    def test_catalog_cost_to_high_precision(self):
+        """The catalog double integrator's optimal cost, computed with
+        mpmath at 40 digits both from the boundary identity and by
+        adaptive quadrature of the running cost."""
+        ref = solve_lq_permanent(build_problem("lq_double_integrator").lq)
+        assert ref.cost == pytest.approx(6.7846731090735585513, rel=1e-15,
+                                         abs=0.0)
+
     def test_unreachable_detected(self):
         # B = 0 on the moved coordinate: shooting matrix singular
         data = LqProblemData(A=np.zeros((2, 2)), B=[[1.0], [0.0]],
@@ -236,6 +271,41 @@ class TestSampledExact:
         assert np.all(grad[:4] >= -1e-9 * scale)
         assert np.all(grad[4:] <= 1e-9 * scale)
         assert sol.cost == pytest.approx(qp.objective(u), rel=1e-12)
+
+    @pytest.mark.parametrize("params, N", [({}, 8),
+                                           ({"u_bound": 4.0,
+                                             "x0": [0.9, 0.0]}, 4)])
+    def test_dense_paths_match_joint_exponential(self, params, N):
+        """State and costate on every grid node against a forward
+        propagation of (x, lambda), lambdadot = -A' lambda - Q x, under
+        the held control with one joint block exponential per step,
+        started from x0 and the oracle's lambda(0) = -p(0); lambda(T)
+        lands on the terminal multiplier.  The running cost ends at the
+        QP cost."""
+        prob = build_problem("lq_double_integrator", **params)
+        data = prob.lq
+        sol = solve_lq_sampled_exact(data, uniform_partition(N, 1.0),
+                                     prob.control_set)
+        n, m = data.n, data.m
+        big = np.zeros((2 * n + m, 2 * n + m))
+        big[:n, :n] = data.A
+        big[n:2 * n, :n] = -data.Q
+        big[n:2 * n, n:2 * n] = -data.A.T
+        big[:n, 2 * n:] = data.B
+        times = sol.state.grid.times
+        y = np.concatenate([data.x0, -sol.costate.costates[0]])
+        for k in range(times.size - 1):
+            u = sol.control.values[sol.control.partition.interval_of(
+                0.5 * (times[k] + times[k + 1]))]
+            y = (expm(big * (times[k + 1] - times[k]))
+                 @ np.concatenate([y, u]))[:2 * n]
+            np.testing.assert_allclose(y[:n], sol.state.states[k + 1],
+                                       rtol=0, atol=1e-11)
+            np.testing.assert_allclose(-y[n:], sol.costate.costates[k + 1],
+                                       rtol=0, atol=1e-11)
+        np.testing.assert_allclose(y[n:], sol.multiplier, rtol=0, atol=1e-11)
+        assert sol.state.running_cost[-1] == pytest.approx(sol.cost,
+                                                           rel=1e-13, abs=0.0)
 
     def test_box_bound_saturation_at_fine_partitions(self):
         """The permanent optimum peaks past 6, so a [-6, 6] box saturates
