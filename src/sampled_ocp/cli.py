@@ -24,7 +24,7 @@ from .control_partition import Partition, read_control_csv, uniform_partition
 from .errors import (ConfigFormatError, IntegrationDivergedError, OracleError,
                      ProblemLookupError, SampledOcpError, SolverError,
                      SurrogateRejectedError)
-from .integrate import CostateTrajectory, read_costate_csv, read_state_csv
+from .integrate import costate_from_nodes, read_costate_csv, read_state_csv
 from .pmp_check import Extremal, evaluate_extremal
 from .problem_model import OcpProblem, build_problem, catalog, load_problem_config
 from .reference_oracles import fine_surrogate, solve_lq_permanent
@@ -171,8 +171,14 @@ def run_check(args) -> int:
     bundle = args.bundle
     try:
         control = read_control_csv(os.path.join(bundle, "control.csv"))
+        if control.m != prob.m:
+            raise ValueError(f"control.csv: {control.m} control columns, "
+                             f"the problem has m = {prob.m}")
         traj = read_state_csv(os.path.join(bundle, "state.csv"), prob, control)
         times, P, p0_file = read_costate_csv(os.path.join(bundle, "costate.csv"))
+        if P.shape[1] != prob.n:
+            raise ValueError(f"costate.csv: {P.shape[1]} costate columns, "
+                             f"the problem has n = {prob.n}")
     except (OSError, ValueError) as exc:
         print(f"malformed bundle: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -181,21 +187,15 @@ def run_check(args) -> int:
         print("malformed bundle: state and costate grids differ", file=sys.stderr)
         return EXIT_USAGE
     p0 = p0_file if args.p0 is None else float(args.p0)
-    n = P.shape[1]
     try:
-        costate = CostateTrajectory(traj.grid, P, p0,
-                                    np.zeros((traj.grid.K, n)),
-                                    np.zeros((times.size, n)))
+        costate = costate_from_nodes(traj.grid, P, p0)
         extremal = Extremal(prob, traj, control, costate, p0)
     except ValueError as exc:
         raise _UsageError(f"--p0 or costate.csv: {exc}") from exc
     try:
         report = evaluate_extremal(extremal, with_hm=args.require_hm,
                                    lift_probes=args.probes)
-    except SampledOcpError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION
-    except ValueError as exc:
+    except (SampledOcpError, ValueError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
     print(report.to_json())

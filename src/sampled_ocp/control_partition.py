@@ -307,6 +307,8 @@ def read_control_csv(path) -> PiecewiseConstantControl:
     if not rows:
         raise ValueError(f"{path}: empty control CSV")
     data = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite entry")
     starts, ends, values = data[:, 0], data[:, 1], data[:, 2:]
     if not np.all(starts[1:] == ends[:-1]):
         raise ValueError(f"{path}: intervals are not contiguous")

@@ -223,8 +223,8 @@ class CostateTrajectory:
     deriv_left: Array
 
     def __post_init__(self):
-        if self.p0 > 0:
-            raise ValueError("p0 must be nonpositive")
+        if not (np.isfinite(self.p0) and self.p0 <= 0):
+            raise ValueError(f"p0 must be finite and nonpositive, got {self.p0!r}")
         if float(np.linalg.norm(self.costates[-1])) + abs(self.p0) == 0.0:
             raise TrivialLiftError("p(T) = 0 with p0 = 0 is not a valid lift")
 
@@ -249,6 +249,43 @@ class CostateTrajectory:
             raise ValueError("scaling must be positive")
         return CostateTrajectory(self.grid, self.costates * lam, self.p0 * lam,
                                  self.deriv_right * lam, self.deriv_left * lam)
+
+
+def _differentiate_block(values: Array, h: float) -> Array:
+    """Differentiate uniformly spaced samples; 4th order when >= 5 nodes."""
+    M = values.shape[0]
+    out = np.empty_like(values)
+    if M >= 5:
+        v = values
+        out[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
+        out[0] = (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * h)
+        out[1] = (-3 * v[0] - 10 * v[1] + 18 * v[2] - 6 * v[3] + v[4]) / (12 * h)
+        out[-2] = (3 * v[-1] + 10 * v[-2] - 18 * v[-3] + 6 * v[-4] - v[-5]) / (12 * h)
+        out[-1] = (25 * v[-1] - 48 * v[-2] + 36 * v[-3] - 16 * v[-4] + 3 * v[-5]) / (12 * h)
+    else:
+        out[1:-1] = (values[2:] - values[:-2]) / (2 * h)
+        out[0] = (values[1] - values[0]) / h
+        out[-1] = (values[-1] - values[-2]) / h
+    return out
+
+
+def costate_from_nodes(grid: TimeGrid, costates: Array,
+                       p0: float) -> CostateTrajectory:
+    """A costate known only on the grid nodes (e.g. read from a file), with
+    its derivatives differentiated from the nodes of each sampling
+    interval separately: at a sampling time `deriv_left` comes from the
+    interval ending there and `deriv_right` from the one starting there."""
+    costates = _frozen(costates)
+    d_right = np.zeros((grid.K, costates.shape[1]))
+    d_left = np.zeros_like(costates)
+    for i in range(grid.n_intervals):
+        sl = grid.interval_slice(i)
+        h = float(grid.times[sl.start + 1] - grid.times[sl.start])
+        dp = _differentiate_block(costates[sl], h)
+        d_right[sl.start:sl.stop - 1] = dp[:-1]
+        d_left[sl.start + 1:sl.stop] = dp[1:]
+    return CostateTrajectory(grid, costates, float(p0),
+                             _frozen(d_right), _frozen(d_left))
 
 
 def _rk4_march(rhs, grid: TimeGrid, y0: Array, forward: bool, what: str):
@@ -350,16 +387,11 @@ class Linearization:
     (Sterbenz).
     """
 
-    def __init__(self, prob: OcpProblem, x: Trajectory, u,
-                 grid: Optional[TimeGrid] = None):
+    def __init__(self, prob: OcpProblem, x: Trajectory, u):
         self.prob = prob
-        self.grid = grid if grid is not None else x.grid
+        self.grid = x.grid
         times = self.grid.times
-        if x.grid.times is times or np.array_equal(x.grid.times, times):
-            nodes, mids = x.states, x.path.midpoints()
-        else:
-            nodes = x.sample(times)
-            mids = x.sample(0.5 * (times[:-1] + times[1:]))
+        nodes, mids = x.states, x.path.midpoints()
         t_mid = times[:-1] + 0.5 * (times[1:] - times[:-1])
         uval = _control_values_per_segment(u, self.grid)
         # per segment: (states, controls, times) at the three stage points
@@ -380,13 +412,10 @@ class Linearization:
         return table
 
     def costate(self, p0: float, pT) -> CostateTrajectory:
-        """Backward solve of pdot = -grad_x f' p - p0 grad_x L, p(T) = pT."""
+        """Backward solve of pdot = -grad_x f' p - p0 grad_x L, p(T) = pT;
+        the result rejects a positive p0 and the trivial pair."""
         pT = np.atleast_1d(np.asarray(pT, dtype=float))
         p0 = float(p0)
-        if p0 > 0:
-            raise ValueError("p0 must be nonpositive")
-        if float(np.linalg.norm(pT)) + abs(p0) == 0.0:
-            raise TrivialLiftError("refusing the trivial pair pT = 0, p0 = 0")
         fx = self.table("dynamics_jac_x")
         lx = self.table("cost_grad_x")
 
@@ -436,23 +465,22 @@ class Linearization:
 
 
 def integrate_costate(prob: OcpProblem, x: Trajectory, u, p0: float,
-                      pT: Array, grid: Optional[TimeGrid] = None) -> CostateTrajectory:
+                      pT: Array) -> CostateTrajectory:
     """Backward solve of pdot = -grad_x f' p - p0 grad_x L, p(T) = pT."""
-    return Linearization(prob, x, u, grid).costate(p0, pT)
+    return Linearization(prob, x, u).costate(p0, pT)
 
 
-def integrate_variation(prob: OcpProblem, x: Trajectory, u, direction,
-                        grid: Optional[TimeGrid] = None) -> VariationResult:
+def integrate_variation(prob: OcpProblem, x: Trajectory, u,
+                        direction) -> VariationResult:
     """Linearized response (w, w0) to the control perturbation
     `direction`, given as a control-like object or callable."""
-    return Linearization(prob, x, u, grid).variation(direction)
+    return Linearization(prob, x, u).variation(direction)
 
 
-def transition_matrix(prob: OcpProblem, x: Trajectory, u,
-                      grid: Optional[TimeGrid] = None) -> Linearization:
+def transition_matrix(prob: OcpProblem, x: Trajectory, u) -> Linearization:
     """The linearization along (x, u); `.at_final()` gives Phi(T, t_k) on
     the grid nodes."""
-    return Linearization(prob, x, u, grid)
+    return Linearization(prob, x, u)
 
 
 # ---------------------------------------------------------------------------
@@ -468,20 +496,6 @@ def simpson_on_interval(values: Array, h: float) -> Array:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return (h / 3.0) * np.tensordot(w, values, axes=(0, 0))
-
-
-def integrate_nodal(grid: TimeGrid, values: Array) -> Array:
-    """Composite-Simpson integral of nodal values over the whole grid,
-    assembled interval by interval so integrand kinks at sampling times
-    do not degrade the order."""
-    total = None
-    for i in range(grid.n_intervals):
-        sl = grid.interval_slice(i)
-        block = values[sl]
-        h = grid.times[sl.start + 1] - grid.times[sl.start]
-        part = simpson_on_interval(block, float(h))
-        total = part if total is None else total + part
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +536,8 @@ def _read_csv_columns(path, prefix: str):
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite entry")
     return data[:, 0], data[:, 1:], header
 
 
@@ -548,6 +564,9 @@ def read_state_csv(path, prob: OcpProblem, u) -> Trajectory:
     running cost is rebuilt step by step with Simpson's rule on the nodes
     and Hermite midpoints under each segment's control."""
     t, X, _ = _read_csv_columns(path, "x_")
+    if X.shape[1] != prob.n:
+        raise ValueError(f"{path}: {X.shape[1]} state columns, the problem "
+                         f"has n = {prob.n}")
     partition = u.partition if isinstance(u, PiecewiseConstantControl) else None
     grid = grid_from_times(t, partition)
     uval = _control_values_per_segment(u, grid)
@@ -570,9 +589,9 @@ def read_state_csv(path, prob: OcpProblem, u) -> Trajectory:
     return Trajectory(grid, _frozen(X), _frozen(dr), _frozen(dl), _frozen(cost))
 
 
-def read_costate_csv(path, partition: Optional[Partition] = None):
-    """Reload a costate CSV.  Returns (times, costates, p0); the caller
-    decides how to embed them (no stored derivatives survive the file)."""
+def read_costate_csv(path):
+    """Reload a costate CSV.  Returns (times, costates, p0); no stored
+    derivatives survive the file (see `costate_from_nodes`)."""
     t, data, header = _read_csv_columns(path, "p_")
     if header[-1] != "p0":
         raise ValueError(f"{path}: last column must be p0")

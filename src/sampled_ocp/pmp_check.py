@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .control_partition import PiecewiseConstantControl, uniform_partition
-from .errors import GridAlignmentError, MembershipError, TrivialLiftError
+from .errors import GridAlignmentError, MembershipError
 from .integrate import (ControlDifference, CostateTrajectory, Linearization,
                         TimeGrid, Trajectory, simpson_on_interval)
 from .problem_model import (TOL_SET, OcpProblem, grid_spacing,
@@ -53,8 +53,9 @@ def grad_u_hamiltonian(prob: OcpProblem, x: Array, u: Array, p: Array,
 class Extremal:
     """A candidate extremal: state path, control, costate pair.
 
-    The pair (p, p0) must be nontrivial; the state must start at x0 and
-    end within `feas_tol` of the target; state and costate share one grid.
+    p0 is the costate's own, so the pair (p, p0) is nontrivial; the state
+    must start at x0 and end within `feas_tol` of the target; state and
+    costate share one grid.
     """
 
     problem: OcpProblem
@@ -65,9 +66,7 @@ class Extremal:
     feas_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.p0 > 0:
-            raise ValueError("p0 must be nonpositive")
-        if abs(self.p0 - self.p.p0) > 0:
+        if self.p0 != self.p.p0:
             raise ValueError("p0 disagrees with the costate trajectory")
         if not np.array_equal(self.x.grid.times, self.p.grid.times):
             raise GridAlignmentError("state and costate grids differ")
@@ -79,8 +78,6 @@ class Extremal:
         return Linearization(self.problem, self.x, self.u)
 
     def validate(self) -> None:
-        if float(np.linalg.norm(self.p.final_costate)) + abs(self.p0) == 0.0:
-            raise TrivialLiftError("trivial pair (p(T), p0)")
         if float(np.linalg.norm(self.x.states[0] - self.problem.x0)) != 0.0:
             raise ValueError("trajectory does not start at x0")
         feas = float(np.linalg.norm(self.x.final_state - self.problem.xT))
@@ -99,12 +96,8 @@ class Extremal:
 
 
 def classify_normality(e: Extremal) -> str:
-    """'normal' iff p0 < 0; 'abnormal' requires p(T) != 0."""
-    if abs(e.p0) == 0.0:
-        if float(np.linalg.norm(e.p.final_costate)) == 0.0:
-            raise TrivialLiftError("trivial pair: p0 = 0 and p(T) = 0")
-        return "abnormal"
-    return "normal"
+    """'normal' iff p0 < 0; with p0 = 0 the costate guarantees p(T) != 0."""
+    return "abnormal" if e.p0 == 0.0 else "normal"
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +127,13 @@ class ProfileResult:
 def ae_residual(e: Extremal) -> ProfileResult:
     """Adjoint-equation defect along the stored costate.
 
-    Uses the costate's stored derivatives when available: the right-hand
-    side at every node, read from the extremal's linearization with the
-    same stage data the costate march uses, is compared with the
-    derivative recorded during integration, which certifies that the
-    stored triple solves the adjoint equation (rather than some other
-    trajectory's).  Costates loaded from files fall back to high-order
-    finite differencing per sampling interval.
+    The right-hand side at every node, read from the extremal's
+    linearization with the same stage data the costate march uses, is
+    compared with the costate's stored derivative on each side of the
+    node, which certifies that the stored triple solves the adjoint
+    equation (rather than some other trajectory's).  A costate loaded
+    from a file carries derivatives differentiated from its nodes
+    (`costate_from_nodes`).
     """
     grid = e.p.grid
     p = e.p.costates
@@ -152,40 +145,12 @@ def ae_residual(e: Extremal) -> ProfileResult:
         return -fx[k][stage].T @ p[node] - e.p0 * lx[k][stage]
 
     res = np.zeros(grid.times.size)
-    if np.any(e.p.deriv_right) or np.any(e.p.deriv_left):
-        for k in range(grid.K):
-            res[k] = max(res[k], float(np.linalg.norm(
-                e.p.deriv_right[k] - rhs(k, 0, k))))
-            res[k + 1] = max(res[k + 1], float(np.linalg.norm(
-                e.p.deriv_left[k + 1] - rhs(k, 2, k + 1))))
-    else:
-        for i in range(grid.n_intervals):
-            sl = grid.interval_slice(i)
-            h = float(grid.times[sl.start + 1] - grid.times[sl.start])
-            dp = _differentiate_block(p[sl], h)
-            for j, k in enumerate(range(sl.start, sl.stop)):
-                # an interval's right end keeps the interval's control
-                r = rhs(k - 1, 2, k) if k == sl.stop - 1 else rhs(k, 0, k)
-                res[k] = max(res[k], float(np.linalg.norm(dp[j] - r)))
+    for k in range(grid.K):
+        res[k] = max(res[k], float(np.linalg.norm(
+            e.p.deriv_right[k] - rhs(k, 0, k))))
+        res[k + 1] = max(res[k + 1], float(np.linalg.norm(
+            e.p.deriv_left[k + 1] - rhs(k, 2, k + 1))))
     return ProfileResult(float(np.max(res)), grid.times, res)
-
-
-def _differentiate_block(values: Array, h: float) -> Array:
-    """Differentiate uniformly spaced samples; 4th order when >= 5 nodes."""
-    M = values.shape[0]
-    out = np.empty_like(values)
-    if M >= 5:
-        v = values
-        out[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
-        out[0] = (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * h)
-        out[1] = (-3 * v[0] - 10 * v[1] + 18 * v[2] - 6 * v[3] + v[4]) / (12 * h)
-        out[-2] = (3 * v[-1] + 10 * v[-2] - 18 * v[-3] + 6 * v[-4] - v[-5]) / (12 * h)
-        out[-1] = (25 * v[-1] - 48 * v[-2] + 36 * v[-3] - 16 * v[-4] + 3 * v[-5]) / (12 * h)
-    else:
-        out[1:-1] = (values[2:] - values[:-2]) / (2 * h)
-        out[0] = (values[1] - values[0]) / h
-        out[-1] = (values[-1] - values[-2]) / h
-    return out
 
 
 def hg_residual(e: Extremal) -> ProfileResult:
@@ -267,14 +232,9 @@ def hm_gap(e: Extremal, density: int = 1001, time_stride: int = 1) -> HmResult:
     U = prob.control_set
     grid = e.x.grid
     nodes = range(0, grid.times.size, max(1, int(time_stride)))
-    if prob.m <= 2:
-        omegas = sample_grid(U, density)
-        spacing = grid_spacing(U, density)
-    else:
-        omegas = None
-        spacing = grid_spacing(U, density)
+    omegas = sample_grid(U, density) if prob.m <= 2 else None
+    spacing = grid_spacing(U, density)
     gaps = []
-    times = []
     worst_slack = 0.0
     for k in nodes:
         t = float(grid.times[k])
@@ -295,17 +255,16 @@ def hm_gap(e: Extremal, density: int = 1001, time_stride: int = 1) -> HmResult:
         slack = lip * spacing / 2.0
         worst_slack = max(worst_slack, slack)
         gaps.append(max(0.0, best - h_here - slack))
-        times.append(t)
     per_node = np.asarray(gaps)
     return HmResult(float(np.max(per_node)), per_node, spacing, worst_slack)
 
 
-def _coordinate_scan(prob, U, x, p, p0, t, u_start, density, sweeps: int = 3):
-    """Coordinate-wise refinement for control dimension > 2."""
+def _coordinate_scan(prob, U, x, p, p0, t, u_start, density):
+    """Coordinate-wise refinement for control dimension > 2: three sweeps."""
     lo, up = U.bounding_box()
     u = np.asarray(u_start, dtype=float).copy()
     best = hamiltonian(prob, x, u, p, p0, t)
-    for _ in range(sweeps):
+    for _ in range(3):
         for j in range(u.size):
             cand = np.repeat(u[None, :], density, axis=0)
             cand[:, j] = np.linspace(lo[j], up[j], density)
@@ -385,12 +344,8 @@ class ResidualReport:
 
     def all_pass(self) -> bool:
         """True iff every gating section was evaluated and passes."""
-        values = self.section_values()
-        for name in self.gating:
-            val = values.get(name)
-            if val is None or val > PASS_THRESHOLD:
-                return False
-        return True
+        verdicts = self.verdicts()
+        return all(verdicts.get(name) == "pass" for name in self.gating)
 
     def certifies_solve(self) -> bool:
         """True iff ae and ahg were evaluated and are within the solve

@@ -349,48 +349,29 @@ def finite_difference_derivatives(f: Dynamics, L: Scalar, n: int, m: int):
     evaluators (jac_x, jac_u, grad_x, grad_u).
     """
 
-    def _step(v):
-        return 1e-6 * (1.0 + float(np.linalg.norm(v)))
+    def central(g, v, shape):
+        """Central differences of g at v; index j of the last axis of
+        `shape` is the difference along coordinate j of v."""
+        v = np.asarray(v, dtype=float)
+        h = 1e-6 * (1.0 + float(np.linalg.norm(v)))
+        out = np.empty(shape)
+        for j in range(shape[-1]):
+            e = np.zeros(shape[-1])
+            e[j] = h
+            out[..., j] = (np.asarray(g(v + e)) - np.asarray(g(v - e))) / (2 * h)
+        return out
 
     def jac_x(x, u, t):
-        x = np.asarray(x, dtype=float)
-        h = _step(x)
-        out = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            out[:, j] = (np.asarray(f(x + e, u, t)) - np.asarray(f(x - e, u, t))) / (2 * h)
-        return out
+        return central(lambda y: f(y, u, t), x, (n, n))
 
     def jac_u(x, u, t):
-        u = np.asarray(u, dtype=float)
-        h = _step(u)
-        out = np.empty((n, m))
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = h
-            out[:, j] = (np.asarray(f(x, u + e, t)) - np.asarray(f(x, u - e, t))) / (2 * h)
-        return out
+        return central(lambda y: f(x, y, t), u, (n, m))
 
     def grad_x(x, u, t):
-        x = np.asarray(x, dtype=float)
-        h = _step(x)
-        out = np.empty(n)
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            out[j] = (L(x + e, u, t) - L(x - e, u, t)) / (2 * h)
-        return out
+        return central(lambda y: L(y, u, t), x, (n,))
 
     def grad_u(x, u, t):
-        u = np.asarray(u, dtype=float)
-        h = _step(u)
-        out = np.empty(m)
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = h
-            out[j] = (L(x, u + e, t) - L(x, u - e, t)) / (2 * h)
-        return out
+        return central(lambda y: L(x, y, t), u, (m,))
 
     return jac_x, jac_u, grad_x, grad_u
 

@@ -132,7 +132,7 @@ class _AugmentedObjective:
         defect = traj.final_state - self.prob.xT
         lam_T = mu + rho * defect
         costate = integrate_costate(self.prob, traj, self.control(values),
-                                    p0=-1.0, pT=-lam_T, grid=self.grid)
+                                    p0=-1.0, pT=-lam_T)
         g = -interval_grad_integrals(self.prob, self.grid, traj.states, values,
                                      costate.costates, -1.0)
         return g, costate, defect

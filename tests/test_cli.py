@@ -2,11 +2,16 @@
 
 import json
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sampled_ocp import cli
+
+# check bundles stored with the benchmark; tests only read them
+BUNDLES = Path(__file__).resolve().parents[1] / "perfbench" / "bundles"
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +186,49 @@ class TestCheck:
     def test_missing_bundle_dir(self, tmp_path):
         code = cli.main(["check", str(tmp_path / "nope"), "--problem",
                          "lq_double_integrator"])
+        assert code == 1
+
+    @pytest.mark.parametrize("name, ae", [
+        ("v0/lq", 4.9301065011933545e-12),
+        ("v0/aq", 2.2561524905572245e-09),
+        ("cubic", 0.0),
+    ])
+    def test_stored_bundle_ae_value(self, name, ae, capsys):
+        """A bundle costate's derivatives come from its nodes, interval by
+        interval; the adjoint residual keeps its value to the last bit."""
+        bundle = BUNDLES / name
+        code = cli.main(["check", str(bundle), "--config",
+                         str(bundle / "problem.json"), "--probes", "0"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["sections"]["ae"]["value"] == ae
+
+    @pytest.mark.parametrize("filename, column, value, extra", [
+        ("state.csv", 1, "nan", []),
+        ("control.csv", 2, "nan", []),
+        ("costate.csv", 1, "nan", []),
+        ("state.csv", 2, None, []),
+        ("costate.csv", 2, None, []),
+        (None, None, None, ["--p0", "nan"]),
+    ], ids=["state_nan", "control_nan", "costate_nan", "state_narrow",
+            "costate_narrow", "p0_nan"])
+    def test_malformed_numbers_exit_1(self, tmp_path, filename, column, value,
+                                      extra):
+        """Non-finite or wrong-width bundle numbers and a non-finite --p0
+        are malformed input, never a certificate.  A `value` replaces
+        `column` in one data row; without one the column is dropped."""
+        bundle = shutil.copytree(BUNDLES / "v0" / "aq", tmp_path / "b")
+        if filename is not None:
+            path = bundle / filename
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            if value is not None:
+                rows[5][column] = value
+            else:
+                rows = [row[:column] + row[column + 1:] for row in rows]
+            path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        code = cli.main(["check", str(bundle), "--config",
+                         str(bundle / "problem.json"), "--probes", "0",
+                         *extra])
         assert code == 1
 
 

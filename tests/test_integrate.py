@@ -12,7 +12,7 @@ from sampled_ocp import (Box, PiecewiseConstantControl, build_problem,
                          integrate_variation, transition_matrix,
                          uniform_partition)
 from sampled_ocp.errors import IntegrationDivergedError, TrivialLiftError
-from sampled_ocp.integrate import (integrate_nodal, read_state_csv,
+from sampled_ocp.integrate import (costate_from_nodes, read_state_csv,
                                    write_state_csv)
 from sampled_ocp.problem_model import problem_from_callables
 
@@ -324,6 +324,23 @@ class TestStateCsv:
         assert back.cost == pytest.approx(traj.cost, rel=1e-9)
         np.testing.assert_allclose(back.running_cost, traj.running_cost,
                                    rtol=1e-9, atol=1e-9 * abs(traj.cost))
+
+
+class TestCostateFromNodes:
+    def test_midpoint_samples_match_marched_costate(self, aq_problem):
+        """Derivatives differentiated from the nodes, one sampling
+        interval at a time, give dense output as good as the march's."""
+        T = aq_problem.horizon
+        part = uniform_partition(32, T)
+        grid = build_time_grid(T, part, h_max=T / 256)
+        rng = np.random.default_rng(1)
+        u = PiecewiseConstantControl(part, rng.uniform(-1, 1, size=(32, 1)))
+        x = integrate_state(aq_problem, u, grid)
+        p = integrate_costate(aq_problem, x, u, p0=-1.0, pT=[1.0, -0.5])
+        mids = 0.5 * (grid.times[:-1] + grid.times[1:])
+        q = costate_from_nodes(grid, p.costates, -1.0)
+        np.testing.assert_allclose(q.sample(mids), p.sample(mids),
+                                   rtol=0, atol=1e-11)
 
 
 class TestTransitionMatrix:

@@ -12,8 +12,9 @@ from sampled_ocp import (Extremal, PiecewiseConstantControl, build_problem,
                          integrate_costate, integrate_state, lift_inequality,
                          uniform_partition)
 from sampled_ocp.errors import GridAlignmentError, TrivialLiftError
-from sampled_ocp.pmp_check import (ae_residual, ahg_residual, evaluate_extremal,
-                                   hg_residual, hm_gap,
+from sampled_ocp.integrate import CostateTrajectory
+from sampled_ocp.pmp_check import (ResidualReport, ae_residual, ahg_residual,
+                                   evaluate_extremal, hg_residual, hm_gap,
                                    random_admissible_control)
 
 
@@ -199,6 +200,20 @@ class TestLqOracleExtremal:
         assert ahg_residual(e).sup <= 1e-12
 
 
+    def test_zero_derivatives_are_taken_at_their_word(self,
+                                                       lq_oracle_extremal):
+        """A costate with all-zero derivative arrays claims pdot = 0; the
+        adjoint residual reads the claim, not finite differences."""
+        e, sol = lq_oracle_extremal
+        grid = sol.costate.grid
+        n = sol.costate.costates.shape[1]
+        flat = CostateTrajectory(grid, sol.costate.costates, -1.0,
+                                 np.zeros((grid.K, n)),
+                                 np.zeros((grid.K + 1, n)))
+        e_flat = dataclasses.replace(e, p=flat)
+        assert ae_residual(e_flat).sup > 1.0
+
+
 class TestScalingInvariance:
     def test_positive_scaling(self, lq_oracle_extremal):
         """Positive rescaling of (p, p0) scales the averaged integrals and
@@ -313,6 +328,11 @@ class TestReport:
     def test_report_passes_without_hm(self, cubic_extremal):
         report = evaluate_extremal(cubic_extremal, lift_probes=10)
         assert report.all_pass()
+
+
+    def test_nan_gating_value_does_not_pass(self):
+        report = ResidualReport(ae_residual=float("nan"), ahg_sup=0.0)
+        assert report.all_pass() is False
 
 
 class TestSharedLinearization:
