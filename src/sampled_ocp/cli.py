@@ -55,10 +55,10 @@ def _build_parser() -> _Parser:
     def add_problem_flags(p):
         p.add_argument("--problem", help="catalog problem name")
         p.add_argument("--config", help="problem configuration file (JSON)")
-        p.add_argument("--out", help="output directory")
 
     p_solve = sub.add_parser("solve", help="solve on one partition")
     add_problem_flags(p_solve)
+    p_solve.add_argument("--out", help="output directory")
     p_solve.add_argument("--N", type=int, help="uniform partition intervals")
     p_solve.add_argument("--times-file", help="file with explicit sampling times")
     p_solve.add_argument("--feas-tol", type=float)
@@ -78,6 +78,7 @@ def _build_parser() -> _Parser:
 
     p_conv = sub.add_parser("converge", help="partition-refinement sweep")
     add_problem_flags(p_conv)
+    p_conv.add_argument("--out", help="output directory")
     p_conv.add_argument("--Ns", help="comma-separated resolutions, e.g. 2,4,8")
     p_conv.add_argument("--warm-start", choices=("cascade", "cold"),
                         default="cascade")

@@ -159,9 +159,6 @@ class SampledControlSignal:
         s = min(max(s, 0.0), 1.0)
         return (1.0 - s) * self.values[k] + s * self.values[k + 1]
 
-    def values_at(self, ts) -> Array:
-        return np.array([self.value(t) for t in np.atleast_1d(ts)])
-
 
 def _as_signal(u) -> SampledControlSignal:
     if isinstance(u, SampledControlSignal):

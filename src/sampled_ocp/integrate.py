@@ -17,8 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .control_partition import (Partition, PiecewiseConstantControl,
-                                SampledControlSignal)
+from .control_partition import Partition, PiecewiseConstantControl
 from .errors import (GridAlignmentError, IntegrationDivergedError,
                      TrivialLiftError)
 from .problem_model import _FLOAT_FMT, OcpProblem, _frozen
@@ -32,14 +31,13 @@ BLOWUP_NORM = 1e12
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing solver nodes containing 0, T and all sampling
-    times of the attached partition (bit-equal).  Steps are uniform
-    within each partition interval and every interval holds an even
-    number of them, so composite Simpson applies directly."""
+    """Strictly increasing solver nodes from 0 to T.  `boundaries` are the
+    node indices of the sampling times the grid was built for; steps are
+    uniform within each of those intervals and every interval holds an
+    even number of them, so composite Simpson applies directly."""
 
     times: Array
     boundaries: Array  # indices into times of the partition nodes
-    partition: Optional[Partition]
 
     @property
     def K(self) -> int:
@@ -57,6 +55,17 @@ class TimeGrid:
     def interval_slice(self, i: int) -> slice:
         """Node index range [lo, hi] covering partition interval i."""
         return slice(int(self.boundaries[i]), int(self.boundaries[i + 1]) + 1)
+
+    def boundaries_of(self, partition: Partition) -> Array:
+        """Node index of every sampling time of `partition`, which must
+        span the grid: each time is a node (bit-equal), the first node is
+        0 and the last one is T."""
+        idx = np.searchsorted(self.times, partition.times)
+        if idx[0] != 0 or idx[-1] != self.K or \
+                not np.array_equal(self.times[idx], partition.times):
+            raise GridAlignmentError(
+                "grid nodes do not span the partition's sampling times")
+        return idx
 
 
 def build_time_grid(horizon: float, partition: Optional[Partition] = None,
@@ -80,13 +89,7 @@ def build_time_grid(horizon: float, partition: Optional[Partition] = None,
         pieces.append(nodes if i == 0 else nodes[1:])
         boundaries.append(boundaries[-1] + steps)
     times = np.concatenate(pieces)
-    return TimeGrid(_frozen(times), _frozen(np.asarray(boundaries)).astype(int),
-                    partition)
-
-
-def _require_aligned(grid: TimeGrid, partition: Partition) -> None:
-    if not np.all(np.isin(partition.times, grid.times)):
-        raise GridAlignmentError("grid does not contain all sampling times")
+    return TimeGrid(_frozen(times), _frozen(np.asarray(boundaries)).astype(int))
 
 
 class ControlDifference:
@@ -106,23 +109,17 @@ def _control_values_per_segment(u, grid: TimeGrid):
     """Resolve the control for RK4 stages.
 
     Piecewise-constant controls are frozen per segment at the value of
-    the interval owning the segment's left endpoint (stages never cross
-    a sampling time on aligned grids).  Signals and callables are
-    evaluated at stage times.
+    the interval the segment lies in (stages never cross a sampling time
+    on aligned grids).  Callables are evaluated at stage times.
     """
     if isinstance(u, PiecewiseConstantControl):
-        _require_aligned(grid, u.partition)
-        lefts = grid.times[:-1]
-        idx = np.clip(np.searchsorted(u.partition.times, lefts, side="right") - 1,
-                      0, u.partition.N - 1)
-        per_seg = u.values[idx]
+        per_seg = np.repeat(u.values, np.diff(grid.boundaries_of(u.partition)),
+                            axis=0)
         return lambda k, t: per_seg[k]
     if isinstance(u, ControlDifference):
         va = _control_values_per_segment(u.a, grid)
         vb = _control_values_per_segment(u.b, grid)
         return lambda k, t: va(k, t) - vb(k, t)
-    if isinstance(u, SampledControlSignal):
-        return lambda k, t: u.value(t)
     if callable(u):
         return lambda k, t: np.atleast_1d(np.asarray(u(t), dtype=float))
     raise TypeError(f"unsupported control of type {type(u)!r}")
@@ -542,20 +539,23 @@ def _read_csv_columns(path, prefix: str):
 
 
 def grid_from_times(times: Array, partition: Optional[Partition]) -> TimeGrid:
-    """Rebuild a TimeGrid from explicit node times (e.g. a CSV column)."""
-    times = np.asarray(times, dtype=float)
+    """Rebuild a TimeGrid from explicit node times (e.g. a CSV column),
+    checking its invariant: even, uniform steps per sampling interval."""
+    times = _frozen(times)
     if np.any(np.diff(times) <= 0):
         raise ValueError("grid times must be strictly increasing")
-    if partition is None:
-        boundaries = np.array([0, times.size - 1])
-    else:
-        pos = np.searchsorted(times, partition.times)
-        pos_clipped = np.minimum(pos, times.size - 1)
-        if not (np.all(pos < times.size)
-                and np.array_equal(times[pos_clipped], partition.times)):
-            raise GridAlignmentError("grid is missing sampling times")
-        boundaries = pos.astype(int)
-    return TimeGrid(_frozen(times), _frozen(boundaries).astype(int), partition)
+    grid = TimeGrid(times, np.array([0, times.size - 1]))
+    if partition is not None:
+        grid = TimeGrid(times, grid.boundaries_of(partition))
+    for i in range(grid.n_intervals):
+        steps = np.diff(times[grid.interval_slice(i)])
+        if steps.size % 2 or steps.size < 2:
+            raise ValueError(f"sampling interval {i} holds {steps.size} "
+                             "steps; the grid needs an even, positive count")
+        # far above linspace rounding, far below any dropped node
+        if np.ptp(steps) > 1e-6 * steps.mean():
+            raise ValueError(f"sampling interval {i} has non-uniform steps")
+    return grid
 
 
 def read_state_csv(path, prob: OcpProblem, u) -> Trajectory:

@@ -93,11 +93,9 @@ def solve_lq_permanent(data: LqProblemData) -> PermanentReference:
     p0vec = np.linalg.solve(E12, data.xT - E11 @ data.x0)
 
     times = np.linspace(0.0, data.horizon, PERMANENT_RESOLUTION + 1)
-    step = expm(M * (times[1] - times[0]))
-    Z = np.empty((times.size, 2 * n))
-    Z[0] = np.concatenate([data.x0, p0vec])
-    for k in range(times.size - 1):
-        Z[k + 1] = step @ Z[k]
+    # each node from its own exponential: chained step products would
+    # compound rounding along the Hamiltonian's unstable modes
+    Z = expm(M * times[:, None, None]) @ np.concatenate([data.x0, p0vec])
     dZ = Z @ M.T
 
     Rinv_Bt = np.linalg.solve(data.R, data.B.T)

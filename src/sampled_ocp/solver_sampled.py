@@ -131,9 +131,9 @@ class _AugmentedObjective:
         """
         defect = traj.final_state - self.prob.xT
         lam_T = mu + rho * defect
-        costate = integrate_costate(self.prob, traj, self.control(values),
-                                    p0=-1.0, pT=-lam_T)
-        g = -interval_grad_integrals(self.prob, self.grid, traj.states, values,
+        u = self.control(values)
+        costate = integrate_costate(self.prob, traj, u, p0=-1.0, pT=-lam_T)
+        g = -interval_grad_integrals(self.prob, self.grid, traj.states, u,
                                      costate.costates, -1.0)
         return g, costate, defect
 

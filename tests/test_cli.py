@@ -231,6 +231,30 @@ class TestCheck:
                          *extra])
         assert code == 1
 
+    @pytest.mark.parametrize("dropped", [[3], [3, 4]],
+                             ids=["odd_steps", "uneven_steps"])
+    def test_malformed_grid_exit_1(self, tmp_path, dropped):
+        """Interior nodes of the first sampling interval deleted from the
+        state and costate files: an odd step count, or an even one with
+        uneven steps, breaks the grid's invariant, so the bundle is
+        malformed, not a failed certificate."""
+        bundle = shutil.copytree(BUNDLES / "v0" / "aq", tmp_path / "b")
+        for name in ("state.csv", "costate.csv"):
+            lines = (bundle / name).read_text().splitlines()
+            kept = [line for i, line in enumerate(lines) if i not in dropped]
+            (bundle / name).write_text("\n".join(kept) + "\n")
+        code = cli.main(["check", str(bundle), "--config",
+                         str(bundle / "problem.json"), "--probes", "0"])
+        assert code == 1
+
+    def test_out_flag_is_usage_error(self, tmp_path):
+        """`check` writes no files, so it takes no output directory."""
+        bundle = BUNDLES / "v0" / "lq"
+        code = cli.main(["check", str(bundle), "--config",
+                         str(bundle / "problem.json"), "--out",
+                         str(tmp_path / "x")])
+        assert code == 1
+
 
 class TestConverge:
     def test_small_sweep_passes(self, tmp_path):

@@ -2,17 +2,24 @@
 
 import collections
 import dataclasses
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from sampled_ocp import (Box, PiecewiseConstantControl, build_problem,
-                         build_time_grid, integrate_costate, integrate_state,
-                         integrate_variation, transition_matrix,
-                         uniform_partition)
-from sampled_ocp.errors import IntegrationDivergedError, TrivialLiftError
-from sampled_ocp.integrate import (costate_from_nodes, read_state_csv,
+from sampled_ocp import (Box, Partition, PiecewiseConstantControl,
+                         build_problem, build_time_grid, integrate_costate,
+                         integrate_state, integrate_variation,
+                         transition_matrix, uniform_partition)
+from sampled_ocp.errors import (GridAlignmentError, IntegrationDivergedError,
+                                 TrivialLiftError)
+from sampled_ocp.control_partition import read_control_csv, write_control_csv
+from sampled_ocp.integrate import (costate_from_nodes, read_costate_csv,
+                                   read_state_csv, write_costate_csv,
                                    write_state_csv)
 from sampled_ocp.problem_model import problem_from_callables
 
@@ -41,6 +48,19 @@ class TestTimeGrid:
     def test_h_max_respected(self):
         grid = build_time_grid(2.0, h_max=0.3)
         assert np.max(np.diff(grid.times)) <= 0.3 + 1e-15
+
+    def test_boundaries_of_finer_partition(self):
+        """A grid built for N = 8 also spans the N = 4 partition."""
+        grid = build_time_grid(1.0, uniform_partition(8, 1.0), h_max=1 / 64)
+        np.testing.assert_array_equal(
+            grid.boundaries_of(uniform_partition(4, 1.0)), grid.boundaries[::2])
+
+    def test_boundaries_of_short_partition_rejected(self):
+        """A partition that ends before the grid does cannot own every
+        segment."""
+        grid = build_time_grid(1.0, uniform_partition(4, 1.0), h_max=1 / 64)
+        with pytest.raises(GridAlignmentError):
+            grid.boundaries_of(Partition([0.0, 0.25, 0.5, 0.75]))
 
 
 class TestStateIntegration:
@@ -93,6 +113,17 @@ class TestStateIntegration:
         with pytest.raises(IntegrationDivergedError) as exc:
             integrate_state(prob, lambda t: np.array([0.0]), grid)
         assert exc.value.t_bad is not None
+
+    def test_signal_is_not_a_control(self):
+        """A recorded signal carries no partition for the grid to align
+        with; a march refuses it rather than let RK4 stages at an
+        interval's end read the next interval's value."""
+        prob = build_problem("affine_quadratic")
+        part = uniform_partition(4, prob.horizon)
+        u = PiecewiseConstantControl(part, np.zeros((4, 1)))
+        grid = build_time_grid(prob.horizon, part)
+        with pytest.raises(TypeError):
+            integrate_state(prob, u.as_signal(), grid)
 
     def test_dense_output_matches_nodes(self):
         prob = _scalar_problem(lambda x, u, t: np.array([x[0]]), x0=1.0)
@@ -324,6 +355,51 @@ class TestStateCsv:
         assert back.cost == pytest.approx(traj.cost, rel=1e-9)
         np.testing.assert_allclose(back.running_cost, traj.running_cost,
                                    rtol=1e-9, atol=1e-9 * abs(traj.cost))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_csv_round_trip_is_bitwise(aq_problem, data):
+    """Control, state and costate files reload to the last bit: control
+    values and times, the grid's times and boundaries, the states with
+    their re-evaluated derivatives, the costates and p0, on uniform and
+    non-uniform partitions."""
+    prob = aq_problem
+    T = prob.horizon
+    N = data.draw(st.integers(1, 8))
+    if data.draw(st.booleans()):
+        part = uniform_partition(N, T)
+    else:
+        gaps = np.cumsum(data.draw(st.lists(st.floats(0.05, 1.0),
+                                            min_size=N, max_size=N)))
+        part = Partition(np.concatenate([[0.0], T * gaps[:-1] / gaps[-1], [T]]))
+    lo, up = prob.control_set.bounding_box()
+    frac = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=N * prob.m,
+                                       max_size=N * prob.m)))
+    u = PiecewiseConstantControl(part, lo + frac.reshape(N, prob.m) * (up - lo))
+    pT = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=prob.n,
+                            max_size=prob.n))
+    grid = build_time_grid(T, part, h_max=T / 64)
+    x = integrate_state(prob, u, grid)
+    p = integrate_costate(prob, x, u, p0=-1.0, pT=pT)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_control_csv(os.path.join(tmp, "control.csv"), u)
+        write_state_csv(os.path.join(tmp, "state.csv"), x)
+        write_costate_csv(os.path.join(tmp, "costate.csv"), p)
+        u_back = read_control_csv(os.path.join(tmp, "control.csv"))
+        x_back = read_state_csv(os.path.join(tmp, "state.csv"), prob, u_back)
+        t_back, p_back, p0_back = read_costate_csv(
+            os.path.join(tmp, "costate.csv"))
+    np.testing.assert_array_equal(u_back.partition.times, part.times)
+    np.testing.assert_array_equal(u_back.values, u.values)
+    np.testing.assert_array_equal(x_back.grid.times, grid.times)
+    np.testing.assert_array_equal(x_back.grid.boundaries, grid.boundaries)
+    np.testing.assert_array_equal(x_back.states, x.states)
+    np.testing.assert_array_equal(x_back.deriv_right, x.deriv_right)
+    np.testing.assert_array_equal(x_back.deriv_left[1:], x.deriv_left[1:])
+    np.testing.assert_array_equal(t_back, grid.times)
+    np.testing.assert_array_equal(p_back, p.costates)
+    assert p0_back == p.p0
 
 
 class TestCostateFromNodes:

@@ -161,6 +161,20 @@ class TestLqOracleExtremal:
         e_pert = Extremal(e.problem, e.x, u_pert, e.p, -1.0, feas_tol=1e-10)
         assert hg_residual(e_pert).sup >= 0.05
 
+    def test_ahg_on_a_grid_built_for_another_partition(self, di_problem):
+        """The N = 4 optimum re-marched on a grid aligned to N = 8: the
+        averaged gradient integrates over the control's own intervals,
+        not the grid's (which read 0.694)."""
+        from sampled_ocp import solve_lq_sampled_exact
+        sol = solve_lq_sampled_exact(di_problem.lq, uniform_partition(4, 1.0),
+                                     di_problem.control_set)
+        grid = build_time_grid(1.0, uniform_partition(8, 1.0), h_max=1 / 256)
+        x = integrate_state(di_problem, sol.control, grid)
+        p = integrate_costate(di_problem, x, sol.control, p0=-1.0,
+                              pT=sol.costate.final_costate)
+        e = Extremal(di_problem, x, sol.control, p, -1.0)
+        assert ahg_residual(e).sup <= 1e-9
+
     def test_interval_flip_breaks_ahg(self, lq_oracle_extremal):
         e, sol = lq_oracle_extremal
         values = sol.control.values.copy()

@@ -26,6 +26,19 @@ def _min_energy_double_integrator():
                          x0=[1.0, 0.0], xT=[0.0, 0.0])
 
 
+def _unstable_hamiltonian():
+    """A well-posed 3-state instance whose Hamiltonian matrix has an
+    eigenvalue near 5.4."""
+    return LqProblemData(
+        A=[[-0.127, 0.433, 0.172], [0.284, -0.523, -0.104],
+           [0.627, 1.195, -1.007]],
+        B=[[1.514, 1.346], [0.781, 0.264], [-0.314, 1.458]],
+        Q=[[8.818, -1.482, -0.515], [-1.482, 1.588, 1.79],
+           [-0.515, 1.79, 2.247]],
+        R=1.176 * np.eye(2), horizon=2.491, x0=[-1.184, -0.662, -0.436],
+        xT=[-1.17, 1.739, -0.496])
+
+
 class TestPermanentLq:
     def test_scalar_minimum_energy_transfer(self):
         """Moving one unit in unit time with integrator dynamics: the
@@ -89,14 +102,7 @@ class TestPermanentLq:
         eigenvalue near 5.4: the boundary-identity cost agrees with a
         Gauss-Legendre quadrature of the running cost along
         expm(M t) z0, with z0 read from the reference at t = 0."""
-        data = LqProblemData(
-            A=[[-0.127, 0.433, 0.172], [0.284, -0.523, -0.104],
-               [0.627, 1.195, -1.007]],
-            B=[[1.514, 1.346], [0.781, 0.264], [-0.314, 1.458]],
-            Q=[[8.818, -1.482, -0.515], [-1.482, 1.588, 1.79],
-               [-0.515, 1.79, 2.247]],
-            R=1.176 * np.eye(2), horizon=2.491, x0=[-1.184, -0.662, -0.436],
-            xT=[-1.17, 1.739, -0.496])
+        data = _unstable_hamiltonian()
         ref = solve_lq_permanent(data)
         n = data.n
         Rinv_Bt = np.linalg.solve(data.R, data.B.T)
@@ -110,6 +116,14 @@ class TestPermanentLq:
             total += w * 0.5 * (z[:n] @ data.Q @ z[:n] + u @ data.R @ u)
         assert ref.cost == pytest.approx(0.5 * data.horizon * total,
                                          rel=1e-9, abs=0.0)
+
+    def test_dense_path_reaches_target(self):
+        """The dense state path ends on the target: each node comes from
+        its own exponential, so no rounding compounds along the unstable
+        mode (a chain of step products missed x_T by 4.1e-8)."""
+        data = _unstable_hamiltonian()
+        ref = solve_lq_permanent(data)
+        assert np.linalg.norm(ref.x.at(data.horizon) - data.xT) <= 1e-9
 
     def test_catalog_cost_to_high_precision(self):
         """The catalog double integrator's optimal cost, computed with
