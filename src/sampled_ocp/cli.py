@@ -21,9 +21,9 @@ import numpy as np
 
 from . import convergence_harness as harness
 from .control_partition import Partition, read_control_csv, uniform_partition
-from .errors import (ConfigFormatError, IntegrationDivergedError, OracleError,
-                     ProblemLookupError, SampledOcpError, SolverError,
-                     SurrogateRejectedError)
+from .errors import (ConfigFormatError, GridAlignmentError,
+                     IntegrationDivergedError, OracleError, ProblemLookupError,
+                     SampledOcpError, SolverError, SurrogateRejectedError)
 from .integrate import costate_from_nodes, read_costate_csv, read_state_csv
 from .pmp_check import Extremal, evaluate_extremal
 from .problem_model import OcpProblem, build_problem, catalog, load_problem_config
@@ -151,6 +151,8 @@ def run_solve(args) -> int:
     out = _output_dir(args, "solution")
     try:
         sol = solve(prob, partition, opts)
+    except GridAlignmentError as exc:
+        raise _UsageError(f"--h-max: {exc}") from exc
     except (SolverError, IntegrationDivergedError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -212,6 +214,9 @@ def _reference_for(prob: OcpProblem, args, max_n: int):
 
 
 def run_converge(args) -> int:
+    if args.reference_reject_above is not None and \
+            np.isnan(args.reference_reject_above):
+        raise _UsageError("--reference-reject-above must be a number")
     prob = _load_problem(args)
     if args.Ns:
         try:

@@ -22,7 +22,8 @@ class MembershipError(SampledOcpError, ValueError):
 
 
 class GridAlignmentError(SampledOcpError, ValueError):
-    """A time grid does not contain the required sampling times."""
+    """A time grid does not contain the required sampling times, or
+    cannot be built for them."""
 
 
 class CoverageError(SampledOcpError, ValueError):

@@ -70,26 +70,31 @@ class TimeGrid:
 
 def build_time_grid(horizon: float, partition: Optional[Partition] = None,
                     h_max: Optional[float] = None) -> TimeGrid:
-    """Partition-aligned grid with even, uniform steps per interval."""
+    """Partition-aligned grid with even, uniform steps per interval.
+    Raises `GridAlignmentError`, before filling any node, when the grid
+    that `h_max` asks for cannot be allocated."""
     horizon = float(horizon)
     if h_max is None:
         h_max = horizon / DEFAULT_STEP_DIVISOR
-    if h_max <= 0:
+    if not h_max > 0:
         raise ValueError("h_max must be positive")
     anchors = partition.times if partition is not None else np.array([0.0, horizon])
     if partition is not None and anchors[-1] != horizon:
         raise GridAlignmentError("partition horizon differs from problem horizon")
-    pieces = []
-    boundaries = [0]
-    for i in range(anchors.size - 1):
-        a, b = anchors[i], anchors[i + 1]
-        steps = int(np.ceil((b - a) / h_max))
-        steps = max(2, steps + (steps % 2))
-        nodes = np.linspace(a, b, steps + 1)
-        pieces.append(nodes if i == 0 else nodes[1:])
-        boundaries.append(boundaries[-1] + steps)
-    times = np.concatenate(pieces)
-    return TimeGrid(_frozen(times), _frozen(np.asarray(boundaries)).astype(int))
+    with np.errstate(over="ignore"):  # inf counts are refused below
+        counts = np.ceil(np.diff(anchors) / h_max)
+    try:
+        steps = [max(2, s + (s % 2)) for s in map(int, counts)]
+        times = np.empty(sum(steps) + 1)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise GridAlignmentError(
+            f"h_max = {h_max:.3g} asks for {counts.sum():.3g} grid steps, "
+            f"more than can be allocated") from exc
+    boundaries = np.concatenate([[0], np.cumsum(steps)])
+    for i, s in enumerate(steps):
+        times[boundaries[i]:boundaries[i + 1] + 1] = np.linspace(
+            anchors[i], anchors[i + 1], s + 1)
+    return TimeGrid(_frozen(times), _frozen(boundaries).astype(int))
 
 
 class ControlDifference:
@@ -285,14 +290,29 @@ def costate_from_nodes(grid: TimeGrid, costates: Array,
                              _frozen(d_right), _frozen(d_left))
 
 
-def _rk4_march(rhs, grid: TimeGrid, y0: Array, forward: bool, what: str):
+def _control_jumps(u, grid: TimeGrid) -> Array:
+    """Node indices where the control-like `u` may jump: the sampling
+    times of its piecewise-constant parts.  Callables jump nowhere, since
+    every segment evaluates them at the same time."""
+    if isinstance(u, PiecewiseConstantControl):
+        return grid.boundaries_of(u.partition)
+    if isinstance(u, ControlDifference):
+        return np.union1d(_control_jumps(u.a, grid), _control_jumps(u.b, grid))
+    return np.empty(0, dtype=int)
+
+
+def _rk4_march(rhs, grid: TimeGrid, y0: Array, forward: bool, what: str,
+               jumps: Array):
     """March RK4 over all segments; stores endpoint derivatives.
 
     rhs(k, t, y, stage) evaluates the vector field on segment k; `stage`
     is 0 at the step's starting node, 1 at the midpoint, 2 at the
     arrival node, letting callers serve precomputed stage data instead
     of interpolating.  Backward marching runs the same formulas from the
-    terminal node with negative steps.
+    terminal node with negative steps.  A step's end derivative is the
+    next step's first stage bit for bit (first same as last) unless the
+    shared node is a grid boundary or one of the control's `jumps`, where
+    the next segment's field is evaluated afresh.
     """
     K = grid.K
     dim = y0.size
@@ -301,15 +321,19 @@ def _rk4_march(rhs, grid: TimeGrid, y0: Array, forward: bool, what: str):
     d_left = np.zeros((K + 1, dim))
     order = range(K) if forward else range(K - 1, -1, -1)
     ys[0 if forward else K] = y0
+    fresh = np.zeros(K + 1, dtype=bool)
+    fresh[grid.boundaries] = True
+    fresh[jumps] = True
+    kend = None
     for k in order:
         ta, tb = grid.times[k], grid.times[k + 1]
         if forward:
-            t0, t1, y = ta, tb, ys[k]
+            t0, t1, y, start = ta, tb, ys[k], k
         else:
-            t0, t1, y = tb, ta, ys[k + 1]
+            t0, t1, y, start = tb, ta, ys[k + 1], k + 1
         h = t1 - t0
         tm = t0 + 0.5 * h
-        k1 = rhs(k, t0, y, 0)
+        k1 = rhs(k, t0, y, 0) if fresh[start] else kend
         k2 = rhs(k, tm, y + 0.5 * h * k1, 1)
         k3 = rhs(k, tm, y + 0.5 * h * k2, 1)
         k4 = rhs(k, t1, y + h * k3, 2)
@@ -348,7 +372,8 @@ def integrate_state(prob: OcpProblem, u, grid: TimeGrid) -> Trajectory:
         return out
 
     y0 = np.concatenate([prob.x0, [0.0]])
-    ys, dr, dl = _rk4_march(rhs, grid, y0, forward=True, what="state integration")
+    ys, dr, dl = _rk4_march(rhs, grid, y0, forward=True, what="state integration",
+                            jumps=_control_jumps(u, grid))
     return Trajectory(grid, _frozen(ys[:, :n]), _frozen(dr[:, :n]),
                       _frozen(dl[:, :n]), _frozen(ys[:, n]))
 
@@ -391,6 +416,7 @@ class Linearization:
         nodes, mids = x.states, x.path.midpoints()
         t_mid = times[:-1] + 0.5 * (times[1:] - times[:-1])
         uval = _control_values_per_segment(u, self.grid)
+        self._jumps = _control_jumps(u, self.grid)
         # per segment: (states, controls, times) at the three stage points
         self._stages = [
             ((nodes[k], mids[k], nodes[k + 1]),
@@ -420,7 +446,7 @@ class Linearization:
             return -fx[k][2 - stage].T @ p - p0 * lx[k][2 - stage]
 
         ps, dr, dl = _rk4_march(rhs, self.grid, pT, forward=False,
-                                what="costate integration")
+                                what="costate integration", jumps=self._jumps)
         return CostateTrajectory(self.grid, _frozen(ps), p0, _frozen(dr),
                                  _frozen(dl))
 
@@ -443,8 +469,9 @@ class Linearization:
             out[n] = lx[k][stage] @ w + lu[k][stage] @ vv
             return out
 
+        jumps = np.union1d(self._jumps, _control_jumps(direction, self.grid))
         ys, _, _ = _rk4_march(rhs, self.grid, np.zeros(n + 1), forward=True,
-                              what="variation integration")
+                              what="variation integration", jumps=jumps)
         return VariationResult(self.grid, _frozen(ys[:, :n]), _frozen(ys[:, n]))
 
     def at_final(self) -> Array:
@@ -457,7 +484,8 @@ class Linearization:
             return (-m_flat.reshape(n, n) @ fx[k][2 - stage]).ravel()
 
         ms, _, _ = _rk4_march(rhs, self.grid, np.eye(n).ravel(),
-                              forward=False, what="transition matrix")
+                              forward=False, what="transition matrix",
+                              jumps=self._jumps)
         return ms.reshape(-1, n, n)
 
 

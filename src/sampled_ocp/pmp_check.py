@@ -21,8 +21,9 @@ from .control_partition import PiecewiseConstantControl, uniform_partition
 from .errors import GridAlignmentError, MembershipError
 from .integrate import (ControlDifference, CostateTrajectory, Linearization,
                         TimeGrid, Trajectory, simpson_on_interval)
-from .problem_model import (TOL_SET, OcpProblem, grid_spacing,
-                            normal_cone_residual, project, sample_grid)
+from .problem_model import (TOL_SET, AffineQuadraticStructure, OcpProblem,
+                            grid_spacing, normal_cone_residual, project,
+                            sample_grid)
 
 Array = np.ndarray
 
@@ -222,13 +223,18 @@ def hm_gap(e: Extremal, density: int = 1001, time_stride: int = 1) -> HmResult:
     Reports max over time nodes of (max_w H - H(u(t))) minus a
     Lipschitz-based slack for the scan spacing, clamped at zero.  For
     control dimension > 2 the scan degenerates to coordinate-wise
-    refinement.
+    refinement.  Under an affine-quadratic structure each node's scan is
+    one numpy row built from the structure; other problems call
+    `hamiltonian` once per scan point.
     """
     prob = e.problem
     U = prob.control_set
     grid = e.x.grid
     nodes = range(0, grid.times.size, max(1, int(time_stride)))
     omegas = sample_grid(U, density) if prob.m <= 2 else None
+    # Lipschitz estimate from a coarse subsample of grad_u H
+    sub = None if omegas is None else omegas[::max(1, len(omegas) // 32)]
+    aq = None if omegas is None else prob.affine_quadratic
     spacing = grid_spacing(U, density)
     gaps = []
     worst_slack = 0.0
@@ -237,22 +243,44 @@ def hm_gap(e: Extremal, density: int = 1001, time_stride: int = 1) -> HmResult:
         xk = e.x.states[k]
         pk = e.p.costates[k]
         u_t = e.control_value(t)
-        h_here = hamiltonian(prob, xk, u_t, pk, e.p0, t)
-        if omegas is not None:
-            values = np.array([hamiltonian(prob, xk, w, pk, e.p0, t)
-                               for w in omegas])
-            best = float(np.max(values))
-            # Lipschitz estimate from a coarse subsample of grad_u H
-            sub = omegas[::max(1, len(omegas) // 32)]
+        if aq is not None:
+            best, h_here, lip = _structured_scan(aq, xk, pk, e.p0, t, u_t,
+                                                 omegas, sub)
+        elif omegas is not None:
+            h_here = hamiltonian(prob, xk, u_t, pk, e.p0, t)
+            best = float(np.max([hamiltonian(prob, xk, w, pk, e.p0, t)
+                                 for w in omegas]))
             lip = max(float(np.linalg.norm(
                 grad_u_hamiltonian(prob, xk, w, pk, e.p0, t))) for w in sub)
         else:
+            h_here = hamiltonian(prob, xk, u_t, pk, e.p0, t)
             best, lip = _coordinate_scan(prob, U, xk, pk, e.p0, t, u_t, density)
         slack = lip * spacing / 2.0
         worst_slack = max(worst_slack, slack)
         gaps.append(max(0.0, best - h_here - slack))
     per_node = np.asarray(gaps)
     return HmResult(float(np.max(per_node)), per_node, spacing, worst_slack)
+
+
+def _structured_scan(aq: AffineQuadraticStructure, x, p, p0, t, u, omegas,
+                     sub):
+    """(max of H over the rows of `omegas`, H(u), max of |grad_u H| over the
+    rows of `sub`) at one node, from H(w) = a.w + p0 w'Rw/2 + c with
+    a = G'p + p0 l and c = p.drift + p0 s.  The gradient is summed as
+    G'p + p0 (R w + l), the order of grad_u f' p + p0 grad_u L (R
+    symmetric)."""
+    R = aq.control_cost(t)
+    gp = aq.control_matrix(x, t).T @ p
+    lin = aq.control_cost_lin(x, t)
+    a = gp + p0 * lin
+    c = float(p @ aq.drift(x, t) + p0 * aq.state_cost(x, t))
+
+    def h(w):
+        return w @ a + (0.5 * p0) * np.sum((w @ R) * w, axis=1) + c
+
+    lip = np.linalg.norm(gp + p0 * (sub @ R.T + lin), axis=1)
+    return (float(np.max(h(omegas))), float(h(u[None, :])[0]),
+            float(np.max(lip)))
 
 
 def _coordinate_scan(prob, U, x, p, p0, t, u_start, density):

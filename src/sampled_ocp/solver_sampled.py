@@ -73,10 +73,12 @@ class SolverOptions:
     def __post_init__(self):
         if min(self.max_outer, self.max_inner) <= 0:
             raise ValueError("iteration limits must be positive")
-        if min(self.feas_tol, self.stat_tol) <= 0:
-            raise ValueError("solver tolerances must be positive")
-        if self.h_max is not None and self.h_max <= 0:
-            raise ValueError("h_max must be positive")
+        if not all(np.isfinite(v) and v > 0
+                   for v in (self.feas_tol, self.stat_tol)):
+            raise ValueError("solver tolerances must be finite and positive")
+        if self.h_max is not None and \
+                not (np.isfinite(self.h_max) and self.h_max > 0):
+            raise ValueError("h_max must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,24 @@ class TestSolve:
                          "--N", "2", flag, "0", "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [["--h-max", "nan"],
+                                       ["--h-max", "1e-300"],
+                                       ["--feas-tol", "inf"],
+                                       ["--stat-tol", "nan"]],
+                             ids=["h_max_nan", "h_max_tiny", "feas_tol_inf",
+                                  "stat_tol_nan"])
+    def test_hostile_solver_option_is_usage_error(self, tmp_path, capsys,
+                                                   flags):
+        """A NaN step bound, a grid too large to allocate and a tolerance
+        no solve can meet (or one every solve meets) exit 1 without a
+        traceback; no bundle is written."""
+        out = tmp_path / "o"
+        code = cli.main(["solve", "--problem", "lq_double_integrator",
+                         "--N", "2", *flags, "--out", str(out)])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (out / "summary").exists()
+
     def test_malformed_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "noradius.json"
         cfg.write_text(json.dumps({
@@ -284,6 +302,15 @@ class TestConverge:
                          "--Ns", "2,4", "--surrogate-N", "64",
                          "--out", str(tmp_path)])
         assert code == 4
+
+    def test_nan_reject_limit_is_usage_error(self, tmp_path, capsys):
+        """A NaN limit would never reject (every comparison with NaN is
+        false); it exits 1 before any solve."""
+        code = cli.main(["converge", "--problem", "affine_quadratic",
+                         "--Ns", "2", "--reference-reject-above", "nan",
+                         "--out", str(tmp_path)])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("ns", ["0", "2,0", "4,2"])
     def test_bad_resolutions_are_usage_error(self, tmp_path, ns):

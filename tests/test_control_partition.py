@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sampled_ocp import (Box, Ball, Partition, PiecewiseConstantControl,
+from sampled_ocp import (Box, Ball, Partition, ProductSet, PiecewiseConstantControl,
                          SampledControlSignal, average_onto, l1_distance,
                          partition_norm, uniform_partition)
 from sampled_ocp.control_partition import (read_control_csv, resample_onto,
@@ -114,6 +116,25 @@ class TestAveraging:
             out = average_onto(sig, part)
             for v in out.values:
                 assert distance_to(U, v) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           interpolation=st.sampled_from(["piecewise_linear",
+                                          "piecewise_constant"]))
+    def test_membership_preserved_property(self, seed, interpolation):
+        """Averaging a signal valued in a product of a box and a ball onto
+        any partition lands in the product."""
+        U = ProductSet((Box([-1.0], [2.0]), Ball([0.0, 0.5], 1.3)))
+        rng = np.random.default_rng(seed)
+        ts = np.unique(np.concatenate([[0.0, 1.0],
+                                       rng.uniform(0, 1, size=6)]))
+        vals = np.array([project(U, rng.normal(scale=3.0, size=U.dim))
+                         for _ in ts])
+        sig = SampledControlSignal(ts, vals, interpolation)
+        cuts = rng.uniform(0, 1, size=int(rng.integers(1, 7)))
+        part = Partition(np.unique(np.concatenate([[0.0, 1.0], cuts])))
+        for v in average_onto(sig, part).values:
+            assert distance_to(U, v) <= 1e-12
 
     def test_refinement_consistency(self, rng):
         """Averaging a PC control onto a refinement, then back to the

@@ -63,6 +63,66 @@ class TestTimeGrid:
             grid.boundaries_of(Partition([0.0, 0.25, 0.5, 0.75]))
 
 
+    def test_unbuildable_grid_is_a_package_error(self):
+        """A step bound no grid can meet fails before any node is filled."""
+        for h_max in (1e-300, 5e-324):
+            with pytest.raises(GridAlignmentError):
+                build_time_grid(1.0, uniform_partition(2, 1.0), h_max=h_max)
+
+
+class TestFirstSameAsLast:
+    @pytest.mark.parametrize("name", ["lq_double_integrator",
+                                      "affine_quadratic"])
+    def test_state_march_reuses_end_derivative(self, name):
+        """Inside a sampling interval a step's end derivative is the next
+        step's first stage: 4K + N calls of f and of L, not 5K."""
+        calls = collections.Counter()
+
+        def counting(field):
+            fn = getattr(build_problem(name), field)
+
+            def wrapped(*args):
+                calls[field] += 1
+                return fn(*args)
+            return wrapped
+
+        prob = dataclasses.replace(build_problem(name),
+                                   dynamics=counting("dynamics"),
+                                   cost=counting("cost"))
+        part = uniform_partition(8, 1.0)
+        grid = build_time_grid(1.0, part, h_max=1.0 / 256.0)
+        rng = np.random.default_rng(1)
+        u = PiecewiseConstantControl(part, rng.uniform(-1, 1, size=(8, 1)))
+        x = integrate_state(prob, u, grid)
+        assert grid.K == 256
+        assert calls == {"dynamics": 1032, "cost": 1032}
+        p = integrate_costate(prob, x, u, p0=-1.0, pT=[1.0, -0.5])
+        interior = np.setdiff1d(np.arange(1, grid.K), grid.boundaries)
+        for path in (x, p):
+            np.testing.assert_array_equal(path.deriv_left[interior],
+                                          path.deriv_right[interior])
+
+    def test_control_jumps_off_grid_boundaries_restart_the_stage(self):
+        """A control sampled more finely than the grid's own partition
+        jumps at nodes that are not grid boundaries; the marches evaluate
+        afresh there, so they equal, bit for bit, the marches on the same
+        nodes with the control's partition as boundaries."""
+        prob = build_problem("affine_quadratic")
+        coarse = build_time_grid(1.0, uniform_partition(2, 1.0),
+                                 h_max=1.0 / 64.0)
+        part = uniform_partition(8, 1.0)
+        fine = dataclasses.replace(coarse,
+                                   boundaries=coarse.boundaries_of(part))
+        rng = np.random.default_rng(2)
+        u = PiecewiseConstantControl(part, rng.uniform(-2, 2, size=(8, 1)))
+        x_coarse = integrate_state(prob, u, coarse)
+        x_fine = integrate_state(prob, u, fine)
+        np.testing.assert_array_equal(x_coarse.states, x_fine.states)
+        p_coarse = integrate_costate(prob, x_coarse, u, -1.0, [1.0, 0.5])
+        p_fine = integrate_costate(prob, x_fine, u, -1.0, [1.0, 0.5])
+        np.testing.assert_array_equal(p_coarse.costates, p_fine.costates)
+
+
 class TestStateIntegration:
     def test_constant_control_exact(self):
         prob = _scalar_problem(lambda x, u, t: np.array([u[0]]))

@@ -12,10 +12,14 @@ from sampled_ocp import (Extremal, PiecewiseConstantControl, build_problem,
                          integrate_costate, integrate_state, lift_inequality,
                          uniform_partition)
 from sampled_ocp.errors import GridAlignmentError, TrivialLiftError
-from sampled_ocp.integrate import CostateTrajectory
-from sampled_ocp.pmp_check import (ResidualReport, ae_residual, ahg_residual,
-                                   evaluate_extremal, hg_residual, hm_gap,
+from sampled_ocp.integrate import CostateTrajectory, Trajectory
+from sampled_ocp.pmp_check import (ResidualReport, _structured_scan,
+                                   ae_residual, ahg_residual,
+                                   evaluate_extremal, grad_u_hamiltonian,
+                                   hg_residual, hm_gap,
+                                   interval_grad_integrals,
                                    random_admissible_control)
+from sampled_ocp.problem_model import catalog
 
 
 @pytest.fixture(scope="module")
@@ -423,3 +427,105 @@ def test_lift_probe_matches_fresh_variation_march(di_probe_extremal, data):
     var = integrate_variation(e.problem, e.x, e.u, ControlDifference(v, e.u))
     fresh = float(e.p.final_costate @ var.final_w + e.p0 * var.final_w0)
     assert lift_inequality(e, v) == fresh
+
+
+def _random_extremal(prob, seed, p0):
+    """States, costates and an in-box control drawn at random on a
+    9-node grid: far from any extremal, so the hm gaps are nonzero."""
+    rng = np.random.default_rng(seed)
+    part = uniform_partition(2, 1.0)
+    grid = build_time_grid(1.0, part, h_max=1.0 / 8.0)
+    K, n = grid.K, prob.n
+    lo, up = prob.control_set.bounding_box()
+    u = PiecewiseConstantControl(part, rng.uniform(lo, up, size=(2, prob.m)))
+    x = Trajectory(grid, rng.uniform(-2, 2, (K + 1, n)), np.zeros((K, n)),
+                   np.zeros((K + 1, n)), np.zeros(K + 1))
+    p = CostateTrajectory(grid, rng.uniform(-5, 5, (K + 1, n)), p0,
+                          np.zeros((K, n)), np.zeros((K + 1, n)))
+    return Extremal(prob, x, u, p, p0)
+
+
+class TestStructuredHmScan:
+    @pytest.mark.parametrize("name", ["lq_double_integrator",
+                                      "affine_quadratic"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p0=st.sampled_from([-1.0, 0.0]))
+    def test_rows_match_the_call_loop(self, name, seed, p0):
+        """The scan read from the affine-quadratic structure gives the
+        per-call loop's gaps to 1e-12 of the largest gap, and its slack."""
+        prob = build_problem(name)
+        e = _random_extremal(prob, seed, p0)
+        loop = hm_gap(dataclasses.replace(
+            e, problem=dataclasses.replace(prob, affine_quadratic=None)))
+        rows = hm_gap(e)
+        assert loop.sup > 0.0
+        np.testing.assert_allclose(rows.per_node, loop.per_node, rtol=1e-12,
+                                   atol=1e-12 * loop.sup)
+        assert rows.slack == pytest.approx(loop.slack, rel=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p0=st.sampled_from([-1.0, 0.0]))
+    def test_structure_is_the_hamiltonian(self, seed, p0):
+        """For every catalog problem with a structure, H and |grad_u H| read
+        from it equal `hamiltonian` and `grad_u_hamiltonian`."""
+        rng = np.random.default_rng(seed)
+        for entry in catalog():
+            prob = build_problem(entry.name)
+            if prob.affine_quadratic is None:
+                continue
+            x = rng.uniform(-2, 2, prob.n)
+            p = rng.uniform(-5, 5, prob.n)
+            w, u = rng.uniform(-3, 3, (2, prob.m))
+            t = float(rng.uniform(0, prob.horizon))
+            h_w, h_u, lip = _structured_scan(prob.affine_quadratic, x, p, p0,
+                                             t, u, w[None, :], w[None, :])
+            for h, v in ((h_w, w), (h_u, u)):
+                exact = hamiltonian(prob, x, v, p, p0, t)
+                assert h == pytest.approx(exact, rel=1e-12, abs=1e-12)
+            grad = grad_u_hamiltonian(prob, x, w, p, p0, t)
+            assert lip == pytest.approx(float(np.linalg.norm(grad)),
+                                        rel=1e-12, abs=1e-12)
+
+    def test_no_hamiltonian_calls_under_a_structure(self, monkeypatch):
+        """A structured problem scans without calling `hamiltonian`; the
+        loop calls it once per scan point and once at u(t), per node."""
+        import sampled_ocp.pmp_check as pmp
+        calls = [0]
+        original = pmp.hamiltonian
+
+        def counting(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(pmp, "hamiltonian", counting)
+        prob = build_problem("affine_quadratic")
+        e = _random_extremal(prob, 0, -1.0)
+        hm_gap(e)
+        assert calls[0] == 0
+        hm_gap(dataclasses.replace(
+            e, problem=dataclasses.replace(prob, affine_quadratic=None)))
+        assert calls[0] == 1002 * e.x.grid.times.size
+
+
+@pytest.mark.parametrize("fixture, tol", [("lq_oracle_extremal", 1e-9),
+                                          ("di_probe_extremal", 1e-8)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_lift_value_is_the_averaged_gradient_pairing(request, fixture, tol,
+                                                     data):
+    """z_v(T) = sum_i G_i . (v_i - u_i), with G the interval integrals of
+    grad_u H that `ahg` reads: the adjoint identity ties the lift section
+    to the averaged condition.  On the exact optimum both sides vanish;
+    the probe extremal is no optimum, |z| reaches about 10, and RK4 and
+    Simpson at h = 1/64 leave a few 1e-9 between the two sides."""
+    e = request.getfixturevalue(fixture)
+    e = e[0] if isinstance(e, tuple) else e
+    lo, up = e.problem.control_set.bounding_box()
+    values = np.array([[data.draw(st.floats(float(lo[j]), float(up[j])))
+                        for j in range(e.problem.m)]
+                       for _ in range(e.u.partition.N)])
+    v = PiecewiseConstantControl(e.u.partition, values)
+    G = interval_grad_integrals(e.problem, e.x.grid, e.x.states, e.u,
+                                e.p.costates, e.p0)
+    pairing = float(np.sum(G * (values - e.u.values)))
+    assert lift_inequality(e, v) == pytest.approx(pairing, abs=tol)

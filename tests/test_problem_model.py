@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sampled_ocp import (Ball, Box, ProductSet, build_problem, catalog,
                          load_problem_config, normal_cone_residual, project)
@@ -50,6 +52,23 @@ class TestProjection:
                 b = rng.normal(scale=4.0, size=U.dim)
                 da = project(U, a) - project(U, b)
                 assert np.linalg.norm(da) <= np.linalg.norm(a - b) + 1e-14
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_idempotent_and_nonexpansive_property(self, data):
+        """On a box, a ball and their product, projecting twice moves a
+        point by at most a few ulp, and projection never lengthens the
+        distance between two points."""
+        for U in (Box([-1.0, -2.0], [1.0, 3.0]), Ball([0.5, -0.5], 1.5),
+                  ProductSet((Box([-1.0], [1.0]), Ball([0.0, 2.0], 2.0)))):
+            point = st.lists(st.floats(-1e3, 1e3), min_size=U.dim,
+                             max_size=U.dim).map(np.array)
+            a, b = data.draw(point), data.draw(point)
+            once = project(U, a)
+            np.testing.assert_allclose(project(U, once), once, rtol=0,
+                                       atol=1e-15 * (1.0 + np.abs(once).max()))
+            assert np.linalg.norm(once - project(U, b)) <= \
+                np.linalg.norm(a - b) * (1.0 + 1e-15) + 1e-13
 
     def test_empty_box_rejected(self):
         with pytest.raises(ValueError):
