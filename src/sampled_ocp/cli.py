@@ -239,7 +239,10 @@ def run_converge(args) -> int:
                                   solver_options=solver_opts)
     except ValueError as exc:
         raise _UsageError(f"--Ns: {exc}") from exc
-    report = harness.sweep(cfg)
+    try:
+        report = harness.sweep(cfg)
+    except GridAlignmentError as exc:
+        raise _UsageError(f"--h-max: {exc}") from exc
     csv_path = os.path.join(out, "report.csv")
     summary_path = os.path.join(out, "summary")
     harness.write_report(csv_path, summary_path, report)

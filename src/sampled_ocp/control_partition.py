@@ -55,10 +55,12 @@ class Partition:
         """Largest gap between consecutive sampling times."""
         return float(np.max(np.diff(self.times)))
 
-    def interval_of(self, t: float) -> int:
-        """Index i with t in [t_i, t_{i+1}); the last interval owns T."""
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        return min(max(i, 0), self.N - 1)
+    def interval_of(self, t):
+        """Index i with t in [t_i, t_{i+1}), elementwise on an array of
+        times; the last interval owns T.  i counts the interior sampling
+        times at or before t, so times outside [0, T] land in the first
+        or last interval."""
+        return np.searchsorted(self.times[1:-1], t, side="right")
 
 
 def uniform_partition(N: int, horizon: float) -> Partition:
@@ -100,16 +102,12 @@ class PiecewiseConstantControl:
     def horizon(self) -> float:
         return self.partition.horizon
 
-    def value(self, t: float) -> Array:
+    def value(self, t) -> Array:
+        """u(t) for a time, or one row per time of an array of times."""
         return self.values[self.partition.interval_of(t)]
 
-    def values_at(self, ts) -> Array:
-        idx = np.clip(np.searchsorted(self.partition.times, ts, side="right") - 1,
-                      0, self.partition.N - 1)
-        return self.values[idx]
-
     def max_set_distance(self, control_set: ControlSet) -> float:
-        return max(distance_to(control_set, v) for v in self.values)
+        return float(np.max(distance_to(control_set, self.values)))
 
     def as_signal(self) -> "SampledControlSignal":
         grid = self.partition.times
@@ -273,7 +271,7 @@ def resample_onto(u: PiecewiseConstantControl,
     warm starts when a partition is split.
     """
     mids = 0.5 * (partition.times[:-1] + partition.times[1:])
-    return PiecewiseConstantControl(partition, u.values_at(mids))
+    return PiecewiseConstantControl(partition, u.value(mids))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .control_partition import resample_onto, uniform_partition
-from .errors import SampledOcpError
+from .errors import GridAlignmentError, SampledOcpError
 from .problem_model import _FLOAT_FMT, OcpProblem, project
 from .reference_oracles import PermanentReference
 from .solver_sampled import SampledSolution, SolverOptions, solve
@@ -125,7 +125,9 @@ class ConvergenceReport:
 def sweep(cfg: SweepConfig, return_solutions: bool = False):
     """Run the refinement sweep and assemble the convergence report.
 
-    Rows are solved in resolution order.  With `return_solutions` the
+    Rows are solved in resolution order; a package error of a row is
+    recorded as a failure, except a `GridAlignmentError` (the step bound
+    cannot give a grid), which is raised.  With `return_solutions` the
     per-resolution solver outputs come back too.
     """
     prob = cfg.problem
@@ -150,6 +152,8 @@ def sweep(cfg: SweepConfig, return_solutions: bool = False):
         try:
             sol = solve(prob, partition, opts, warm_start=warm,
                         warm_multiplier=warm_mu)
+        except GridAlignmentError:
+            raise
         except SampledOcpError as exc:
             failures.append({"N": N, "error": type(exc).__name__,
                              "message": str(exc)})
@@ -270,7 +274,7 @@ def recover_control_from_costate(prob: OcpProblem, x, p, ts=None) -> Array:
         raise ValueError("problem lacks the control-affine quadratic structure")
     if ts is None:
         ts = np.linspace(0.0, prob.horizon, 1025)
-    out = np.empty((len(np.atleast_1d(ts)), prob.m))
+    raw = np.empty((len(np.atleast_1d(ts)), prob.m))
     for k, t in enumerate(np.atleast_1d(ts)):
         t = float(t)
         xt = np.atleast_1d(x.at(t))
@@ -278,7 +282,6 @@ def recover_control_from_costate(prob: OcpProblem, x, p, ts=None) -> Array:
         R = np.atleast_2d(aq.control_cost(t))
         if np.min(np.abs(np.linalg.eigvalsh(R))) <= 0:
             raise ValueError(f"control cost matrix singular at t = {t}")
-        raw = np.linalg.solve(R, aq.control_matrix(xt, t).T @ pt
-                              - aq.control_cost_lin(xt, t))
-        out[k] = project(prob.control_set, raw)
-    return out
+        raw[k] = np.linalg.solve(R, aq.control_matrix(xt, t).T @ pt
+                                 - aq.control_cost_lin(xt, t))
+    return project(prob.control_set, raw)

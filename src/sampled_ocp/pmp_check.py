@@ -160,12 +160,9 @@ def hg_residual(e: Extremal) -> ProfileResult:
     sampled optimum leaves an O(partition norm) defect here, so
     `evaluate_extremal` gates piecewise-constant controls on the averaged
     condition (`ahg_residual`) and leaves hg not evaluated."""
-    grid = e.x.grid
-    U = e.problem.control_set
     uu, gu = _nodal_grad_u(e)
-    per_node = np.array([normal_cone_residual(U, uu[k], gu[k])
-                         for k in range(grid.times.size)])
-    return ProfileResult(float(np.max(per_node)), grid.times, per_node)
+    per_node = normal_cone_residual(e.problem.control_set, uu, gu)
+    return ProfileResult(float(np.max(per_node)), e.x.grid.times, per_node)
 
 
 @dataclass(frozen=True)
@@ -204,8 +201,8 @@ def ahg_residual(e: Extremal) -> AhgResult:
         raise TypeError("averaged condition requires a piecewise-constant control")
     integrals = interval_grad_integrals(e.problem, e.x.grid, e.x.states, e.u,
                                         e.p.costates, e.p0)
-    residuals = np.array([normal_cone_residual(e.problem.control_set, ui, gi)
-                          for ui, gi in zip(e.u.values, integrals)])
+    residuals = normal_cone_residual(e.problem.control_set, e.u.values,
+                                     integrals)
     return AhgResult(float(np.max(residuals)), residuals, integrals)
 
 
@@ -292,9 +289,10 @@ def _coordinate_scan(prob, U, x, p, p0, t, u_start, density):
         for j in range(u.size):
             cand = np.repeat(u[None, :], density, axis=0)
             cand[:, j] = np.linspace(lo[j], up[j], density)
-            vals = [hamiltonian(prob, x, project(U, c), p, p0, t) for c in cand]
+            cand = project(U, cand)
+            vals = [hamiltonian(prob, x, c, p, p0, t) for c in cand]
             jbest = int(np.argmax(vals))
-            u = project(U, cand[jbest])
+            u = cand[jbest]
             best = max(best, float(vals[jbest]))
     lip = float(np.linalg.norm(grad_u_hamiltonian(prob, x, u, p, p0, t)))
     return best, lip
@@ -453,5 +451,4 @@ def random_admissible_control(prob: OcpProblem, partition, rng) -> PiecewiseCons
     """Random PC control valued in U: uniform in the bounding box, projected."""
     lo, up = prob.control_set.bounding_box()
     raw = rng.uniform(lo, up, size=(partition.N, prob.m))
-    vals = np.array([project(prob.control_set, r) for r in raw])
-    return PiecewiseConstantControl(partition, vals)
+    return PiecewiseConstantControl(partition, project(prob.control_set, raw))

@@ -96,10 +96,10 @@ class Ball:
     def project(self, v: Array) -> Array:
         v = np.asarray(v, dtype=float)
         d = v - self.center
-        nd = float(np.linalg.norm(d))
-        if nd <= self.radius:
-            return v.copy()
-        return self.center + d * (self.radius / nd)
+        nd = np.linalg.norm(d, axis=-1, keepdims=True)
+        # interior rows come back unchanged; the floor keeps 0/0 out of them
+        scale = self.radius / np.maximum(nd, self.radius)
+        return np.where(nd <= self.radius, v, self.center + d * scale)
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -134,7 +134,7 @@ class ProductSet:
         v = np.asarray(v, dtype=float)
         out = np.empty_like(v)
         for f, sl in self._slices():
-            out[sl] = f.project(v[sl])
+            out[..., sl] = f.project(v[..., sl])
         return out
 
     def bounding_box(self):
@@ -150,59 +150,44 @@ ControlSet = Union[Box, Ball, ProductSet]
 
 
 def project(control_set: ControlSet, v: Array) -> Array:
-    """Euclidean projection of v onto the control set (closed form)."""
+    """Euclidean projection onto the control set (closed form) of each
+    row of an (..., m) array."""
     return control_set.project(v)
 
 
-def distance_to(control_set: ControlSet, v: Array) -> float:
-    """Euclidean distance from v to the control set."""
+def distance_to(control_set: ControlSet, v: Array):
+    """Euclidean distance from each row of v to the control set."""
     v = np.asarray(v, dtype=float)
-    return float(np.linalg.norm(v - control_set.project(v)))
+    return np.linalg.norm(v - control_set.project(v), axis=-1)
 
 
 def normal_cone_residual(control_set: ControlSet, u: Array, g: Array,
-                         tol: float = TOL_SET) -> float:
-    """Distance-based test of g belonging to the normal cone at u.
+                         tol: float = TOL_SET):
+    """Distance-based test of g belonging to the normal cone at u, one
+    value per row of u and g.
 
     Returns ||project(U, u + g) - u||.  The value is zero (in exact
-    arithmetic) exactly when g is normal to U at u.  Requires u to lie
-    in U up to `tol`.
+    arithmetic) exactly when g is normal to U at u.  Requires every row
+    of u to lie in U up to `tol`.
     """
     u = np.asarray(u, dtype=float)
-    d = distance_to(control_set, u)
+    d = np.max(distance_to(control_set, u))
     if d > tol:
         raise MembershipError(
             f"point is outside the control set by {d:.3e} (> {tol:.1e})")
     moved = control_set.project(u + np.asarray(g, dtype=float))
-    return float(np.linalg.norm(moved - u))
+    return np.linalg.norm(moved - u, axis=-1)
 
 
 def sample_grid(control_set: ControlSet, density: int) -> Array:
     """Deterministic point grid covering the set, used for scans over U.
 
-    Boxes get a tensor grid with `density` points per dimension.  A ball
-    gets the grid of its bounding box with exterior points projected
-    onto the sphere, which covers both interior and boundary densely.
-    Only intended for dim <= 2; higher dimensions use coordinate scans.
+    Boxes and balls get the tensor grid of their bounding box with
+    `density` points per dimension.  A ball keeps its interior points
+    and then projects the exterior ones onto the sphere, which covers
+    both interior and boundary densely.  Only intended for dim <= 2;
+    higher dimensions use coordinate scans.
     """
-    if isinstance(control_set, Box):
-        axes = [np.linspace(control_set.lower[j], control_set.upper[j], density)
-                for j in range(control_set.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-    if isinstance(control_set, Ball):
-        lo, up = control_set.bounding_box()
-        axes = [np.linspace(lo[j], up[j], density) for j in range(control_set.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        inside = np.linalg.norm(pts - control_set.center, axis=1) <= control_set.radius
-        outer = pts[~inside]
-        if outer.size:
-            d = outer - control_set.center
-            nd = np.linalg.norm(d, axis=1, keepdims=True)
-            shell = control_set.center + d * (control_set.radius / nd)
-            return np.vstack([pts[inside], shell])
-        return pts[inside]
     if isinstance(control_set, ProductSet):
         grids = [sample_grid(f, density) for f in control_set.factors]
         out = grids[0]
@@ -210,7 +195,16 @@ def sample_grid(control_set: ControlSet, density: int) -> Array:
             out = np.hstack([np.repeat(out, len(g), axis=0),
                              np.tile(g, (len(out), 1))])
         return out
-    raise TypeError(f"unsupported control set {type(control_set)!r}")
+    if not isinstance(control_set, (Box, Ball)):
+        raise TypeError(f"unsupported control set {type(control_set)!r}")
+    lo, up = control_set.bounding_box()
+    axes = [np.linspace(lo[j], up[j], density) for j in range(control_set.dim)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    if isinstance(control_set, Box):
+        return pts
+    inside = np.linalg.norm(pts - control_set.center, axis=1) <= control_set.radius
+    return np.vstack([pts[inside], control_set.project(pts[~inside])])
 
 
 def grid_spacing(control_set: ControlSet, density: int) -> float:

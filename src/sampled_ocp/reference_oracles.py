@@ -387,7 +387,7 @@ def solve_lq_sampled_exact(data: LqProblemData, partition: Partition,
 MIN_SURROGATE_N = 256
 
 
-def fine_surrogate(prob: OcpProblem, n_ref: int, solver_options=None,
+def fine_surrogate(prob: OcpProblem, n_ref: int,
                    reject_above: Optional[float] = None,
                    sweep_max_n: Optional[int] = None,
                    cache: Optional[dict] = None) -> PermanentReference:
@@ -412,7 +412,7 @@ def fine_surrogate(prob: OcpProblem, n_ref: int, solver_options=None,
         raise SurrogateRejectedError(
             f"sweep partitions up to N={sweep_max_n} would not be resolved by "
             f"a surrogate at N_ref={n_ref}")
-    opts = solver_options if solver_options is not None else SolverOptions()
+    opts = SolverOptions()
 
     # halvings of n_ref while the half is an integer >= 16, n_ref, 2 n_ref
     chain = [n_ref, 2 * n_ref]

@@ -142,11 +142,8 @@ class _AugmentedObjective:
 
 def _stationarity(prob: OcpProblem, values: Array, g: Array) -> float:
     """Projected-gradient norm: sup_i ||u_i - proj(u_i - g_i)||."""
-    worst = 0.0
-    for i in range(values.shape[0]):
-        moved = project(prob.control_set, values[i] - g[i])
-        worst = max(worst, float(np.linalg.norm(values[i] - moved)))
-    return worst
+    moved = project(prob.control_set, values - g)
+    return float(np.max(np.linalg.norm(values - moved, axis=1)))
 
 
 def _default_initial_control(prob: OcpProblem, partition: Partition) -> Array:
@@ -194,7 +191,7 @@ def solve(prob: OcpProblem, partition: Partition,
     total_inner = 0
     objective_log = []
     feas_history = []
-    best = None  # (stat, feas, values, traj, costate, mu_cert)
+    best = None  # (feas, stat) of the most feasible outer round
 
     traj = aug.forward(values)
     for outer in range(1, opts.max_outer + 1):
@@ -228,9 +225,7 @@ def solve(prob: OcpProblem, partition: Partition,
             accepted = False
             trial_alpha = alpha
             while trial_alpha >= 1e-14:
-                cand = np.array([project(prob.control_set,
-                                         values[i] - trial_alpha * scaled[i])
-                                 for i in range(values.shape[0])])
+                cand = project(prob.control_set, values - trial_alpha * scaled)
                 decrease = float(np.sum(g * (cand - values)))
                 if decrease >= 0.0:
                     break
@@ -258,8 +253,8 @@ def solve(prob: OcpProblem, partition: Partition,
         feas = float(np.linalg.norm(defect))
         feas_history.append(feas)
         mu_certificate = mu + rho * defect
-        if best is None or (feas, stat) < (best[1], best[0]):
-            best = (stat, feas, values, traj, costate, mu_certificate)
+        if best is None or (feas, stat) < best:
+            best = (feas, stat)
         if feas <= opts.feas_tol and stat <= opts.stat_tol:
             return _package(prob, partition, values, traj, costate,
                             mu_certificate, total_inner, outer, feas, stat,
@@ -280,7 +275,7 @@ def solve(prob: OcpProblem, partition: Partition,
             rho = min(rho * PENALTY_GROWTH, PENALTY_LIMIT)
     raise MaxIterationsError(
         f"no convergence within {opts.max_outer} outer rounds "
-        f"(best feasibility {best[1]:.3e}, stationarity {best[0]:.3e})")
+        f"(best feasibility {best[0]:.3e}, stationarity {best[1]:.3e})")
 
 
 def _package(prob, partition, values, traj, costate, mu, total_inner, outer,

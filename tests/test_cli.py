@@ -312,6 +312,18 @@ class TestConverge:
         assert code == 1
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_unbuildable_grid_is_usage_error(self, tmp_path, capsys):
+        """A step bound too small to give a grid is the same usage error
+        as in `solve`, not a solver failure of every row."""
+        out = tmp_path / "o"
+        code = cli.main(["converge", "--problem", "lq_double_integrator",
+                         "--Ns", "2,4", "--h-max", "1e-300",
+                         "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--h-max" in err and "Traceback" not in err
+        assert not (out / "report.csv").exists()
+
     @pytest.mark.parametrize("ns", ["0", "2,0", "4,2"])
     def test_bad_resolutions_are_usage_error(self, tmp_path, ns):
         code = cli.main(["converge", "--problem", "lq_double_integrator",

@@ -60,6 +60,8 @@ class TestPiecewiseConstant:
         assert u.value(0.5)[0] == 2.0   # new interval owns its left endpoint
         assert u.value(0.49999)[0] == 1.0
         assert u.value(1.0)[0] == 2.0   # terminal time takes the last value
+        np.testing.assert_array_equal(u.value([0.0, 0.5, 0.49999, 1.0]),
+                                      [[1.0], [2.0], [1.0], [2.0]])
 
     def test_value_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -202,6 +204,48 @@ class TestL1Distance:
         f = np.sqrt((2 * tt - 1) ** 2 + (0.5 - tt) ** 2)
         oracle = np.trapezoid(f, tt)
         assert l1_distance(a, b) == pytest.approx(oracle, abs=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 2),
+           kinds=st.tuples(*[st.sampled_from(["control", "piecewise_linear",
+                                              "piecewise_constant"])] * 2))
+    def test_matches_adaptive_quadrature_property(self, seed, m, kinds):
+        """The closed form equals adaptive quadrature of ||u(t) - v(t)||,
+        for every pairing of held controls and constant or linear signals
+        on random grids."""
+        from scipy.integrate import quad
+        rng = np.random.default_rng(seed)
+
+        def draw(kind):
+            times = np.unique(np.concatenate(
+                [[0.0, 1.0], rng.uniform(0, 1, size=int(rng.integers(0, 6)))]))
+            if kind == "control":
+                return times, PiecewiseConstantControl(
+                    Partition(times), rng.normal(size=(times.size - 1, m)))
+            return times, SampledControlSignal(
+                times, rng.normal(size=(times.size, m)), kind)
+
+        (tu, u), (tv, v) = draw(kinds[0]), draw(kinds[1])
+
+        def gap(t):
+            return u.value(t) - v.value(t)
+
+        cuts = np.union1d(tu, tv)
+        points = list(cuts[1:-1])
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            # the gap is affine inside (a, b), so its norm bends sharply
+            # only where the gap comes closest to zero; quadrature that
+            # straddles that point loses about 1e-8 (m = 1)
+            ta, tb = a + 0.25 * (b - a), a + 0.75 * (b - a)
+            slope = (gap(tb) - gap(ta)) / (tb - ta)
+            if slope @ slope > 0:
+                t_min = ta - (gap(ta) @ slope) / (slope @ slope)
+                if a < t_min < b:
+                    points.append(t_min)
+        oracle, _ = quad(lambda t: np.linalg.norm(gap(t)), 0.0, 1.0,
+                         points=points, limit=500, epsabs=1e-13,
+                         epsrel=1e-12)
+        assert l1_distance(u, v) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
 
 class TestSerialization:

@@ -70,6 +70,32 @@ class TestProjection:
             assert np.linalg.norm(once - project(U, b)) <= \
                 np.linalg.norm(a - b) * (1.0 + 1e-15) + 1e-13
 
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_batched_rows_equal_row_by_row_property(self, data):
+        """`project`, `distance_to` and `normal_cone_residual` on an
+        (N, m) array give each row's own result: bit for bit on a box,
+        within 1e-15 relative on a ball and a product, whose norms may
+        sum in another order."""
+        for U, rtol in ((Box([-1.0, -2.0], [1.0, 3.0]), 0.0),
+                        (Ball([0.5, -0.5], 1.5), 1e-15),
+                        (ProductSet((Box([-1.0], [1.0]),
+                                     Ball([0.0, 2.0], 2.0))), 1e-15)):
+            n = data.draw(st.integers(1, 8))
+            rows = st.lists(st.floats(-1e3, 1e3), min_size=n * U.dim,
+                            max_size=n * U.dim).map(
+                lambda a: np.reshape(a, (n, U.dim)))
+            v, g = data.draw(rows), data.draw(rows)
+            u = project(U, v)
+            batched = (u, distance_to(U, v), normal_cone_residual(U, u, g))
+            by_row = (np.array([project(U, r) for r in v]),
+                      np.array([distance_to(U, r) for r in v]),
+                      np.array([normal_cone_residual(U, a, b)
+                                for a, b in zip(u, g)]))
+            for got, want in zip(batched, by_row):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
     def test_empty_box_rejected(self):
         with pytest.raises(ValueError):
             Box([1.0], [-1.0])
@@ -98,6 +124,9 @@ class TestNormalCone:
         U = Box([-1.0], [1.0])
         with pytest.raises(MembershipError):
             normal_cone_residual(U, np.array([1.5]), np.array([0.0]))
+        with pytest.raises(MembershipError, match="by 5.000e-01"):
+            normal_cone_residual(U, np.array([[0.0], [1.5], [1.2]]),
+                                 np.zeros((3, 1)))
 
     @pytest.mark.parametrize("U", [Box([-1.0], [1.0]),
                                    Box([-1.0, 0.0], [2.0, 1.0]),

@@ -427,8 +427,7 @@ class TestFineSurrogate:
             f=lambda x, u, t: np.array([x[0]]),
             L=lambda x, u, t: float(u @ u), n=1, m=1, horizon=1.0,
             x0=[1.0], xT=[e_val], control_set=Box([-1.0], [1.0]))
-        ref = fine_surrogate(prob, 256,
-                             solver_options=None)
+        ref = fine_surrogate(prob, 256)
         grid = build_time_grid(1.0, uniform_partition(512, 1.0))
         traj = integrate_state(prob, lambda t: np.zeros(1), grid)
         ts = np.linspace(0, 1, 65)

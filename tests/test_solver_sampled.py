@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sampled_ocp import (Box, PiecewiseConstantControl, SolverOptions,
                          build_problem, gradient_check, solve,
@@ -159,6 +161,19 @@ class TestGradientCheck:
                                      rng.uniform(-3, 3, size=(6, 1)))
         err = gradient_check(di_problem, u.partition, u,
                              mu=np.array([1.0, 0.5]), rho=10.0)
+        assert err <= 1e-6
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 6))
+    def test_lq_adjoint_gradient_property(self, seed, N):
+        """Criterion 7's LQ bound holds on random interior controls,
+        multipliers and penalties, not only on the criterion's own."""
+        prob = build_problem("lq_double_integrator")
+        rng = np.random.default_rng(seed)
+        part = uniform_partition(N, 1.0)
+        u = PiecewiseConstantControl(part, rng.uniform(-5, 5, size=(N, 1)))
+        err = gradient_check(prob, part, u, mu=rng.normal(scale=5.0, size=2),
+                             rho=float(rng.uniform(0.1, 100.0)))
         assert err <= 1e-6
 
     def test_nonlinear_adjoint_gradient_and_decay(self, aq_problem, rng):
