@@ -16,6 +16,12 @@ scaling-and-squaring Pade implementation and all solves are direct.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,6 +47,62 @@ ACTIVE_SET_MAX_ROUNDS = 50
 PERMANENT_RESOLUTION = 4096
 # Points on which the fine surrogate compares its two finest states.
 SURROGATE_COMPARISON_POINTS = 2049
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) of the thread count of each OpenBLAS build bundled with
+    the numpy and scipy wheels; empty where neither bundles one."""
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    controls = []
+    for pattern, suffix in (("numpy.libs/libscipy_openblas64_*.so", "64_"),
+                            ("scipy.libs/libscipy_openblas-*.so", "")):
+        for path in sorted(glob.glob(os.path.join(site, pattern))):
+            try:
+                lib = ctypes.CDLL(path)
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            controls.append((get, put))
+    return tuple(controls)
+
+
+class _SingleBlasThread(contextlib.ContextDecorator):
+    """Runs the dense algebra inside on one OpenBLAS thread.  On the small
+    matrices here a thread pool costs more than it saves, and its workers
+    keep spinning after a call returns.  Scopes may nest and overlap
+    across Python threads; the earlier counts return when the last one
+    ends."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = ()
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                controls = _openblas_thread_controls()
+                self._saved = tuple(get() for get, _ in controls)
+                for _, put in controls:
+                    put(1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for (_, put), count in zip(_openblas_thread_controls(),
+                                           self._saved):
+                    put(count)
+        return False
+
+
+_single_blas_thread = _SingleBlasThread()
 
 
 @dataclass
@@ -72,6 +134,7 @@ def _hamiltonian_system_matrix(data: LqProblemData) -> Array:
     return M
 
 
+@_single_blas_thread
 def solve_lq_permanent(data: LqProblemData) -> PermanentReference:
     """Permanent LQ optimum via the coupled state-costate linear system.
 
@@ -160,7 +223,9 @@ def _zoh_blocks(data: LqProblemData, h: float):
 
 
 class _ReducedQp:
-    """Condensed QP over stacked controls for the exact discretization."""
+    """Condensed QP over stacked controls, min 1/2 u'Hu + g'u subject to
+    A_eq u = b_eq, built from the exact discretization of LQ data; a
+    quadratic model with no equality rows comes from `model`."""
 
     def __init__(self, data: LqProblemData, partition: Partition):
         n, m = data.n, data.m
@@ -199,6 +264,15 @@ class _ReducedQp:
         self.const = const
         self.A_eq = G[N]
         self.b_eq = data.xT - c[N]
+
+    @classmethod
+    def model(cls, H: Array, g: Array) -> "_ReducedQp":
+        """The QP min 1/2 u'Hu + g'u with no equality rows and no
+        discretization behind it."""
+        qp = cls.__new__(cls)
+        qp.H, qp.g = H, g
+        qp.A_eq, qp.b_eq = np.empty((0, g.size)), np.empty(0)
+        return qp
 
     def step_blocks(self, h: float):
         """`_zoh_blocks` over a step of length h, cached by h to 1e-15."""
@@ -243,15 +317,14 @@ class _ReducedQp:
         return self.H @ u + self.g + self.A_eq.T @ nu
 
 
-def _box_bounds_stacked(U: Box, N: int) -> tuple[Array, Array]:
-    return np.tile(U.lower, N), np.tile(U.upper, N)
-
-
 def _vertex_multiplier(qp: _ReducedQp, u: Array, side: Array) -> Array:
     """Multiplier nu for a vertex u that clamps every entry (side -1 at
     the lower bound, +1 at the upper): u must meet the terminal equality,
     and nu is any feasible point of the gradient-sign conditions
-    side * (H u + g + A_eq' nu) <= 0, found by a small linear program."""
+    side * (H u + g + A_eq' nu) <= 0, found by a small linear program.
+    Without equality rows nu is empty and the KKT check alone decides."""
+    if qp.A_eq.shape[0] == 0:
+        return np.empty(0)
     from scipy.optimize import linprog
 
     miss = float(np.linalg.norm(qp.A_eq @ u - qp.b_eq))
@@ -266,10 +339,11 @@ def _vertex_multiplier(qp: _ReducedQp, u: Array, side: Array) -> Array:
     return lp.x
 
 
-def _solve_box_qp(qp: _ReducedQp, U: Optional[ControlSet]):
-    """Exact solve of the condensed QP, with the primal-dual active-set
-    method (Hintermueller, Ito & Kunisch, SIAM J. Optim. 2002) when the
-    unconstrained optimum leaves a box control set.
+def _solve_box_qp(qp: _ReducedQp, lo: Array, up: Array):
+    """Exact solve of the condensed QP under the bounds lo <= u <= up
+    (entries may be infinite), with the primal-dual active-set method
+    (Hintermueller, Ito & Kunisch, SIAM J. Optim. 2002) when the
+    unconstrained optimum leaves the box.
 
     Each round predicts the entries clamped at the lower and upper
     bounds from u - grad and re-solves the KKT system with them clamped;
@@ -277,15 +351,10 @@ def _solve_box_qp(qp: _ReducedQp, U: Optional[ControlSet]):
     clamps every entry, whose multiplier is not unique and comes from
     `_vertex_multiplier` instead of a KKT solve.  The point is returned
     only if it is a KKT point of the box-constrained QP, which is then
-    the optimum (the QP is strictly convex).
+    the optimum when H is positive definite; otherwise `OracleError`.
     """
     u, nu = qp.kkt_solve(np.array([], dtype=int), np.array([]))
     solves = 1
-    if U is None:
-        return u, nu, solves
-    if not isinstance(U, Box):
-        raise OracleError("exact sampled oracle supports box control sets only")
-    lo, up = _box_bounds_stacked(U, qp.partition.N)
     tol = 1e-9 * (1.0 + float(np.max(np.abs(u))))
     if np.all(u >= lo - tol) and np.all(u <= up + tol):
         return np.clip(u, lo, up), nu, solves
@@ -317,6 +386,7 @@ def _solve_box_qp(qp: _ReducedQp, U: Optional[ControlSet]):
     return np.clip(u, lo, up), nu, solves
 
 
+@_single_blas_thread
 def solve_lq_sampled_exact(data: LqProblemData, partition: Partition,
                            control_set: Optional[ControlSet] = None,
                            h_max: Optional[float] = None):
@@ -331,9 +401,15 @@ def solve_lq_sampled_exact(data: LqProblemData, partition: Partition,
     """
     from .solver_sampled import SampledSolution, SolveDiagnostics
 
-    qp = _ReducedQp(data, partition)
-    u_vec, nu, solves = _solve_box_qp(qp, control_set)
     N, m, n = partition.N, data.m, data.n
+    if control_set is None:
+        lo, up = np.full(N * m, -np.inf), np.full(N * m, np.inf)
+    elif isinstance(control_set, Box):
+        lo, up = np.tile(control_set.lower, N), np.tile(control_set.upper, N)
+    else:
+        raise OracleError("exact sampled oracle supports box control sets only")
+    qp = _ReducedQp(data, partition)
+    u_vec, nu, solves = _solve_box_qp(qp, lo, up)
     u_values = u_vec.reshape(N, m)
     control = PiecewiseConstantControl(partition, u_values)
     cost = qp.objective(u_vec)
@@ -389,8 +465,7 @@ MIN_SURROGATE_N = 256
 
 def fine_surrogate(prob: OcpProblem, n_ref: int,
                    reject_above: Optional[float] = None,
-                   sweep_max_n: Optional[int] = None,
-                   cache: Optional[dict] = None) -> PermanentReference:
+                   sweep_max_n: Optional[int] = None) -> PermanentReference:
     """Very fine sampled solution standing in for the permanent optimum.
 
     Solves at n_ref and 2*n_ref intervals (warm-cascaded) and uses the
@@ -399,9 +474,6 @@ def fine_surrogate(prob: OcpProblem, n_ref: int,
     requesting sweep extends past 20x the surrogate resolution (a
     first-order extrapolation of the error bar would then exceed ten
     times the sweep's smallest expected error).
-
-    A `cache` dict (keyed by interval count) shares chain solutions
-    between surrogate calls on the same problem.
     """
     from .solver_sampled import SolverOptions, solve
 
@@ -421,16 +493,10 @@ def fine_surrogate(prob: OcpProblem, n_ref: int,
     coarse = sol = None
     for N in chain:
         coarse = sol
-        if cache is not None and N in cache:
-            sol = cache[N]
-        else:
-            part = uniform_partition(N, prob.horizon)
-            warm = resample_onto(sol.control, part) if sol is not None else None
-            warm_mu = sol.multiplier if sol is not None else None
-            sol = solve(prob, part, opts, warm_start=warm,
-                        warm_multiplier=warm_mu)
-            if cache is not None:
-                cache[N] = sol
+        part = uniform_partition(N, prob.horizon)
+        warm = resample_onto(sol.control, part) if sol is not None else None
+        warm_mu = sol.multiplier if sol is not None else None
+        sol = solve(prob, part, opts, warm_start=warm, warm_multiplier=warm_mu)
     fine = sol
 
     ts = np.linspace(0.0, prob.horizon, SURROGATE_COMPARISON_POINTS)

@@ -2,17 +2,19 @@
 under the terminal equality constraint, and reconstruct the costate.
 
 The terminal constraint is handled by an augmented Lagrangian whose
-converged multiplier supplies the costate terminal value; the inner
-subproblems run projected gradient over the interval control values
-with spectral trial steps and an Armijo-type backtracking test against
-a short nonmonotone reference window (plain monotone acceptance
-throttles spectral steps into uselessness).  Because the control-set
-projection is closed form, the inner fixed points are exactly the
-points where the interval integral of grad_u H lies in the normal cone
-at each control value, so the returned costate is a stationarity
-certificate rather than a trusted by-product: the adjoint-equation and
-averaged-gradient residuals are recomputed and attached to every
-solution.
+converged multiplier supplies the costate terminal value.  On a box
+control set the inner subproblems take projected quasi-Newton steps:
+the model Hessian is B + rho C'C, with C = dx(T)/du from n adjoint
+marches (the condensing of Bock & Plitt, IFAC 1984) and B a damped BFGS
+estimate of the rest, and each step solves the box-constrained model
+with the exact oracle's active-set loop.  Other control sets run
+projected gradient with spectral trial steps against a short
+nonmonotone reference window.  Both stop on the same projected-gradient
+test, so the inner fixed points are exactly the points where the
+interval integral of grad_u H lies in the normal cone at each control
+value, and the returned costate is a stationarity certificate rather
+than a trusted by-product: the adjoint-equation and averaged-gradient
+residuals are recomputed and attached to every solution.
 
 Sign convention: with the normal normalization (p0 = -1) we have
 H = <p, f> - L, the adjoint lambda of the augmented objective satisfies
@@ -32,13 +34,14 @@ from .control_partition import (Partition, PiecewiseConstantControl,
                                 write_control_csv)
 from .errors import (InfeasibleStalledError, IntegrationDivergedError,
                      MaxIterationsError, MembershipError,
-                     MultiplierDivergedError)
-from .integrate import (CostateTrajectory, TimeGrid, Trajectory,
-                        build_time_grid, integrate_costate, integrate_state,
-                        write_costate_csv, write_state_csv)
+                     MultiplierDivergedError, OracleError)
+from .integrate import (CostateTrajectory, Linearization, TimeGrid,
+                        Trajectory, build_time_grid, integrate_costate,
+                        integrate_state, write_costate_csv, write_state_csv)
 from .pmp_check import (Extremal, ResidualReport, evaluate_extremal,
                         interval_grad_integrals)
-from .problem_model import OcpProblem, project
+from .problem_model import Box, OcpProblem, project
+from .reference_oracles import _ReducedQp, _single_blas_thread, _solve_box_qp
 
 Array = np.ndarray
 
@@ -53,16 +56,18 @@ PENALTY_INIT = 10.0
 PENALTY_GROWTH = 10.0
 PENALTY_LIMIT = 1e12
 STALL_ROUNDS = 5
-# sufficient-decrease constant, backtracking factor and first trial step
-# of the projected-gradient line search
+# sufficient-decrease constant and backtracking factor of the inner line
+# searches, the spectral search's first trial step, and the relative size
+# of phi below which a change is rounding
 ARMIJO_C = 1e-4
 ARMIJO_BACKTRACK = 0.5
 ARMIJO_STEP_INIT = 1.0
+ROUNDING_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tuning knobs for the augmented-Lagrangian projected-gradient solve."""
+    """Tuning knobs for the augmented-Lagrangian solve."""
 
     max_outer: int = 50
     max_inner: int = 2000
@@ -124,6 +129,15 @@ class _AugmentedObjective:
         defect = traj.final_state - self.prob.xT
         return traj.cost + float(mu @ defect) + 0.5 * rho * float(defect @ defect)
 
+    def trial(self, values: Array, mu: Array, rho: float):
+        """(trajectory, objective) at a trial point; the objective is inf
+        where the state march blows up."""
+        try:
+            traj = self.forward(values)
+        except IntegrationDivergedError:
+            return None, np.inf
+        return traj, self.value(traj, mu, rho)
+
     def gradient(self, values: Array, traj: Trajectory, mu: Array, rho: float):
         """Adjoint gradient blocks g_i = int (grad_u L + grad_u f' lambda).
 
@@ -146,11 +160,110 @@ def _stationarity(prob: OcpProblem, values: Array, g: Array) -> float:
     return float(np.max(np.linalg.norm(values - moved, axis=1)))
 
 
+def _terminal_jacobian(prob: OcpProblem, traj: Trajectory,
+                       u: PiecewiseConstantControl) -> Array:
+    """C = dx(T)/du, (n, N*m) over the stacked held values: row j is the
+    interval integral of grad_u f' p along the costate with p0 = 0 and
+    p(T) = e_j, marched on the linearization along (x, u)."""
+    lin = Linearization(prob, traj, u)
+    return np.array([
+        interval_grad_integrals(prob, traj.grid, traj.states, u,
+                                lin.costate(0.0, e).costates, 0.0).ravel()
+        for e in np.eye(prob.n)])
+
+
+def _damped_bfgs(B: Array, s: Array, y: Array) -> Array:
+    """BFGS update of B with Powell's damping (Nocedal & Wright, Procedure
+    18.2), which keeps B positive definite whatever the curvature of y."""
+    Bs = B @ s
+    sBs = float(s @ Bs)
+    if sBs <= 0.0:
+        return B
+    sy = float(s @ y)
+    if sy < 0.2 * sBs:
+        theta = 0.8 * sBs / (sBs - sy)
+        y = theta * y + (1.0 - theta) * Bs
+    return B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / float(s @ y)
+
+
+def _box_model_step(U: Box, values: Array, g: Array, model: Array) -> Array:
+    """Step s minimizing g's + 1/2 s' model s subject to values + s in the
+    box, by the primal-dual active-set loop of the exact oracle.  Where
+    that loop does not settle (the model need not be an M-matrix), the
+    projected gradient step scaled by the model's diagonal, a descent
+    direction on a box, stands in."""
+    u, c, N = values.ravel(), g.ravel(), values.shape[0]
+    lo, up = np.tile(U.lower, N), np.tile(U.upper, N)
+    try:
+        target, _, _ = _solve_box_qp(_ReducedQp.model(model, c - model @ u),
+                                     lo, up)
+    except OracleError:
+        target = np.clip(u - c / np.diag(model), lo, up)
+    return (target - u).reshape(values.shape)
+
+
+def _line_search(aug, values: Array, step: Array, g: Array, phi: float,
+                 mu: Array, rho: float):
+    """Armijo backtracking along values + t * step from t = 1; returns
+    (values, trajectory, objective, settled) of the accepted point, or
+    None.  When the predicted decrease -g's sits at the rounding level
+    of phi the Armijo test compares rounding errors, so the unit step is
+    accepted if phi rose by no more than that level, and `settled` says
+    that further steps cannot measurably decrease phi."""
+    decrease = float(np.sum(g * step))
+    floor = ROUNDING_FLOOR * (1.0 + abs(phi))
+    settled = -decrease <= floor
+    if decrease >= 0.0 and not settled:
+        return None
+    t = 1.0
+    while t >= 1e-14:
+        cand = project(aug.prob.control_set, values + t * step)
+        traj, val = aug.trial(cand, mu, rho)
+        if val <= phi + (floor if settled else ARMIJO_C * t * decrease):
+            return cand, traj, val, settled
+        if settled:
+            return None
+        t *= ARMIJO_BACKTRACK
+    return None
+
+
+def _spectral_length(s: Array, dg: Array, h_weights: Array) -> float:
+    """Barzilai-Borwein step length in the h-weighted metric from the last
+    step s and gradient change dg."""
+    y = dg / h_weights
+    denom = float(np.sum(s * y * h_weights))
+    if denom <= 0:
+        return 1e6
+    return min(max(float(np.sum(s * s * h_weights)) / denom, 1e-10), 1e6)
+
+
+def _spectral_search(aug, values: Array, g: Array, h_weights: Array,
+                     alpha: float, reference: float, mu: Array, rho: float):
+    """Off a box: backtracking along the projection arc
+    proj(values - a * g / h) from a = alpha, against the nonmonotone
+    reference (the largest recent objective; plain monotone acceptance
+    throttles spectral steps into uselessness).  The 1/h scaling keeps
+    the fixed points (positive per-interval scaling preserves the normal
+    cone).  Returns what `_line_search` returns."""
+    scaled = g / h_weights
+    while alpha >= 1e-14:
+        cand = project(aug.prob.control_set, values - alpha * scaled)
+        decrease = float(np.sum(g * (cand - values)))
+        if decrease >= 0.0:
+            return None
+        traj, val = aug.trial(cand, mu, rho)
+        if val <= reference + ARMIJO_C * decrease:
+            return cand, traj, val, False
+        alpha *= ARMIJO_BACKTRACK
+    return None
+
+
 def _default_initial_control(prob: OcpProblem, partition: Partition) -> Array:
     origin = project(prob.control_set, np.zeros(prob.m))
     return np.tile(origin, (partition.N, 1))
 
 
+@_single_blas_thread
 def solve(prob: OcpProblem, partition: Partition,
           options: Optional[SolverOptions] = None,
           warm_start: Optional[PiecewiseConstantControl] = None,
@@ -158,13 +271,21 @@ def solve(prob: OcpProblem, partition: Partition,
     """Solve the sampled-data problem on the given partition.
 
     Outer loop: multiplier update mu <- mu + rho * (x(T) - xT), penalty
-    growth only when feasibility fails to contract by 10x.  Inner loop:
-    full vector projected-gradient steps (interval order 0..N-1) with
-    spectral trial steps and Armijo backtracking; the first step size
-    satisfying the sufficient-decrease test is accepted.
+    growth only when feasibility fails to contract by 10x.  Inner loop
+    on a box: projected quasi-Newton steps on the model B + rho C'C.
+    C = dx(T)/du is rebuilt from n adjoint marches at the start of each
+    round whose rho differs from the one C was built at (for LQ data C
+    does not depend on u).  B is a damped BFGS estimate of the rest of
+    the Hessian, started at diag(h_i) and carried across rounds.  Each
+    step solves the box-constrained model and backtracks from the unit
+    step under an Armijo test; a unit step whose predicted decrease is
+    at the rounding level of the objective ends the round.  Other
+    control sets: projected gradient with spectral steps and
+    nonmonotone Armijo backtracking.
 
     On success the costate is p = -lambda with p(T) = -(mu + rho*defect)
-    evaluated at the accepted stationary point, and p0 = -1.
+    evaluated at the accepted stationary point, and p0 = -1.  The dense
+    algebra runs on one OpenBLAS thread.
     """
     opts = options if options is not None else SolverOptions()
     h_max = opts.h_max if opts.h_max is not None \
@@ -184,7 +305,11 @@ def solve(prob: OcpProblem, partition: Partition,
     else:
         values = _default_initial_control(prob, partition)
 
+    U = prob.control_set
+    box = isinstance(U, Box)
     h_weights = np.diff(partition.times)[:, None]
+    B = np.diag(np.repeat(h_weights[:, 0], prob.m))
+    C = C_rho = None
     mu = np.zeros(prob.n) if warm_multiplier is None \
         else np.asarray(warm_multiplier, dtype=float).copy()
     rho = PENALTY_INIT
@@ -198,56 +323,37 @@ def solve(prob: OcpProblem, partition: Partition,
         inner_tol = max(opts.stat_tol, 1e-3 * (0.1 ** outer))
         g, costate, defect = aug.gradient(values, traj, mu, rho)
         phi = aug.value(traj, mu, rho)
-        prev_values = None
-        prev_g = None
+        if box and rho != C_rho:
+            C = _terminal_jacobian(prob, traj, aug.control(values))
+            C_rho = rho
         alpha = ARMIJO_STEP_INIT
-        # nonmonotone (GLL) reference window for the sufficient-decrease
-        # test: spectral steps need it to keep their fast local behavior
-        recent_phi = [phi]
+        recent_phi = [phi]  # nonmonotone window of the spectral search
         for _ in range(opts.max_inner):
             stat = _stationarity(prob, values, g)
             if stat <= inner_tol:
                 break
-            # spectral (Barzilai-Borwein) trial step in the h-weighted
-            # metric; the 1/h scaling keeps the fixed points identical
-            # (positive per-interval scaling preserves the normal cone)
-            if prev_values is not None:
-                s = values - prev_values
-                y = (g - prev_g) / h_weights
-                denom = float(np.sum(s * y * h_weights))
-                if denom > 0:
-                    alpha = float(np.sum(s * s * h_weights)) / denom
-                    alpha = min(max(alpha, 1e-10), 1e6)
-                else:
-                    alpha = 1e6
-            scaled = g / h_weights
-            reference = max(recent_phi)
-            accepted = False
-            trial_alpha = alpha
-            while trial_alpha >= 1e-14:
-                cand = project(prob.control_set, values - trial_alpha * scaled)
-                decrease = float(np.sum(g * (cand - values)))
-                if decrease >= 0.0:
-                    break
-                try:
-                    cand_traj = aug.forward(cand)
-                    cand_phi = aug.value(cand_traj, mu, rho)
-                except IntegrationDivergedError:
-                    cand_phi = np.inf
-                if cand_phi <= reference + ARMIJO_C * decrease:
-                    accepted = True
-                    break
-                trial_alpha *= ARMIJO_BACKTRACK
-            if not accepted:
+            if box:
+                step = _box_model_step(U, values, g, B + rho * (C.T @ C))
+                found = _line_search(aug, values, step, g, phi, mu, rho)
+            else:
+                found = _spectral_search(aug, values, g, h_weights, alpha,
+                                         max(recent_phi), mu, rho)
+            if found is None:
                 break
-            prev_values, prev_g = values, g
-            values, traj, phi = cand, cand_traj, cand_phi
-            recent_phi.append(phi)
-            if len(recent_phi) > 10:
-                recent_phi.pop(0)
+            cand, traj, phi, settled = found
+            g_new, costate, defect = aug.gradient(cand, traj, mu, rho)
+            if box:
+                s = (cand - values).ravel()
+                B = _damped_bfgs(B, s, (g_new - g).ravel()
+                                 - rho * (C.T @ (C @ s)))
+            else:
+                alpha = _spectral_length(cand - values, g_new - g, h_weights)
+                recent_phi = recent_phi[-9:] + [phi]
+            values, g = cand, g_new
             total_inner += 1
             objective_log.append((outer, total_inner, phi))
-            g, costate, defect = aug.gradient(values, traj, mu, rho)
+            if settled:
+                break
 
         stat = _stationarity(prob, values, g)
         feas = float(np.linalg.norm(defect))

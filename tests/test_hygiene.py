@@ -1,8 +1,12 @@
 """Source hygiene: every name a package module imports is used there,
-and every name the benchmark's tracer hooks exists."""
+every name the benchmark's tracer hooks exists, and the CLI starts
+without the modules only some commands need."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +62,14 @@ def test_traced_names_resolve():
         if leaf not in names:
             absent.add(f"{mod_name}.{attr}")
     assert absent <= KNOWN_ABSENT_HOOKS, sorted(absent - KNOWN_ABSENT_HOOKS)
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    """`scipy.optimize` costs about 0.2 s to import; only the exact
+    oracle's all-clamped vertex needs it, so it is imported there."""
+    code = ("import sys, sampled_ocp.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code],
+                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr or "scipy.optimize imported"

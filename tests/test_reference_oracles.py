@@ -351,10 +351,8 @@ def lq8_oracle_report(di_problem):
 
 @pytest.fixture(scope="module")
 def di_surrogates(di_problem):
-    """Surrogates at 256 and 512 sharing one cascading solve chain."""
-    cache = {}
-    return (fine_surrogate(di_problem, 256, cache=cache),
-            fine_surrogate(di_problem, 512, cache=cache))
+    """Surrogates at 256 and 512."""
+    return (fine_surrogate(di_problem, 256), fine_surrogate(di_problem, 512))
 
 
 class TestFineSurrogate:
@@ -434,3 +432,21 @@ class TestFineSurrogate:
         np.testing.assert_allclose(ref.x.sample(ts), traj.sample(ts),
                                    atol=1e-9)
         np.testing.assert_allclose(np.asarray(ref.u.values), 0.0, atol=1e-12)
+
+
+class TestSingleBlasThread:
+    def test_scope_runs_one_thread_and_restores(self):
+        """Inside the scope every bundled OpenBLAS reads one thread, also
+        when scopes nest; afterwards each reads its earlier count."""
+        from sampled_ocp.reference_oracles import (_openblas_thread_controls,
+                                                   _single_blas_thread)
+        controls = _openblas_thread_controls()
+        if not controls:
+            pytest.skip("numpy and scipy bundle no OpenBLAS here")
+        before = [get() for get, _ in controls]
+        with _single_blas_thread:
+            assert [get() for get, _ in controls] == [1] * len(controls)
+            with _single_blas_thread:
+                assert [get() for get, _ in controls] == [1] * len(controls)
+            assert [get() for get, _ in controls] == [1] * len(controls)
+        assert [get() for get, _ in controls] == before

@@ -74,6 +74,76 @@ class TestOracleEquivalence:
         assert oracle.control.values[0, 0] == pytest.approx(-5.0, abs=1e-12)
         assert np.max(np.abs(sol.control.values - oracle.control.values)) <= 1e-6
 
+    def test_all_clamped_vertex(self):
+        """From (1, 0) with u_bound=4 at N=4 the optimum clamps every
+        entry and meets the terminal equality exactly."""
+        prob = build_problem("lq_double_integrator", u_bound=4.0)
+        part = uniform_partition(4, 1.0)
+        sol = solve(prob, part)
+        oracle = solve_lq_sampled_exact(prob.lq, part, prob.control_set)
+        np.testing.assert_array_equal(oracle.control.values.ravel(),
+                                      [-4.0, -4.0, 4.0, 4.0])
+        assert np.max(np.abs(sol.control.values - oracle.control.values)) <= 1e-6
+
+    def test_one_dimensional_ball_equals_box(self):
+        """A ball in one dimension is an interval: the solve over
+        Ball([0], 1.15) takes the spectral projected-gradient path and
+        must land on the exact optimum over the box [-1.15, 1.15], which
+        clamps the first hold of this scalar transfer."""
+        from sampled_ocp import Ball
+        prob = build_problem("lq_generic", A=0.0, B=1.0, Q=1.0, R=1.0,
+                             x0=[1.0], xT=[0.0],
+                             control_set=Ball([0.0], 1.15))
+        part = uniform_partition(3, 1.0)
+        sol = solve(prob, part)
+        oracle = solve_lq_sampled_exact(prob.lq, part, Box([-1.15], [1.15]))
+        assert oracle.control.values[0, 0] == -1.15
+        assert np.max(np.abs(sol.control.values - oracle.control.values)) <= 1e-6
+
+
+class TestQuasiNewtonStep:
+    @pytest.mark.parametrize("N", [4, 32, 256])
+    def test_sensitivities_equal_exact_zoh_jacobian(self, N):
+        """C = dx(T)/du from the adjoint marches equals the exact
+        zero-order-hold Jacobian of the condensed QP.  The damped
+        oscillator keeps RK4 and Simpson inexact, so a wrong C shows."""
+        from sampled_ocp.integrate import build_time_grid
+        from sampled_ocp.reference_oracles import _ReducedQp
+        from sampled_ocp.solver_sampled import (SOLVER_STEP_DIVISOR,
+                                                _AugmentedObjective,
+                                                _terminal_jacobian)
+        prob = build_problem("lq_generic", A=[[0.0, 1.0], [-2.0, -0.3]],
+                             B=[[0.0], [1.0]], x0=[1.0, 0.0])
+        part = uniform_partition(N, 1.0)
+        grid = build_time_grid(1.0, part, 1.0 / SOLVER_STEP_DIVISOR)
+        aug = _AugmentedObjective(prob, part, grid)
+        values = np.random.default_rng(N).uniform(-2, 2, size=(N, 1))
+        C = _terminal_jacobian(prob, aug.forward(values), aug.control(values))
+        exact = _ReducedQp(prob.lq, part).A_eq
+        assert np.linalg.norm(C - exact) <= 1e-10 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("N", [8, 64])
+    def test_cold_solve_state_march_budget(self, di_problem, monkeypatch, N):
+        """A cold double-integrator solve marches the state at most 40
+        times (the projected-gradient solver took 131 at N=64).  Near the
+        optimum at N=8 the predicted decreases reach the rounding level
+        of the objective; without the line search's rounding floor the
+        solve backtracks through hundreds of marches there, which
+        max_inner=30 (never reached otherwise) keeps to seconds."""
+        import sampled_ocp.solver_sampled as solver_module
+        calls = []
+        march = solver_module.integrate_state
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return march(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "integrate_state", counted)
+        sol = solve(di_problem, uniform_partition(N, 1.0),
+                    SolverOptions(max_inner=30))
+        assert sol.residuals.all_pass()
+        assert len(calls) <= 40
+
 
 class TestDiagnosticsAndCertificates:
     def test_descent_log_consistent(self, di_sweep):
