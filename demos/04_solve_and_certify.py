@@ -1,7 +1,8 @@
 """Solve a sampled-data problem and cross-check against the exact oracle.
 
 Solves the double integrator with quadratic cost on eight sampling
-intervals via the augmented-Lagrangian projected-gradient method, then
+intervals by the augmented-Lagrangian method with projected
+quasi-Newton inner steps, then
 compares the held control values against the independent route: exact
 zero-order-hold discretization plus an equality-constrained QP.  The
 returned costate is certified through the adjoint-equation and
@@ -16,7 +17,7 @@ from sampled_ocp import (Extremal, build_problem, hg_residual, solve,
 prob = build_problem("lq_double_integrator")
 part = uniform_partition(8, 1.0)
 
-print("=== projected-gradient solve ===")
+print("=== augmented-Lagrangian solve ===")
 sol = solve(prob, part)
 d = sol.diagnostics
 print(f"cost        {sol.cost:.10f}")

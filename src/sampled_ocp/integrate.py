@@ -333,10 +333,17 @@ def _rk4_march(rhs, grid: TimeGrid, y0: Array, forward: bool, what: str,
             t0, t1, y, start = tb, ta, ys[k + 1], k + 1
         h = t1 - t0
         tm = t0 + 0.5 * h
-        k1 = rhs(k, t0, y, 0) if fresh[start] else kend
-        k2 = rhs(k, tm, y + 0.5 * h * k1, 1)
-        k3 = rhs(k, tm, y + 0.5 * h * k2, 1)
-        k4 = rhs(k, t1, y + h * k3, 2)
+        try:
+            k1 = rhs(k, t0, y, 0) if fresh[start] else kend
+            k2 = rhs(k, tm, y + 0.5 * h * k1, 1)
+            k3 = rhs(k, tm, y + 0.5 * h * k2, 1)
+            k4 = rhs(k, t1, y + h * k3, 2)
+        except (ValueError, OverflowError) as exc:
+            # an evaluator built on `math` refuses the inf of an
+            # overflowing stage, which numpy would pass to the test below
+            raise IntegrationDivergedError(
+                f"{what} blew up at t = {t1:.6g}: {exc}",
+                t_bad=float(t1)) from exc
         ynew = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # single reduction; NaN fails the comparison and is caught too
         if not np.abs(ynew).max() <= BLOWUP_NORM:

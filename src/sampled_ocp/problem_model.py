@@ -242,6 +242,8 @@ class LqProblemData:
         R = _frozen(np.atleast_2d(self.R))
         x0 = _frozen(np.atleast_1d(self.x0))
         xT = _frozen(np.atleast_1d(self.xT))
+        if not all(np.all(np.isfinite(a)) for a in (A, B, Q, R, x0, xT)):
+            raise ValueError("LQ matrices and endpoint states must be finite")
         n = A.shape[0]
         if A.shape != (n, n) or B.shape[0] != n or Q.shape != (n, n):
             raise ValueError("inconsistent LQ matrix shapes")
@@ -256,12 +258,14 @@ class LqProblemData:
             raise ValueError("Q must be symmetric")
         if np.any(np.linalg.eigvalsh(Q) < -1e-12):
             raise ValueError("Q must be positive semidefinite")
-        if x0.size != n or xT.size != n:
+        if x0.shape != (n,) or xT.shape != (n,):
             raise ValueError("endpoint states must have length n")
+        horizon = float(self.horizon)
+        if not (np.isfinite(horizon) and horizon > 0):
+            raise ValueError("horizon must be finite and positive")
         for name, val in (("A", A), ("B", B), ("Q", Q), ("R", R),
-                          ("x0", x0), ("xT", xT)):
+                          ("x0", x0), ("xT", xT), ("horizon", horizon)):
             object.__setattr__(self, name, val)
-        object.__setattr__(self, "horizon", float(self.horizon))
 
     @property
     def n(self) -> int:
@@ -320,13 +324,15 @@ class OcpProblem:
     def __post_init__(self):
         if self.n <= 0 or self.m <= 0:
             raise ValueError("state and control dimensions must be positive")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not (np.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError("horizon must be finite and positive")
         object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "x0", _frozen(np.atleast_1d(self.x0)))
         object.__setattr__(self, "xT", _frozen(np.atleast_1d(self.xT)))
-        if self.x0.size != self.n or self.xT.size != self.n:
+        if self.x0.shape != (self.n,) or self.xT.shape != (self.n,):
             raise ValueError("endpoint states must have length n")
+        if not (np.all(np.isfinite(self.x0)) and np.all(np.isfinite(self.xT))):
+            raise ValueError("endpoint states must be finite")
         if self.control_set.dim != self.m:
             raise ValueError("control set dimension must equal m")
 

@@ -148,7 +148,8 @@ def solve_lq_permanent(data: LqProblemData) -> PermanentReference:
     M = _hamiltonian_system_matrix(data)
     ET = expm(M * data.horizon)
     E11, E12 = ET[:n, :n], ET[:n, n:]
-    cond = np.linalg.cond(E12)
+    # an overflowed exponential counts as infinitely ill-conditioned
+    cond = np.linalg.cond(E12) if np.all(np.isfinite(ET)) else np.inf
     if not np.isfinite(cond) or cond > SHOOTING_CONDITION_LIMIT:
         raise UnreachableTargetError(
             f"shooting matrix condition {cond:.3e} exceeds "

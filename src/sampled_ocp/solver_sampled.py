@@ -2,19 +2,20 @@
 under the terminal equality constraint, and reconstruct the costate.
 
 The terminal constraint is handled by an augmented Lagrangian whose
-converged multiplier supplies the costate terminal value.  On a box
-control set the inner subproblems take projected quasi-Newton steps:
-the model Hessian is B + rho C'C, with C = dx(T)/du from n adjoint
-marches (the condensing of Bock & Plitt, IFAC 1984) and B a damped BFGS
-estimate of the rest, and each step solves the box-constrained model
-with the exact oracle's active-set loop.  Other control sets run
-projected gradient with spectral trial steps against a short
-nonmonotone reference window.  Both stop on the same projected-gradient
-test, so the inner fixed points are exactly the points where the
-interval integral of grad_u H lies in the normal cone at each control
-value, and the returned costate is a stationarity certificate rather
-than a trusted by-product: the adjoint-equation and averaged-gradient
-residuals are recomputed and attached to every solution.
+converged multiplier supplies the costate terminal value.  The inner
+subproblems take projected quasi-Newton steps on every control set: the
+model Hessian is B + rho C'C, with C = dx(T)/du from n adjoint marches
+(the condensing of Bock & Plitt, IFAC 1984) and B a damped BFGS
+estimate of the rest.  Each step minimizes the model over the control
+set: on a box with the exact oracle's active-set loop, elsewhere (or
+where that loop does not settle) by ADMM, whose Cholesky factor solves
+the ill-conditioned rho C'C part exactly.  The inner loop stops on the
+projected-gradient test, so its fixed points are exactly the points
+where the interval integral of grad_u H lies in the normal cone at each
+control value, and the returned costate is a stationarity certificate
+rather than a trusted by-product: the adjoint-equation and
+averaged-gradient residuals are recomputed and attached to every
+solution.
 
 Sign convention: with the normal normalization (p0 = -1) we have
 H = <p, f> - L, the adjoint lambda of the augmented objective satisfies
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .control_partition import (Partition, PiecewiseConstantControl,
                                 write_control_csv)
@@ -40,7 +42,7 @@ from .integrate import (CostateTrajectory, Linearization, TimeGrid,
                         integrate_state, write_costate_csv, write_state_csv)
 from .pmp_check import (Extremal, ResidualReport, evaluate_extremal,
                         interval_grad_integrals)
-from .problem_model import Box, OcpProblem, project
+from .problem_model import Box, ControlSet, OcpProblem, project
 from .reference_oracles import _ReducedQp, _single_blas_thread, _solve_box_qp
 
 Array = np.ndarray
@@ -57,12 +59,14 @@ PENALTY_GROWTH = 10.0
 PENALTY_LIMIT = 1e12
 STALL_ROUNDS = 5
 # sufficient-decrease constant and backtracking factor of the inner line
-# searches, the spectral search's first trial step, and the relative size
-# of phi below which a change is rounding
+# search, and the relative size of phi below which a change is rounding
 ARMIJO_C = 1e-4
 ARMIJO_BACKTRACK = 0.5
-ARMIJO_STEP_INIT = 1.0
 ROUNDING_FLOOR = 1e-13
+# iteration cap and relative residual tolerance of the ADMM model step;
+# 100 iterations at 1e-6 left a 1-D ball solve without convergence
+ADMM_MAX_ITER = 400
+ADMM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -186,20 +190,43 @@ def _damped_bfgs(B: Array, s: Array, y: Array) -> Array:
     return B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / float(s @ y)
 
 
-def _box_model_step(U: Box, values: Array, g: Array, model: Array) -> Array:
-    """Step s minimizing g's + 1/2 s' model s subject to values + s in the
-    box, by the primal-dual active-set loop of the exact oracle.  Where
-    that loop does not settle (the model need not be an M-matrix), the
-    projected gradient step scaled by the model's diagonal, a descent
-    direction on a box, stands in."""
-    u, c, N = values.ravel(), g.ravel(), values.shape[0]
-    lo, up = np.tile(U.lower, N), np.tile(U.upper, N)
-    try:
-        target, _, _ = _solve_box_qp(_ReducedQp.model(model, c - model @ u),
-                                     lo, up)
-    except OracleError:
-        target = np.clip(u - c / np.diag(model), lo, up)
-    return (target - u).reshape(values.shape)
+def _model_step(U: ControlSet, values: Array, g: Array,
+                model: Array) -> Array:
+    """Step s minimizing g's + 1/2 s' model s subject to values + s in U.
+
+    On a box the primal-dual active-set loop of the exact oracle solves
+    the model.  Off a box, or where that loop does not settle (the model
+    need not be an M-matrix), ADMM on the split s = w, w in U - values
+    (Boyd et al., Found. Trends Mach. Learn. 2011, sec. 5) with the
+    penalty sigma = sqrt(lambda_min * lambda_max) of the model: one
+    Cholesky factor of model + sigma I serves every iteration, and the
+    feasible iterate w is returned."""
+    u, c = values.ravel(), g.ravel()
+    if isinstance(U, Box):
+        N = values.shape[0]
+        lo, up = np.tile(U.lower, N), np.tile(U.upper, N)
+        try:
+            target, _, _ = _solve_box_qp(
+                _ReducedQp.model(model, c - model @ u), lo, up)
+            return (target - u).reshape(values.shape)
+        except OracleError:
+            pass
+    eig = np.linalg.eigvalsh(model)
+    sigma = float(np.sqrt(eig[0] * eig[-1]))
+    factor = cho_factor(model + sigma * np.eye(u.size))
+    w = lam = np.zeros(u.size)
+    for _ in range(ADMM_MAX_ITER):
+        s = cho_solve(factor, sigma * (w - lam) - c)
+        w_prev = w
+        w = project(U, (u + s + lam).reshape(values.shape)).ravel() - u
+        lam = lam + s - w
+        primal = np.linalg.norm(s - w)
+        dual = sigma * np.linalg.norm(w - w_prev)
+        if primal <= ADMM_TOL * max(np.linalg.norm(s), np.linalg.norm(w)) \
+                and dual <= ADMM_TOL * max(np.linalg.norm(c),
+                                           sigma * np.linalg.norm(lam)):
+            break
+    return w.reshape(values.shape)
 
 
 def _line_search(aug, values: Array, step: Array, g: Array, phi: float,
@@ -227,37 +254,6 @@ def _line_search(aug, values: Array, step: Array, g: Array, phi: float,
     return None
 
 
-def _spectral_length(s: Array, dg: Array, h_weights: Array) -> float:
-    """Barzilai-Borwein step length in the h-weighted metric from the last
-    step s and gradient change dg."""
-    y = dg / h_weights
-    denom = float(np.sum(s * y * h_weights))
-    if denom <= 0:
-        return 1e6
-    return min(max(float(np.sum(s * s * h_weights)) / denom, 1e-10), 1e6)
-
-
-def _spectral_search(aug, values: Array, g: Array, h_weights: Array,
-                     alpha: float, reference: float, mu: Array, rho: float):
-    """Off a box: backtracking along the projection arc
-    proj(values - a * g / h) from a = alpha, against the nonmonotone
-    reference (the largest recent objective; plain monotone acceptance
-    throttles spectral steps into uselessness).  The 1/h scaling keeps
-    the fixed points (positive per-interval scaling preserves the normal
-    cone).  Returns what `_line_search` returns."""
-    scaled = g / h_weights
-    while alpha >= 1e-14:
-        cand = project(aug.prob.control_set, values - alpha * scaled)
-        decrease = float(np.sum(g * (cand - values)))
-        if decrease >= 0.0:
-            return None
-        traj, val = aug.trial(cand, mu, rho)
-        if val <= reference + ARMIJO_C * decrease:
-            return cand, traj, val, False
-        alpha *= ARMIJO_BACKTRACK
-    return None
-
-
 def _default_initial_control(prob: OcpProblem, partition: Partition) -> Array:
     origin = project(prob.control_set, np.zeros(prob.m))
     return np.tile(origin, (partition.N, 1))
@@ -271,17 +267,16 @@ def solve(prob: OcpProblem, partition: Partition,
     """Solve the sampled-data problem on the given partition.
 
     Outer loop: multiplier update mu <- mu + rho * (x(T) - xT), penalty
-    growth only when feasibility fails to contract by 10x.  Inner loop
-    on a box: projected quasi-Newton steps on the model B + rho C'C.
-    C = dx(T)/du is rebuilt from n adjoint marches at the start of each
-    round whose rho differs from the one C was built at (for LQ data C
-    does not depend on u).  B is a damped BFGS estimate of the rest of
-    the Hessian, started at diag(h_i) and carried across rounds.  Each
-    step solves the box-constrained model and backtracks from the unit
-    step under an Armijo test; a unit step whose predicted decrease is
-    at the rounding level of the objective ends the round.  Other
-    control sets: projected gradient with spectral steps and
-    nonmonotone Armijo backtracking.
+    growth only when feasibility fails to contract by 10x.  Inner loop:
+    projected quasi-Newton steps on the model B + rho C'C, one algorithm
+    for every control set.  C = dx(T)/du is rebuilt from n adjoint
+    marches at the start of each round whose rho differs from the one C
+    was built at (for LQ data C does not depend on u).  B is a damped
+    BFGS estimate of the rest of the Hessian, started at diag(h_i) and
+    carried across rounds.  Each step minimizes the model over the
+    control set (`_model_step`) and backtracks from the unit step under
+    an Armijo test; a unit step whose predicted decrease is at the
+    rounding level of the objective ends the round.
 
     On success the costate is p = -lambda with p(T) = -(mu + rho*defect)
     evaluated at the accepted stationary point, and p0 = -1.  The dense
@@ -305,10 +300,7 @@ def solve(prob: OcpProblem, partition: Partition,
     else:
         values = _default_initial_control(prob, partition)
 
-    U = prob.control_set
-    box = isinstance(U, Box)
-    h_weights = np.diff(partition.times)[:, None]
-    B = np.diag(np.repeat(h_weights[:, 0], prob.m))
+    B = np.diag(np.repeat(np.diff(partition.times), prob.m))
     C = C_rho = None
     mu = np.zeros(prob.n) if warm_multiplier is None \
         else np.asarray(warm_multiplier, dtype=float).copy()
@@ -323,32 +315,23 @@ def solve(prob: OcpProblem, partition: Partition,
         inner_tol = max(opts.stat_tol, 1e-3 * (0.1 ** outer))
         g, costate, defect = aug.gradient(values, traj, mu, rho)
         phi = aug.value(traj, mu, rho)
-        if box and rho != C_rho:
+        if rho != C_rho:
             C = _terminal_jacobian(prob, traj, aug.control(values))
             C_rho = rho
-        alpha = ARMIJO_STEP_INIT
-        recent_phi = [phi]  # nonmonotone window of the spectral search
         for _ in range(opts.max_inner):
             stat = _stationarity(prob, values, g)
             if stat <= inner_tol:
                 break
-            if box:
-                step = _box_model_step(U, values, g, B + rho * (C.T @ C))
-                found = _line_search(aug, values, step, g, phi, mu, rho)
-            else:
-                found = _spectral_search(aug, values, g, h_weights, alpha,
-                                         max(recent_phi), mu, rho)
+            step = _model_step(prob.control_set, values, g,
+                               B + rho * (C.T @ C))
+            found = _line_search(aug, values, step, g, phi, mu, rho)
             if found is None:
                 break
             cand, traj, phi, settled = found
             g_new, costate, defect = aug.gradient(cand, traj, mu, rho)
-            if box:
-                s = (cand - values).ravel()
-                B = _damped_bfgs(B, s, (g_new - g).ravel()
-                                 - rho * (C.T @ (C @ s)))
-            else:
-                alpha = _spectral_length(cand - values, g_new - g, h_weights)
-                recent_phi = recent_phi[-9:] + [phi]
+            s = (cand - values).ravel()
+            B = _damped_bfgs(B, s, (g_new - g).ravel()
+                             - rho * (C.T @ (C @ s)))
             values, g = cand, g_new
             total_inner += 1
             objective_log.append((outer, total_inner, phi))

@@ -1,17 +1,35 @@
 """Exit-code contract and file outputs of the command-line front end."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import shutil
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sampled_ocp import cli
+from sampled_ocp import SolverOptions, cli
 
 # check bundles stored with the benchmark; tests only read them
 BUNDLES = Path(__file__).resolve().parents[1] / "perfbench" / "bundles"
+
+# config overrides that no problem can hold: JSON's Infinity and NaN
+NON_FINITE_OVERRIDES = [{"horizon": math.inf}, {"horizon": math.nan},
+                        {"x0": [math.nan, 0.0]}, {"xT": [0.0, -math.inf]}]
+NON_FINITE_IDS = ["horizon_inf", "horizon_nan", "x0_nan", "xT_neg_inf"]
+
+
+def _write_config(path, config):
+    """`config` as JSON, with non-finite numbers as Infinity and NaN."""
+    path.write_text(json.dumps(config))
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +170,18 @@ class TestSolve:
         code = cli.main(["solve", "--config", str(cfg), "--N", "2",
                          "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("override", NON_FINITE_OVERRIDES,
+                             ids=NON_FINITE_IDS)
+    def test_non_finite_config_is_usage_error(self, tmp_path, capsys,
+                                              override):
+        cfg = _write_config(tmp_path / "c.json",
+                            {"problem": "lq_double_integrator", **override})
+        code = cli.main(["solve", "--config", cfg, "--N", "2",
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bad problem specification" in err and "Traceback" not in err
 
 
 class TestCheck:
@@ -324,6 +354,18 @@ class TestConverge:
         assert "--h-max" in err and "Traceback" not in err
         assert not (out / "report.csv").exists()
 
+    @pytest.mark.parametrize("override", NON_FINITE_OVERRIDES,
+                             ids=NON_FINITE_IDS)
+    def test_non_finite_config_is_usage_error(self, tmp_path, capsys,
+                                              override):
+        cfg = _write_config(tmp_path / "c.json",
+                            {"problem": "lq_double_integrator", **override})
+        code = cli.main(["converge", "--config", cfg, "--Ns", "2",
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bad problem specification" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("ns", ["0", "2,0", "4,2"])
     def test_bad_resolutions_are_usage_error(self, tmp_path, ns):
         code = cli.main(["converge", "--problem", "lq_double_integrator",
@@ -358,3 +400,126 @@ class TestCatalog:
 
     def test_no_subcommand_usage(self):
         assert cli.main([]) == 1
+
+
+# Inputs for the fuzz below, hostile one time in eight so that many
+# runs reach the solver.  Horizons stay small or overflow the grid, and step
+# bounds stay coarse or are refused, so no drawn grid is large enough
+# to take seconds or gigabytes.
+def _rarely(hostile, usual):
+    return st.integers(0, 7).flatmap(lambda k: hostile if k == 0 else usual)
+
+
+_NUMBERS = _rarely(st.sampled_from([math.nan, math.inf, -math.inf,
+                                         0.0, -1.0, 1e-300, 1e308]),
+                        st.floats(0.05, 4.0) | st.floats(-4.0, 4.0))
+_VECTORS = _rarely(
+    st.lists(_NUMBERS, max_size=3) | _NUMBERS
+    | st.sampled_from(["x", [[0.5, 0.0]], {"a": 1}]),
+    st.lists(_NUMBERS, min_size=2, max_size=2))
+_SET_LEAVES = _rarely(
+    st.fixed_dictionaries({"kind": st.just("box")},
+                          optional={"lower": _VECTORS, "upper": _VECTORS,
+                                    "bounds": st.lists(_VECTORS,
+                                                       max_size=3)})
+    | st.fixed_dictionaries({"kind": st.just("ball")},
+                            optional={"center": _VECTORS,
+                                      "radius": _NUMBERS})
+    | st.sampled_from([{}, {"kind": "disc"}, 3, ["box"], None]),
+    st.fixed_dictionaries({"kind": st.just("box"), "lower": _NUMBERS,
+                           "upper": _NUMBERS})
+    | st.fixed_dictionaries({"kind": st.just("ball"), "center": _NUMBERS,
+                             "radius": _NUMBERS}))
+_CONTROL_SETS = st.recursive(
+    _SET_LEAVES,
+    lambda inner: _rarely(
+        st.fixed_dictionaries({"kind": st.just("product")},
+                              optional={"factors": inner}),
+        st.fixed_dictionaries({"kind": st.just("product"),
+                               "factors": st.lists(inner, max_size=3)})),
+    max_leaves=4)
+_OVERRIDES = {"horizon": _NUMBERS, "x0": _VECTORS, "xT": _VECTORS,
+              "control_set": _CONTROL_SETS}
+
+
+def _flag(hostile, usual):
+    return _rarely(st.sampled_from(hostile), st.sampled_from(usual))
+
+
+_TOLERANCES = _flag(["nan", "inf", "-1", "0", "1e-300", "abc"],
+                    ["1e-6", "1e-3"])
+_SHARED_FLAGS = {"--feas-tol": _TOLERANCES, "--stat-tol": _TOLERANCES,
+                 "--h-max": _flag(["nan", "inf", "-1", "0", "1e-300", "abc"],
+                                  ["0.05", "0.2"])}
+
+
+@st.composite
+def _invocations(draw):
+    """(command, config, flags): `solve` on any catalog problem, or
+    `converge` on an LQ problem (its reference is exact), at N <= 4."""
+    command = draw(st.sampled_from(["solve", "converge"]))
+    problems = ["lq_double_integrator", "lq_generic"]
+    if command == "solve":
+        problems += ["affine_quadratic", "cubic_counterexample"]
+    config = draw(st.fixed_dictionaries(
+        {"problem": st.sampled_from(problems)}, optional=_OVERRIDES))
+    if command == "solve":
+        flags = ["--N", draw(_flag(["0", "-3", "x"], ["1", "2", "4"])),
+                 "--max-outer", "3",
+                 "--max-inner", draw(_flag(["0"], ["1", "5", "20"]))]
+    else:
+        flags = ["--Ns", draw(_flag(["0", "4,2", "x"], ["2", "2,4", "1,2"]))]
+        if draw(st.booleans()):
+            flags += ["--warm-start", draw(_flag(["x"], ["cold"]))]
+    for flag, values in _SHARED_FLAGS.items():
+        if draw(st.booleans()):
+            flags += [flag, draw(values)]
+    return command, config, flags
+
+
+class TestFuzz:
+    # `converge` has no iteration flags; its rows get the budget that
+    # `solve` gets from --max-outer and --max-inner, since a box solve
+    # can take up to max_inner Armijo steps of about 30 backtracks each
+    # (see CHANGES.md)
+    CONVERGE_OPTIONS = SolverOptions(feas_tol=1e-9, max_outer=3,
+                                     max_inner=20)
+
+    @settings(max_examples=60, deadline=None)
+    @example(invocation=("solve", {"problem": "lq_double_integrator",
+                                   "horizon": math.inf},
+                         ["--N", "2", "--max-outer", "3"]))
+    @example(invocation=("converge", {"problem": "lq_double_integrator",
+                                      "horizon": math.inf}, ["--Ns", "2"]))
+    @example(invocation=("solve", {"problem": "lq_double_integrator",
+                                   "x0": [math.nan, 0.0]},
+                         ["--N", "2", "--max-outer", "3"]))
+    @example(invocation=("converge", {"problem": "lq_double_integrator",
+                                      "horizon": 1e308}, ["--Ns", "2"]))
+    @example(invocation=("solve", {"problem": "affine_quadratic",
+                                   "horizon": 1e308},
+                         ["--N", "2", "--max-outer", "3"]))
+    @example(invocation=("solve", {"problem": "lq_double_integrator"},
+                         ["--N", "2", "--max-outer", "3",
+                          "--h-max", "1e-300"]))
+    @example(invocation=("solve", {"problem": "lq_double_integrator"},
+                         ["--N", "2", "--max-outer", "3",
+                          "--feas-tol", "inf"]))
+    @example(invocation=("converge", {"problem": "lq_double_integrator"},
+                         ["--Ns", "2", "--h-max", "1e-300"]))
+    @given(invocation=_invocations())
+    def test_exit_codes_without_traceback(self, invocation):
+        """Whatever the config and the flags, the CLI exits 0-4, prints
+        no traceback, and lets no exception escape `main`."""
+        command, config, flags = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = _write_config(Path(tmp) / "c.json", config)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err), \
+                    mock.patch.object(cli.harness, "default_solver_options",
+                                      lambda: self.CONVERGE_OPTIONS):
+                code = cli.main([command, "--config", cfg, *flags,
+                                 "--out", os.path.join(tmp, "o")])
+        assert 0 <= code <= 4
+        assert "Traceback" not in err.getvalue()

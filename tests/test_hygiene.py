@@ -1,10 +1,12 @@
 """Source hygiene: every name a package module imports is used there,
-every name the benchmark's tracer hooks exists, and the CLI starts
-without the modules only some commands need."""
+every module-level constant is read, every name the benchmark's tracer
+hooks exists, and the CLI starts without the modules only some commands
+need."""
 
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +36,30 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(_imported_names(tree)) - used)
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+def test_no_unread_constants():
+    """A module-level UPPER_CASE constant is read somewhere in the
+    package, by name or as a module attribute; a knob left behind by a
+    deleted code path fails here."""
+    defined, read = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            defined.update((path.name, t.id) for t in targets
+                           if isinstance(t, ast.Name)
+                           and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined, "no module-level constants found"
+    unread = sorted(f"{module}:{name}" for module, name in defined
+                    if name not in read)
+    assert not unread, f"constants never read: {unread}"
 
 
 # `perfbench/tracing.py` still hooks this removed wrapper; the march it

@@ -174,6 +174,16 @@ class TestStateIntegration:
             integrate_state(prob, lambda t: np.array([0.0]), grid)
         assert exc.value.t_bad is not None
 
+    def test_blowup_through_math_functions_detected(self):
+        """Over a horizon of 1e308 the RK4 stages overflow to inf before
+        the end-of-step test sees them, and `math.cos` refuses inf with
+        a ValueError; the march reports that as divergence."""
+        prob = build_problem("affine_quadratic", horizon=1e308)
+        part = uniform_partition(2, prob.horizon)
+        u = PiecewiseConstantControl(part, np.zeros((2, 1)))
+        with pytest.raises(IntegrationDivergedError):
+            integrate_state(prob, u, build_time_grid(prob.horizon, part))
+
     def test_signal_is_not_a_control(self):
         """A recorded signal carries no partition for the grid to align
         with; a march refuses it rather than let RK4 stages at an

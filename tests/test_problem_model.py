@@ -153,6 +153,19 @@ class TestCatalog:
         with pytest.raises(ProblemLookupError):
             build_problem("does_not_exist")
 
+    @pytest.mark.parametrize("name", ["affine_quadratic",
+                                      "lq_double_integrator"])
+    @pytest.mark.parametrize("params", [
+        {"horizon": np.inf}, {"horizon": np.nan}, {"x0": [np.nan, 0.0]},
+        {"xT": [0.0, -np.inf]}, {"x0": [[0.5, 0.0]]}],
+        ids=["horizon_inf", "horizon_nan", "x0_nan", "xT_inf", "x0_2d"])
+    def test_non_finite_or_misshapen_endpoints_refused(self, name, params):
+        """`OcpProblem` and `LqProblemData` refuse what no march can
+        start from; a config loader turns the ValueError into a
+        `ConfigFormatError`."""
+        with pytest.raises(ValueError):
+            build_problem(name, **params)
+
     def test_cubic_dynamics_value(self):
         prob = build_problem("cubic_counterexample")
         out = prob.dynamics(np.array([0.0]), np.array([0.5]), 0.3)

@@ -50,6 +50,13 @@ class TestPermanentLq:
             assert ref.p.at(t)[0] == pytest.approx(1.0, abs=1e-12)
         assert ref.cost == pytest.approx(0.5, abs=1e-12)
 
+    def test_overflowing_horizon_is_unreachable(self):
+        """Over a finite horizon of 1e308 the shooting map's exponential
+        overflows; that is an unreachable target, not a failed SVD."""
+        data = build_problem("lq_double_integrator", horizon=1e308).lq
+        with pytest.raises(UnreachableTargetError):
+            solve_lq_permanent(data)
+
     def test_zero_transfer_flags_zero_costate(self):
         data = LqProblemData(A=[[0.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]],
                              horizon=1.0, x0=[0.0], xT=[0.0])

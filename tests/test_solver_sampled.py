@@ -1,14 +1,31 @@
-"""Augmented-Lagrangian projected-gradient solver."""
+"""Augmented-Lagrangian solver with projected quasi-Newton steps."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sampled_ocp import (Box, PiecewiseConstantControl, SolverOptions,
-                         build_problem, gradient_check, solve,
+from sampled_ocp import (Ball, Box, PiecewiseConstantControl, ProductSet,
+                         SolverOptions, build_problem, gradient_check, solve,
                          solve_lq_sampled_exact, uniform_partition)
-from sampled_ocp.errors import (MembershipError, SampledOcpError, SolverError)
+from sampled_ocp.errors import (InfeasibleStalledError, MembershipError,
+                                OracleError, SampledOcpError, SolverError,
+                                UnreachableTargetError)
+
+
+@pytest.fixture
+def state_marches(monkeypatch):
+    """The list that gains one entry per state march of `solve`."""
+    import sampled_ocp.solver_sampled as solver_module
+    calls = []
+    march = solver_module.integrate_state
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "integrate_state", counted)
+    return calls
 
 
 class TestBasics:
@@ -87,9 +104,9 @@ class TestOracleEquivalence:
 
     def test_one_dimensional_ball_equals_box(self):
         """A ball in one dimension is an interval: the solve over
-        Ball([0], 1.15) takes the spectral projected-gradient path and
-        must land on the exact optimum over the box [-1.15, 1.15], which
-        clamps the first hold of this scalar transfer."""
+        Ball([0], 1.15) takes its model steps by ADMM and must land on
+        the exact optimum over the box [-1.15, 1.15], which clamps the
+        first hold of this scalar transfer."""
         from sampled_ocp import Ball
         prob = build_problem("lq_generic", A=0.0, B=1.0, Q=1.0, R=1.0,
                              x0=[1.0], xT=[0.0],
@@ -143,6 +160,83 @@ class TestQuasiNewtonStep:
                     SolverOptions(max_inner=30))
         assert sol.residuals.all_pass()
         assert len(calls) <= 40
+
+
+def _unreachable_off_box(kind):
+    """A double integrator that no control in a ball of radius 0.1 can
+    steer to the origin, or two integrators driven from (0.1, 1) through
+    a box x ball product whose ball factor cannot empty the second."""
+    if kind == "ball":
+        return build_problem("lq_double_integrator",
+                             control_set=Ball([0.0], 0.1))
+    return build_problem("lq_generic", A=0.0, x0=[0.1, 1.0],
+                         control_set=ProductSet((Box([-0.2], [0.2]),
+                                                 Ball([0.0], 0.1))))
+
+
+class TestOffBox:
+    """Balls and products take the same model steps as boxes; the model
+    is minimized over them by ADMM."""
+
+    def test_cold_ball_solve_march_budget(self, state_marches):
+        """Ball([0], 4) is the interval [-4, 4], active on the first
+        hold from (0.9, 0): a cold solve at N=16 lands on the box
+        oracle's optimum within 40 state marches (the spectral projected
+        gradient took 537)."""
+        prob = build_problem("lq_double_integrator", x0=[0.9, 0.0],
+                             control_set=Ball([0.0], 4.0))
+        part = uniform_partition(16, 1.0)
+        sol = solve(prob, part)
+        oracle = solve_lq_sampled_exact(prob.lq, part, Box([-4.0], [4.0]))
+        assert oracle.control.values[0, 0] == -4.0
+        assert sol.residuals.all_pass()
+        assert len(state_marches) <= 40
+        assert np.max(np.abs(sol.control.values
+                             - oracle.control.values)) <= 1e-6
+
+    @pytest.mark.parametrize("kind, N", [("ball", 64), ("product", 8)])
+    def test_unreachable_target_stalls(self, state_marches, kind, N):
+        with pytest.raises(InfeasibleStalledError):
+            solve(_unreachable_off_box(kind), uniform_partition(N, 1.0))
+        assert len(state_marches) <= 40
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 12))
+    def test_model_step_feasible_and_ball_equals_box(self, seed, N):
+        """On models B + rho C'C shaped like the solver's (rho = 10, B
+        positive definite), the step keeps every control set; where the
+        box's active-set loop settles, a 1-D ball's ADMM step equals
+        that box's step (within 1.6e-8 over 540 random models)."""
+        from sampled_ocp.problem_model import distance_to
+        from sampled_ocp.reference_oracles import _ReducedQp, _solve_box_qp
+        from sampled_ocp.solver_sampled import _model_step
+        rng = np.random.default_rng(seed)
+        center, radius = rng.uniform(-1, 1), rng.uniform(0.1, 5)
+        sets = [Box([center - radius], [center + radius]),
+                Ball([center], radius), Ball([center, 0.0], radius),
+                ProductSet((Box([-1.0], [1.0]), Ball([0.0, center], radius)))]
+        steps = []
+        for U in sets:
+            size = N * U.dim
+            C = rng.normal(size=(2, size)) / N
+            A = rng.normal(size=(size, size)) * 0.1 / N
+            model = np.eye(size) / N + A @ A.T + 10.0 * C.T @ C
+            values = U.project(rng.normal(center, radius, size=(N, U.dim)))
+            g = rng.normal(size=(N, U.dim)) * 10.0 ** rng.uniform(-3, 1)
+            step = _model_step(U, values, g, model)
+            assert step.shape == values.shape
+            assert np.max(distance_to(U, values + step)) <= 1e-12
+            steps.append((values, g, model, step))
+        # the 1-D ball on the box's model, values and gradient
+        values, g, model, box_step = steps[0]
+        qp = _ReducedQp.model(model, g.ravel() - model @ values.ravel())
+        try:
+            _solve_box_qp(qp, np.full(N, center - radius),
+                          np.full(N, center + radius))
+        except OracleError:
+            return
+        ball_step = _model_step(sets[1], values, g, model)
+        assert np.max(np.abs(ball_step - box_step)) <= 1e-6
 
 
 class TestDiagnosticsAndCertificates:
@@ -217,6 +311,26 @@ class TestFailureModes:
         with pytest.raises(SolverError):
             solve(prob, uniform_partition(4, 1.0),
                   SolverOptions(max_outer=25))
+
+    def test_three_interval_bound_is_unreachable(self):
+        """From (0.9, 0) with u_bound=4 at N=3 no control in the box
+        reaches the origin: the least terminal defect over the box is
+        9.94e-3.  The exact oracle's KKT system is singular there, and
+        the solver stalls at that defect."""
+        from scipy.optimize import lsq_linear
+        from sampled_ocp.reference_oracles import _ReducedQp
+        prob = build_problem("lq_double_integrator", u_bound=4.0,
+                             x0=[0.9, 0.0])
+        part = uniform_partition(3, 1.0)
+        qp = _ReducedQp(prob.lq, part)
+        least = lsq_linear(qp.A_eq, qp.b_eq, bounds=(-4.0, 4.0),
+                           method="bvls", tol=1e-14)
+        defect = np.linalg.norm(qp.A_eq @ least.x - qp.b_eq)
+        assert defect == pytest.approx(9.938e-3, rel=1e-3)
+        with pytest.raises(UnreachableTargetError):
+            solve_lq_sampled_exact(prob.lq, part, prob.control_set)
+        with pytest.raises(InfeasibleStalledError, match="9.938e-03"):
+            solve(prob, part)
 
     def test_iteration_budget_respected(self, di_problem):
         from sampled_ocp.errors import MaxIterationsError
