@@ -11,8 +11,7 @@ from .control_partition import (Partition, PiecewiseConstantControl,
                                 SampledControlSignal, average_onto,
                                 l1_distance, partition_norm, resample_onto,
                                 uniform_partition)
-from .convergence_harness import (ConvergenceReport, SweepConfig,
-                                  recover_control_from_costate, sweep)
+from .convergence_harness import ConvergenceReport, SweepConfig, sweep
 from .integrate import (CostateTrajectory, TimeGrid, Trajectory,
                         build_time_grid, integrate_costate, integrate_state,
                         integrate_variation, transition_matrix)
@@ -43,7 +42,7 @@ __all__ = [
     "hm_gap", "integrate_costate", "integrate_state", "integrate_variation",
     "l1_distance", "lift_inequality", "load_problem_config",
     "normal_cone_residual", "partition_norm", "problem_from_callables",
-    "project", "recover_control_from_costate", "resample_onto", "solve",
+    "project", "resample_onto", "solve",
     "solve_lq_permanent", "solve_lq_sampled_exact", "sweep",
     "transition_matrix", "uniform_partition", "write_solution_bundle",
 ]

@@ -28,7 +28,8 @@ from .integrate import costate_from_nodes, read_costate_csv, read_state_csv
 from .pmp_check import Extremal, evaluate_extremal
 from .problem_model import OcpProblem, build_problem, catalog, load_problem_config
 from .reference_oracles import fine_surrogate, solve_lq_permanent
-from .solver_sampled import SolverOptions, solve, write_solution_bundle
+from .solver_sampled import (SolverOptions, solve, solver_grid,
+                             write_solution_bundle)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -218,31 +219,31 @@ def run_converge(args) -> int:
             np.isnan(args.reference_reject_above):
         raise _UsageError("--reference-reject-above must be a number")
     prob = _load_problem(args)
+    # every argument is checked before the reference is built and the
+    # output directory is made
+    ns = (2, 4, 8, 16, 32, 64)
     if args.Ns:
         try:
-            ns = tuple(int(tok) for tok in args.Ns.split(","))
+            ns = harness.checked_resolutions(args.Ns.split(","))
         except ValueError as exc:
-            raise _UsageError(f"--Ns: {exc}")
-    else:
-        ns = (2, 4, 8, 16, 32, 64)
+            raise _UsageError(f"--Ns: {exc}") from exc
+    solver_opts = _solver_options(args, harness.default_solver_options())
+    try:
+        for n in ns:
+            solver_grid(prob, uniform_partition(n, prob.horizon), solver_opts)
+    except GridAlignmentError as exc:
+        raise _UsageError(f"--h-max: {exc}") from exc
     out = _output_dir(args, "report")
     try:
         reference = _reference_for(prob, args, max(ns))
     except (SurrogateRejectedError, OracleError) as exc:
         print(f"reference rejected: {exc}", file=sys.stderr)
         return EXIT_REFERENCE
-    solver_opts = _solver_options(args, harness.default_solver_options())
-    try:
-        cfg = harness.SweepConfig(problem=prob, reference=reference,
-                                  resolutions=ns,
-                                  warm_start_policy=args.warm_start,
-                                  solver_options=solver_opts)
-    except ValueError as exc:
-        raise _UsageError(f"--Ns: {exc}") from exc
-    try:
-        report = harness.sweep(cfg)
-    except GridAlignmentError as exc:
-        raise _UsageError(f"--h-max: {exc}") from exc
+    cfg = harness.SweepConfig(problem=prob, reference=reference,
+                              resolutions=ns,
+                              warm_start_policy=args.warm_start,
+                              solver_options=solver_opts)
+    report = harness.sweep(cfg)
     csv_path = os.path.join(out, "report.csv")
     summary_path = os.path.join(out, "summary")
     harness.write_report(csv_path, summary_path, report)

@@ -301,6 +301,9 @@ def read_control_csv(path) -> PiecewiseConstantControl:
                 rows.append([float(tok) for tok in line.split(",")])
     if not rows:
         raise ValueError(f"{path}: empty control CSV")
+    if any(len(row) != len(cols) for row in rows):
+        raise ValueError(f"{path}: a row does not have the header's "
+                         f"{len(cols)} columns")
     data = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite entry")

@@ -22,11 +22,9 @@ import numpy as np
 
 from .control_partition import resample_onto, uniform_partition
 from .errors import GridAlignmentError, SampledOcpError
-from .problem_model import _FLOAT_FMT, OcpProblem, project
+from .problem_model import _FLOAT_FMT, OcpProblem
 from .reference_oracles import PermanentReference
 from .solver_sampled import SampledSolution, SolverOptions, solve
-
-Array = np.ndarray
 
 REPORT_HEADER = ("N,partition_norm,cost,cost_err,state_sup_err,"
                  "costate_sup_err,ahg_sup_residual,feasibility,iterations")
@@ -55,13 +53,20 @@ class SweepConfig:
     solver_options: Optional[SolverOptions] = None
 
     def __post_init__(self):
-        ns = tuple(int(n) for n in self.resolutions)
-        if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("resolution list must be positive and "
-                             "strictly increasing")
+        ns = checked_resolutions(self.resolutions)
         if self.warm_start_policy not in ("cascade", "cold"):
             raise ValueError("warm_start_policy must be 'cascade' or 'cold'")
         object.__setattr__(self, "resolutions", ns)
+
+
+def checked_resolutions(resolutions) -> tuple:
+    """`resolutions` as a tuple of ints; `ValueError` unless they are
+    positive and strictly increasing."""
+    ns = tuple(int(n) for n in resolutions)
+    if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("resolution list must be positive and "
+                         "strictly increasing")
+    return ns
 
 
 @dataclass(frozen=True)
@@ -264,24 +269,3 @@ def write_report(path_csv, path_summary, report: ConvergenceReport) -> None:
     with open(path_summary, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.summary_json() + "\n")
 
-
-def recover_control_from_costate(prob: OcpProblem, x, p, ts=None) -> Array:
-    """Closed-form pointwise control recovery for the control-affine
-    quadratic family: u(t) = R(t)^{-1} (a(x,t)' p - q(x,t)), projected
-    onto the control set.  `x` and `p` are dense paths (.at)."""
-    aq = prob.affine_quadratic
-    if aq is None:
-        raise ValueError("problem lacks the control-affine quadratic structure")
-    if ts is None:
-        ts = np.linspace(0.0, prob.horizon, 1025)
-    raw = np.empty((len(np.atleast_1d(ts)), prob.m))
-    for k, t in enumerate(np.atleast_1d(ts)):
-        t = float(t)
-        xt = np.atleast_1d(x.at(t))
-        pt = np.atleast_1d(p.at(t))
-        R = np.atleast_2d(aq.control_cost(t))
-        if np.min(np.abs(np.linalg.eigvalsh(R))) <= 0:
-            raise ValueError(f"control cost matrix singular at t = {t}")
-        raw[k] = np.linalg.solve(R, aq.control_matrix(xt, t).T @ pt
-                                 - aq.control_cost_lin(xt, t))
-    return project(prob.control_set, raw)

@@ -26,6 +26,12 @@ Array = np.ndarray
 
 # Grid default: h <= T / 1024 unless the caller asks otherwise.
 DEFAULT_STEP_DIVISOR = 1024
+# Most steps a grid may have.  The tests, the demos, the CLI defaults and
+# the benchmark build at most 4,096; 2**20 leaves room for fine studies,
+# yet one RK4 march over it already takes about a minute on a 2-core
+# machine, so a larger count is an h_max slip, refused before the grid
+# takes memory.
+MAX_GRID_STEPS = 2 ** 20
 BLOWUP_NORM = 1e12
 
 
@@ -71,8 +77,8 @@ class TimeGrid:
 def build_time_grid(horizon: float, partition: Optional[Partition] = None,
                     h_max: Optional[float] = None) -> TimeGrid:
     """Partition-aligned grid with even, uniform steps per interval.
-    Raises `GridAlignmentError`, before filling any node, when the grid
-    that `h_max` asks for cannot be allocated."""
+    Raises `GridAlignmentError`, before allocating any node, when the grid
+    that `h_max` asks for has more than `MAX_GRID_STEPS` steps."""
     horizon = float(horizon)
     if h_max is None:
         h_max = horizon / DEFAULT_STEP_DIVISOR
@@ -81,15 +87,16 @@ def build_time_grid(horizon: float, partition: Optional[Partition] = None,
     anchors = partition.times if partition is not None else np.array([0.0, horizon])
     if partition is not None and anchors[-1] != horizon:
         raise GridAlignmentError("partition horizon differs from problem horizon")
-    with np.errstate(over="ignore"):  # inf counts are refused below
+    # counted in floats, so an inf count is refused like a large one
+    with np.errstate(over="ignore", invalid="ignore"):
         counts = np.ceil(np.diff(anchors) / h_max)
-    try:
-        steps = [max(2, s + (s % 2)) for s in map(int, counts)]
-        times = np.empty(sum(steps) + 1)
-    except (OverflowError, ValueError, MemoryError) as exc:
+        steps = np.maximum(2.0, counts + counts % 2)
+    if not steps.sum() <= MAX_GRID_STEPS:
         raise GridAlignmentError(
-            f"h_max = {h_max:.3g} asks for {counts.sum():.3g} grid steps, "
-            f"more than can be allocated") from exc
+            f"h_max = {h_max:.3g} asks for {steps.sum():.3g} grid steps, "
+            f"more than the {MAX_GRID_STEPS} a grid may have")
+    steps = steps.astype(int)
+    times = np.empty(steps.sum() + 1)
     boundaries = np.concatenate([[0], np.cumsum(steps)])
     for i, s in enumerate(steps):
         times[boundaries[i]:boundaries[i + 1] + 1] = np.linspace(
@@ -567,6 +574,9 @@ def _read_csv_columns(path, prefix: str):
                 rows.append([float(tok) for tok in line.split(",")])
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path}: a row does not have the header's "
+                         f"{len(header)} columns")
     data = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite entry")

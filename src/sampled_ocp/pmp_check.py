@@ -21,9 +21,8 @@ from .control_partition import PiecewiseConstantControl, uniform_partition
 from .errors import GridAlignmentError, MembershipError
 from .integrate import (ControlDifference, CostateTrajectory, Linearization,
                         TimeGrid, Trajectory, simpson_on_interval)
-from .problem_model import (TOL_SET, AffineQuadraticStructure, OcpProblem,
-                            grid_spacing, normal_cone_residual, project,
-                            sample_grid)
+from .problem_model import (TOL_SET, OcpProblem, grid_spacing,
+                            normal_cone_residual, project, sample_grid)
 
 Array = np.ndarray
 
@@ -220,9 +219,9 @@ def hm_gap(e: Extremal, density: int = 1001, time_stride: int = 1) -> HmResult:
     Reports max over time nodes of (max_w H - H(u(t))) minus a
     Lipschitz-based slack for the scan spacing, clamped at zero.  For
     control dimension > 2 the scan degenerates to coordinate-wise
-    refinement.  Under an affine-quadratic structure each node's scan is
-    one numpy row built from the structure; other problems call
-    `hamiltonian` once per scan point.
+    refinement.  On a problem that declares its `control_hessian`, each
+    node's scan is one numpy row built from the problem's evaluators at
+    w = 0; other problems call `hamiltonian` once per scan point.
     """
     prob = e.problem
     U = prob.control_set
@@ -231,7 +230,7 @@ def hm_gap(e: Extremal, density: int = 1001, time_stride: int = 1) -> HmResult:
     omegas = sample_grid(U, density) if prob.m <= 2 else None
     # Lipschitz estimate from a coarse subsample of grad_u H
     sub = None if omegas is None else omegas[::max(1, len(omegas) // 32)]
-    aq = None if omegas is None else prob.affine_quadratic
+    R = None if omegas is None else prob.control_hessian
     spacing = grid_spacing(U, density)
     gaps = []
     worst_slack = 0.0
@@ -240,9 +239,9 @@ def hm_gap(e: Extremal, density: int = 1001, time_stride: int = 1) -> HmResult:
         xk = e.x.states[k]
         pk = e.p.costates[k]
         u_t = e.control_value(t)
-        if aq is not None:
-            best, h_here, lip = _structured_scan(aq, xk, pk, e.p0, t, u_t,
-                                                 omegas, sub)
+        if R is not None:
+            best, h_here, lip = _structured_scan(prob, R, xk, pk, e.p0, t,
+                                                 u_t, omegas, sub)
         elif omegas is not None:
             h_here = hamiltonian(prob, xk, u_t, pk, e.p0, t)
             best = float(np.max([hamiltonian(prob, xk, w, pk, e.p0, t)
@@ -259,18 +258,18 @@ def hm_gap(e: Extremal, density: int = 1001, time_stride: int = 1) -> HmResult:
     return HmResult(float(np.max(per_node)), per_node, spacing, worst_slack)
 
 
-def _structured_scan(aq: AffineQuadraticStructure, x, p, p0, t, u, omegas,
+def _structured_scan(prob: OcpProblem, R: Array, x, p, p0, t, u, omegas,
                      sub):
     """(max of H over the rows of `omegas`, H(u), max of |grad_u H| over the
     rows of `sub`) at one node, from H(w) = a.w + p0 w'Rw/2 + c with
-    a = G'p + p0 l and c = p.drift + p0 s.  The gradient is summed as
-    G'p + p0 (R w + l), the order of grad_u f' p + p0 grad_u L (R
-    symmetric)."""
-    R = aq.control_cost(t)
-    gp = aq.control_matrix(x, t).T @ p
-    lin = aq.control_cost_lin(x, t)
+    a = f_u'p + p0 L_u and c = p.f + p0 L, all read at w = 0.  The
+    gradient is summed as f_u'p + p0 (R w + L_u), the order of
+    grad_u f' p + p0 grad_u L (R symmetric)."""
+    zero = np.zeros(prob.m)
+    gp = prob.dynamics_jac_u(x, zero, t).T @ p
+    lin = prob.cost_grad_u(x, zero, t)
     a = gp + p0 * lin
-    c = float(p @ aq.drift(x, t) + p0 * aq.state_cost(x, t))
+    c = float(p @ prob.dynamics(x, zero, t) + p0 * prob.cost(x, zero, t))
 
     def h(w):
         return w @ a + (0.5 * p0) * np.sum((w @ R) * w, axis=1) + c

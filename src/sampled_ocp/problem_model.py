@@ -277,32 +277,15 @@ class LqProblemData:
 
 
 @dataclass(frozen=True)
-class AffineQuadraticStructure:
-    """Control-affine dynamics with cost quadratic in the control.
-
-    f(x, u, t) = control_matrix(x, t) @ u + drift(x, t)
-    L(x, u, t) = u' control_cost(t) u / 2 + control_cost_lin(x, t) . u
-                 + state_cost(x, t)
-
-    When control_cost(t) is positive definite the pointwise maximizer of
-    the Hamiltonian has the closed form
-        u = control_cost(t)^{-1} (control_matrix(x,t)' p - control_cost_lin(x,t)),
-    clipped to the control set.
-    """
-
-    control_matrix: Callable[[Array, float], Array]   # (n, m)
-    drift: Callable[[Array, float], Array]            # (n,)
-    control_cost: Callable[[float], Array]            # (m, m), PSD
-    control_cost_lin: Callable[[Array, float], Array]  # (m,)
-    state_cost: Callable[[Array, float], float]
-
-
-@dataclass(frozen=True)
 class OcpProblem:
     """A fixed-endpoint optimal control problem on [0, horizon].
 
     Evaluators must be deterministic and side-effect free; they receive
     plain float arrays of shapes (n,) and (m,) plus a float time.
+
+    `control_hessian`, when given, declares the Hamiltonian quadratic in
+    u: f is affine in u and L is u'Ru/2 plus terms at most linear in u,
+    with R = control_hessian a constant (m, m) array.
     """
 
     n: int
@@ -319,7 +302,7 @@ class OcpProblem:
     control_set: ControlSet
     name: str = ""
     lq: Optional[LqProblemData] = None
-    affine_quadratic: Optional[AffineQuadraticStructure] = None
+    control_hessian: Optional[Array] = None
 
     def __post_init__(self):
         if self.n <= 0 or self.m <= 0:
@@ -335,6 +318,11 @@ class OcpProblem:
             raise ValueError("endpoint states must be finite")
         if self.control_set.dim != self.m:
             raise ValueError("control set dimension must equal m")
+        if self.control_hessian is not None:
+            R = _frozen(self.control_hessian)
+            if R.shape != (self.m, self.m) or not np.all(np.isfinite(R)):
+                raise ValueError("control_hessian must be a finite (m, m) array")
+            object.__setattr__(self, "control_hessian", R)
 
     def __repr__(self):
         return (f"OcpProblem(name={self.name!r}, n={self.n}, m={self.m}, "
@@ -523,18 +511,11 @@ def _lq_problem(data: LqProblemData, control_set: ControlSet, name: str) -> OcpP
     def grad_u(x, u, t):
         return R @ u
 
-    aq = AffineQuadraticStructure(
-        control_matrix=lambda x, t: B,
-        drift=lambda x, t: A @ x,
-        control_cost=lambda t: R,
-        control_cost_lin=lambda x, t: np.zeros(m),
-        state_cost=lambda x, t: 0.5 * float(x @ Q @ x),
-    )
     return OcpProblem(n=n, m=m, horizon=data.horizon, x0=data.x0, xT=data.xT,
                       dynamics=f, dynamics_jac_x=jac_x, dynamics_jac_u=jac_u,
                       cost=L, cost_grad_x=grad_x, cost_grad_u=grad_u,
                       control_set=control_set, name=name, lq=data,
-                      affine_quadratic=aq)
+                      control_hessian=R)
 
 
 def build_affine_quadratic(coupling: float = 0.3, cross_weight: float = 0.1,
@@ -576,18 +557,11 @@ def build_affine_quadratic(coupling: float = 0.3, cross_weight: float = 0.1,
     def grad_u(x, u, t):
         return np.array([r * u[0] + w * x[1]])
 
-    aq = AffineQuadraticStructure(
-        control_matrix=lambda x, t: np.array([[0.0], [gain(x)]]),
-        drift=lambda x, t: np.array([x[1], -math.sin(x[0])]),
-        control_cost=lambda t: np.array([[r]]),
-        control_cost_lin=lambda x, t: np.array([w * x[1]]),
-        state_cost=lambda x, t: 0.5 * float(x[0] ** 2 + x[1] ** 2),
-    )
     return OcpProblem(n=2, m=1, horizon=horizon, x0=x0, xT=xT,
                       dynamics=f, dynamics_jac_x=jac_x, dynamics_jac_u=jac_u,
                       cost=L, cost_grad_x=grad_x, cost_grad_u=grad_u,
                       control_set=U, name="affine_quadratic",
-                      affine_quadratic=aq)
+                      control_hessian=[[r]])
 
 
 _CATALOG = (

@@ -42,7 +42,7 @@ from .integrate import (CostateTrajectory, Linearization, TimeGrid,
                         integrate_state, write_costate_csv, write_state_csv)
 from .pmp_check import (Extremal, ResidualReport, evaluate_extremal,
                         interval_grad_integrals)
-from .problem_model import Box, ControlSet, OcpProblem, project
+from .problem_model import TOL_SET, Box, ControlSet, OcpProblem, project
 from .reference_oracles import _ReducedQp, _single_blas_thread, _solve_box_qp
 
 Array = np.ndarray
@@ -259,6 +259,15 @@ def _default_initial_control(prob: OcpProblem, partition: Partition) -> Array:
     return np.tile(origin, (partition.N, 1))
 
 
+def solver_grid(prob: OcpProblem, partition: Partition,
+                opts: SolverOptions) -> TimeGrid:
+    """The grid `solve` marches on: steps of at most `opts.h_max`, or of
+    T / SOLVER_STEP_DIVISOR when it is None."""
+    h_max = opts.h_max if opts.h_max is not None \
+        else prob.horizon / SOLVER_STEP_DIVISOR
+    return build_time_grid(prob.horizon, partition, h_max)
+
+
 @_single_blas_thread
 def solve(prob: OcpProblem, partition: Partition,
           options: Optional[SolverOptions] = None,
@@ -283,9 +292,7 @@ def solve(prob: OcpProblem, partition: Partition,
     algebra runs on one OpenBLAS thread.
     """
     opts = options if options is not None else SolverOptions()
-    h_max = opts.h_max if opts.h_max is not None \
-        else prob.horizon / SOLVER_STEP_DIVISOR
-    grid = build_time_grid(prob.horizon, partition, h_max)
+    grid = solver_grid(prob, partition, opts)
     aug = _AugmentedObjective(prob, partition, grid)
 
     if warm_start is not None:
@@ -293,7 +300,7 @@ def solve(prob: OcpProblem, partition: Partition,
                 not np.array_equal(warm_start.partition.times, partition.times):
             raise ValueError("warm start lives on a different partition")
         dist = warm_start.max_set_distance(prob.control_set)
-        if dist > 1e-10:
+        if dist > TOL_SET:
             raise MembershipError(
                 f"warm start leaves the control set by {dist:.3e}")
         values = warm_start.values.copy()

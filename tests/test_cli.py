@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sampled_ocp import SolverOptions, cli
@@ -160,6 +160,17 @@ class TestSolve:
                          "--N", "2", *flags, "--out", str(out)])
         assert code == 1
         assert "Traceback" not in capsys.readouterr().err
+        assert not (out / "summary").exists()
+
+    def test_grid_over_the_step_bound_is_usage_error(self, tmp_path, capsys):
+        """`--h-max 1e-9` asks for 1e9 steps on the unit horizon, more
+        than `MAX_GRID_STEPS`: refused on the count, before any node."""
+        out = tmp_path / "o"
+        code = cli.main(["solve", "--problem", "lq_double_integrator",
+                         "--N", "2", "--h-max", "1e-9", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--h-max" in err and "Traceback" not in err
         assert not (out / "summary").exists()
 
     def test_malformed_config_is_usage_error(self, tmp_path):
@@ -321,6 +332,26 @@ class TestConverge:
         assert code == 0
         summary = json.loads((out / "summary").read_text())
         assert summary["rates"]["state_sup_err"] is None
+
+    @pytest.mark.parametrize("flags", [["--Ns", "4,2"], ["--Ns", "0"],
+                                       ["--Ns", "2,x"], ["--feas-tol", "0"],
+                                       ["--stat-tol", "nan"],
+                                       ["--h-max", "1e-9"]],
+                             ids=["Ns_decreasing", "Ns_zero", "Ns_text",
+                                  "feas_tol_zero", "stat_tol_nan",
+                                  "h_max_over_bound"])
+    def test_bad_argument_exits_before_the_reference(self, tmp_path, capsys,
+                                                     flags):
+        """A bad resolution list or solver flag exits 1 before the
+        reference is built or the output directory is made."""
+        out = tmp_path / "o"
+        with mock.patch.object(cli, "fine_surrogate") as surrogate:
+            code = cli.main(["converge", "--problem", "affine_quadratic",
+                             *flags, "--out", str(out)])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        surrogate.assert_not_called()
+        assert not out.exists()
 
     def test_unknown_problem(self, tmp_path):
         code = cli.main(["converge", "--problem", "nope", "--Ns", "2,4",
@@ -521,5 +552,110 @@ class TestFuzz:
                                       lambda: self.CONVERGE_OPTIONS):
                 code = cli.main([command, "--config", cfg, *flags,
                                  "--out", os.path.join(tmp, "o")])
+        assert 0 <= code <= 4
+        assert "Traceback" not in err.getvalue()
+
+
+# Edits for the `check` fuzz below, applied to copies of a stored bundle.
+# Row and column indices are taken modulo the file's size when applied.
+_CSV_NAMES = ("control.csv", "state.csv", "costate.csv")
+_INDICES = st.integers(0, 10**6)
+_EDITS = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("drop_row"), _INDICES),
+    st.tuples(st.just("ragged"), _INDICES, st.booleans()),
+    st.tuples(st.just("entry"), _INDICES, _INDICES,
+              st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308",
+                               "5e-324", "", "x", "0", "-7.5", "1e3"])),
+    st.tuples(st.just("reverse")),
+    st.tuples(st.just("swap_rows"), _INDICES, _INDICES),
+    st.tuples(st.just("drop_column")),
+    st.tuples(st.just("scale_times"),
+              st.sampled_from([0.5, 1.0 + 1e-12, 2.0, -1.0, 1e308])),
+    st.tuples(st.just("missing")))
+
+
+def _edit_csv(text, kind, *args):
+    """`text` after one edit, or None when the edit deletes the file."""
+    if kind == "missing":
+        return None
+    if kind == "truncate":
+        return text[:int(args[0] * len(text))]
+    lines = text.splitlines()
+    header, rows = lines[:1], [line.split(",") for line in lines[1:]]
+    if rows:
+        if kind == "drop_row":
+            del rows[args[0] % len(rows)]
+        elif kind == "ragged":
+            row = rows[args[0] % len(rows)]
+            if args[1]:
+                row.append("1")
+            elif row:
+                row.pop()
+        elif kind == "entry":
+            row = rows[args[0] % len(rows)]
+            if row:
+                row[args[1] % len(row)] = args[2]
+        elif kind == "reverse":
+            rows.reverse()
+        elif kind == "swap_rows":
+            i, j = args[0] % len(rows), args[1] % len(rows)
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "scale_times":
+            for row in rows:
+                if row and row[0]:
+                    row[0] = repr(float(row[0]) * args[0])
+    if kind == "drop_column":
+        header = [",".join(header[0].split(",")[:-1])] if header else []
+        rows = [row[:-1] for row in rows]
+    return "\n".join(header + [",".join(row) for row in rows]) + "\n"
+
+
+class TestCheckFuzz:
+    """`check` on spoiled copies of the stored `v0/lq` bundle: truncated,
+    ragged, empty or missing CSVs, NaN or huge entries, reversed or
+    gapped times, mismatched grids, a costate without p0."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(edits=[("costate.csv", ("drop_column",))], flags=[])
+    @example(edits=[("control.csv", ("truncate", 0.0))], flags=[])
+    @example(edits=[("control.csv", ("truncate", 0.1328125))],
+             flags=["--probes", "0"])
+    @example(edits=[("state.csv", ("missing",))], flags=[])
+    @example(edits=[("state.csv", ("entry", 3, 1, "nan"))],
+             flags=["--require-hm"])
+    @example(edits=[("costate.csv", ("entry", 3, 1, "1e308"))],
+             flags=["--require-hm", "--probes", "2"])
+    @example(edits=[("state.csv", ("reverse",)),
+                    ("costate.csv", ("reverse",))], flags=[])
+    @example(edits=[("state.csv", ("drop_row", 5))], flags=[])
+    @example(edits=[("control.csv", ("scale_times", 2.0))], flags=[])
+    @given(edits=st.lists(st.tuples(st.sampled_from(_CSV_NAMES), _EDITS),
+                          min_size=1, max_size=3),
+           flags=st.lists(st.sampled_from(
+               [["--require-hm"], ["--probes", "2"], ["--p0", "0"],
+                ["--p0", "nan"], ["--p0", "1e308"]]), max_size=2)
+           .map(lambda groups: ["--probes", "0"] + sum(groups, [])))
+    def test_exit_codes_without_traceback(self, tmp_path, edits, flags):
+        """Whatever the edits, `check` exits 0-4, prints no traceback,
+        and lets no exception escape `main`."""
+        with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+            bundle = Path(shutil.copytree(BUNDLES / "v0" / "lq",
+                                          Path(tmp) / "b"))
+            for name, edit in edits:
+                path = bundle / name
+                if not path.exists():
+                    continue
+                text = _edit_csv(path.read_text(), *edit)
+                if text is None:
+                    path.unlink()
+                else:
+                    path.write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(["check", str(bundle), "--config",
+                                 str(bundle / "problem.json"), *flags])
         assert 0 <= code <= 4
         assert "Traceback" not in err.getvalue()

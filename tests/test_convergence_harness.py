@@ -1,11 +1,11 @@
-"""Refinement sweeps, report format, verdicts, control recovery."""
+"""Refinement sweeps, report format, verdicts."""
 
 import numpy as np
 import pytest
 
 from sampled_ocp import (SolverOptions, SweepConfig, build_problem,
-                         recover_control_from_costate, solve_lq_permanent,
-                         solve_lq_sampled_exact, sweep, uniform_partition)
+                         solve_lq_permanent, solve_lq_sampled_exact, sweep,
+                         uniform_partition)
 from sampled_ocp.convergence_harness import (REPORT_HEADER, _decreasing_with_noise,
                                              fit_rates, write_report)
 
@@ -141,53 +141,4 @@ class TestDecreasingWithNoise:
 
     def test_large_jump_rejected(self):
         assert not _decreasing_with_noise([4.0, 5.0, 1.0])
-
-
-class TestControlRecovery:
-    def test_lq_recovery_matches_oracle(self, di_problem, di_reference):
-        ts = np.linspace(0.0, 1.0, 257)
-        rec = recover_control_from_costate(di_problem, di_reference.x,
-                                           di_reference.p, ts)
-        exact = di_reference.u.sample(ts)
-        assert np.max(np.abs(rec - exact)) <= 1e-8
-
-    def test_zero_costate_projects_origin(self, di_problem):
-        class _Zero:
-            def at(self, t):
-                return np.zeros(2)
-        ts = np.linspace(0.0, 1.0, 17)
-        rec = recover_control_from_costate(di_problem, _Zero(), _Zero(), ts)
-        np.testing.assert_allclose(rec, 0.0, atol=1e-15)
-
-    def test_requires_structure(self):
-        from sampled_ocp.problem_model import Box, problem_from_callables
-        prob = problem_from_callables(
-            f=lambda x, u, t: np.array([u[0] ** 3]),
-            L=lambda x, u, t: 0.0, n=1, m=1, horizon=1.0, x0=[0.0],
-            xT=[0.0], control_set=Box([-1.0], [1.0]))
-
-        class _Zero:
-            def at(self, t):
-                return np.zeros(1)
-        with pytest.raises(ValueError):
-            recover_control_from_costate(prob, _Zero(), _Zero())
-
-    def test_sampled_recovery_converges_to_held_values(self, di_sweep,
-                                                       di_problem):
-        """Interval averages of the recovered dense control approach the
-        held control values as the partition refines."""
-        _, solutions = di_sweep
-        sups = []
-        for N in (8, 64):
-            sol = solutions[N]
-            dev = []
-            for i in range(N):
-                a, b = i / N, (i + 1) / N
-                ts = np.linspace(a, b, 33)
-                rec = recover_control_from_costate(di_problem, sol.state,
-                                                   sol.costate, ts)
-                avg = np.trapezoid(rec[:, 0], ts) / (b - a)
-                dev.append(abs(avg - sol.control.values[i, 0]))
-            sups.append(max(dev))
-        assert sups[1] <= 0.2 * sups[0] + 1e-12
 

@@ -62,10 +62,13 @@ def test_no_unread_constants():
     assert not unread, f"constants never read: {unread}"
 
 
-# `perfbench/tracing.py` still hooks this removed wrapper; the march it
-# wrapped is `integrate.Linearization.variation`, which the next
-# benchmark change hooks instead (ROADMAP item 4).
-KNOWN_ABSENT_HOOKS = {"pmp_check.integrate_variation"}
+# `perfbench/tracing.py` still hooks these removed names, which the next
+# benchmark change drops (ROADMAP item 1): the march that
+# `pmp_check.integrate_variation` wrapped is
+# `integrate.Linearization.variation`; `convergence_harness.project`
+# left with the harness's closed-form control recovery, its only caller.
+KNOWN_ABSENT_HOOKS = {"pmp_check.integrate_variation",
+                      "convergence_harness.project"}
 
 
 def test_traced_names_resolve():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from sampled_ocp import (Box, Partition, PiecewiseConstantControl,
-                         build_problem, build_time_grid, integrate_costate,
+                         build_problem, build_time_grid, integrate,
+                         integrate_costate,
                          integrate_state, integrate_variation,
                          transition_matrix, uniform_partition)
 from sampled_ocp.errors import (GridAlignmentError, IntegrationDivergedError,
@@ -62,6 +63,17 @@ class TestTimeGrid:
         with pytest.raises(GridAlignmentError):
             grid.boundaries_of(Partition([0.0, 0.25, 0.5, 0.75]))
 
+
+    def test_step_count_is_bounded(self, monkeypatch):
+        """A grid of more than `MAX_GRID_STEPS` steps is refused on its
+        count; one of exactly that many is built.  The bound is lowered
+        here so that no large grid is ever allocated."""
+        monkeypatch.setattr(integrate, "MAX_GRID_STEPS", 64)
+        assert build_time_grid(1.0, uniform_partition(2, 1.0),
+                               h_max=1 / 64).K == 64
+        # 33 steps per interval round up to 34: 68 in all
+        with pytest.raises(GridAlignmentError, match="68 grid steps"):
+            build_time_grid(1.0, uniform_partition(2, 1.0), h_max=1 / 65)
 
     def test_unbuildable_grid_is_a_package_error(self):
         """A step bound no grid can meet fails before any node is filled."""

@@ -456,7 +456,7 @@ class TestStructuredHmScan:
         prob = build_problem(name)
         e = _random_extremal(prob, seed, p0)
         loop = hm_gap(dataclasses.replace(
-            e, problem=dataclasses.replace(prob, affine_quadratic=None)))
+            e, problem=dataclasses.replace(prob, control_hessian=None)))
         rows = hm_gap(e)
         assert loop.sup > 0.0
         np.testing.assert_allclose(rows.per_node, loop.per_node, rtol=1e-12,
@@ -466,25 +466,44 @@ class TestStructuredHmScan:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p0=st.sampled_from([-1.0, 0.0]))
     def test_structure_is_the_hamiltonian(self, seed, p0):
-        """For every catalog problem with a structure, H and |grad_u H| read
-        from it equal `hamiltonian` and `grad_u_hamiltonian`."""
+        """For every catalog problem that declares a control Hessian, the
+        scan's H(w), H(u) and slack Lipschitz bound |grad_u H(w)| equal
+        `hamiltonian` and `grad_u_hamiltonian`: a declaration that
+        disagrees with f and L fails here."""
         rng = np.random.default_rng(seed)
+        declared = []
         for entry in catalog():
             prob = build_problem(entry.name)
-            if prob.affine_quadratic is None:
+            if prob.control_hessian is None:
                 continue
+            declared.append(entry.name)
             x = rng.uniform(-2, 2, prob.n)
             p = rng.uniform(-5, 5, prob.n)
             w, u = rng.uniform(-3, 3, (2, prob.m))
             t = float(rng.uniform(0, prob.horizon))
-            h_w, h_u, lip = _structured_scan(prob.affine_quadratic, x, p, p0,
-                                             t, u, w[None, :], w[None, :])
+            h_w, h_u, lip = _structured_scan(prob, prob.control_hessian, x, p,
+                                             p0, t, u, w[None, :], w[None, :])
             for h, v in ((h_w, w), (h_u, u)):
                 exact = hamiltonian(prob, x, v, p, p0, t)
                 assert h == pytest.approx(exact, rel=1e-12, abs=1e-12)
             grad = grad_u_hamiltonian(prob, x, w, p, p0, t)
             assert lip == pytest.approx(float(np.linalg.norm(grad)),
                                         rel=1e-12, abs=1e-12)
+        assert declared == ["lq_double_integrator", "lq_generic",
+                            "affine_quadratic"]
+
+    @pytest.mark.parametrize("R", [[[1.0, 0.0], [0.0, 1.0]], [1.0],
+                                   [[float("nan")]], [[float("inf")]]],
+                             ids=["wrong_shape", "one_dim", "nan", "inf"])
+    def test_control_hessian_is_a_finite_m_by_m_array(self, R):
+        """`OcpProblem` rejects a declared R that is not a finite (m, m)
+        array, and freezes the one it keeps."""
+        prob = build_problem("affine_quadratic")
+        with pytest.raises(ValueError, match="control_hessian"):
+            dataclasses.replace(prob, control_hessian=R)
+        kept = dataclasses.replace(prob, control_hessian=[[2.0]])
+        assert kept.control_hessian.shape == (1, 1)
+        assert not kept.control_hessian.flags.writeable
 
     def test_no_hamiltonian_calls_under_a_structure(self, monkeypatch):
         """A structured problem scans without calling `hamiltonian`; the
@@ -503,7 +522,7 @@ class TestStructuredHmScan:
         hm_gap(e)
         assert calls[0] == 0
         hm_gap(dataclasses.replace(
-            e, problem=dataclasses.replace(prob, affine_quadratic=None)))
+            e, problem=dataclasses.replace(prob, control_hessian=None)))
         assert calls[0] == 1002 * e.x.grid.times.size
 
 
