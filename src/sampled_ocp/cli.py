@@ -109,8 +109,20 @@ def _output_dir(args, default_name: str) -> str:
     else:
         root = os.environ.get(OUTPUT_ROOT_ENV, ".")
         out = os.path.join(root, default_name)
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise _UsageError(f"--out: {exc}") from exc
     return out
+
+
+def _check_grids(prob: OcpProblem, partitions, opts: SolverOptions) -> None:
+    """Usage error unless `solve` can build its grid on every partition."""
+    try:
+        for partition in partitions:
+            solver_grid(prob, partition, opts)
+    except GridAlignmentError as exc:
+        raise _UsageError(f"--h-max: {exc}") from exc
 
 
 def _partition_from_args(args, horizon: float) -> Partition:
@@ -149,11 +161,10 @@ def run_solve(args) -> int:
     prob = _load_problem(args)
     partition = _partition_from_args(args, prob.horizon)
     opts = _solver_options(args, SolverOptions())
+    _check_grids(prob, [partition], opts)
     out = _output_dir(args, "solution")
     try:
         sol = solve(prob, partition, opts)
-    except GridAlignmentError as exc:
-        raise _UsageError(f"--h-max: {exc}") from exc
     except (SolverError, IntegrationDivergedError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -228,11 +239,8 @@ def run_converge(args) -> int:
         except ValueError as exc:
             raise _UsageError(f"--Ns: {exc}") from exc
     solver_opts = _solver_options(args, harness.default_solver_options())
-    try:
-        for n in ns:
-            solver_grid(prob, uniform_partition(n, prob.horizon), solver_opts)
-    except GridAlignmentError as exc:
-        raise _UsageError(f"--h-max: {exc}") from exc
+    _check_grids(prob, [uniform_partition(n, prob.horizon) for n in ns],
+                 solver_opts)
     out = _output_dir(args, "report")
     try:
         reference = _reference_for(prob, args, max(ns))

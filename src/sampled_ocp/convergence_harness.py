@@ -7,6 +7,12 @@ reference on one shared comparison grid, and fits empirical rates.
 Rates are reported, never asserted: the underlying theory guarantees
 convergence but no order.
 
+Under the "cascade" policy each row is warm-started from the previous
+row's solution: its control resampled onto the finer partition, its
+multiplier and its penalty, so the augmented Lagrangian of a row starts
+where the coarser row's ended.  Under "cold" every row is an
+independent cold solve.
+
 Known limitation, recorded in every report: the harness tracks one
 stationary point per resolution (warm-start cascading stabilizes which
 one) and cannot certify global optimality of a row.
@@ -149,14 +155,14 @@ def sweep(cfg: SweepConfig, return_solutions: bool = False):
     previous: Optional[SampledSolution] = None
     for N in cfg.resolutions:
         partition = uniform_partition(N, prob.horizon)
-        warm = None
-        warm_mu = None
+        warm = warm_mu = warm_rho = None
         if cfg.warm_start_policy == "cascade" and previous is not None:
             warm = resample_onto(previous.control, partition)
             warm_mu = previous.multiplier
+            warm_rho = previous.diagnostics.penalty
         try:
             sol = solve(prob, partition, opts, warm_start=warm,
-                        warm_multiplier=warm_mu)
+                        warm_multiplier=warm_mu, warm_penalty=warm_rho)
         except GridAlignmentError:
             raise
         except SampledOcpError as exc:

@@ -469,8 +469,10 @@ def fine_surrogate(prob: OcpProblem, n_ref: int,
                    sweep_max_n: Optional[int] = None) -> PermanentReference:
     """Very fine sampled solution standing in for the permanent optimum.
 
-    Solves at n_ref and 2*n_ref intervals (warm-cascaded) and uses the
-    sup distance between the two states as the surrogate's error bar.
+    Solves at n_ref and 2*n_ref intervals, warm-cascaded from the
+    halvings of n_ref (each link passes the next its control, multiplier
+    and penalty), and uses the sup distance between the two states as
+    the surrogate's error bar.
     Rejected when the error bar exceeds `reject_above`, or when the
     requesting sweep extends past 20x the surrogate resolution (a
     first-order extrapolation of the error bar would then exceed ten
@@ -495,9 +497,13 @@ def fine_surrogate(prob: OcpProblem, n_ref: int,
     for N in chain:
         coarse = sol
         part = uniform_partition(N, prob.horizon)
-        warm = resample_onto(sol.control, part) if sol is not None else None
-        warm_mu = sol.multiplier if sol is not None else None
-        sol = solve(prob, part, opts, warm_start=warm, warm_multiplier=warm_mu)
+        warm = warm_mu = warm_rho = None
+        if sol is not None:
+            warm = resample_onto(sol.control, part)
+            warm_mu = sol.multiplier
+            warm_rho = sol.diagnostics.penalty
+        sol = solve(prob, part, opts, warm_start=warm,
+                    warm_multiplier=warm_mu, warm_penalty=warm_rho)
     fine = sol
 
     ts = np.linspace(0.0, prob.horizon, SURROGATE_COMPARISON_POINTS)

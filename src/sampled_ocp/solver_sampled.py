@@ -98,6 +98,7 @@ class SolveDiagnostics:
     stationarity: float
     objective_log: tuple       # (outer, inner, augmented objective) triples
     feasibility_log: tuple = ()  # terminal defect norm after each outer round
+    penalty: Optional[float] = None  # rho of the certifying round (oracles: None)
 
 
 @dataclass(frozen=True)
@@ -272,7 +273,8 @@ def solver_grid(prob: OcpProblem, partition: Partition,
 def solve(prob: OcpProblem, partition: Partition,
           options: Optional[SolverOptions] = None,
           warm_start: Optional[PiecewiseConstantControl] = None,
-          warm_multiplier: Optional[Array] = None) -> SampledSolution:
+          warm_multiplier: Optional[Array] = None,
+          warm_penalty: Optional[float] = None) -> SampledSolution:
     """Solve the sampled-data problem on the given partition.
 
     Outer loop: multiplier update mu <- mu + rho * (x(T) - xT), penalty
@@ -287,11 +289,21 @@ def solve(prob: OcpProblem, partition: Partition,
     an Armijo test; a unit step whose predicted decrease is at the
     rounding level of the objective ends the round.
 
+    A refinement cascade passes the coarser solution's control,
+    multiplier and penalty (`diagnostics.penalty`) as `warm_start`,
+    `warm_multiplier` and `warm_penalty`, so the row starts where the
+    coarser row's augmented Lagrangian ended instead of climbing rho
+    from PENALTY_INIT again.  `warm_penalty` must be finite and
+    positive; with None rho starts at PENALTY_INIT.
+
     On success the costate is p = -lambda with p(T) = -(mu + rho*defect)
     evaluated at the accepted stationary point, and p0 = -1.  The dense
     algebra runs on one OpenBLAS thread.
     """
     opts = options if options is not None else SolverOptions()
+    if warm_penalty is not None and \
+            not (np.isfinite(warm_penalty) and warm_penalty > 0):
+        raise ValueError("warm penalty must be finite and positive")
     grid = solver_grid(prob, partition, opts)
     aug = _AugmentedObjective(prob, partition, grid)
 
@@ -311,7 +323,7 @@ def solve(prob: OcpProblem, partition: Partition,
     C = C_rho = None
     mu = np.zeros(prob.n) if warm_multiplier is None \
         else np.asarray(warm_multiplier, dtype=float).copy()
-    rho = PENALTY_INIT
+    rho = PENALTY_INIT if warm_penalty is None else float(warm_penalty)
     total_inner = 0
     objective_log = []
     feas_history = []
@@ -353,8 +365,8 @@ def solve(prob: OcpProblem, partition: Partition,
             best = (feas, stat)
         if feas <= opts.feas_tol and stat <= opts.stat_tol:
             return _package(prob, partition, values, traj, costate,
-                            mu_certificate, total_inner, outer, feas, stat,
-                            objective_log, feas_history)
+                            mu_certificate, rho, total_inner, outer, feas,
+                            stat, objective_log, feas_history)
         mu = mu_certificate
         if float(np.linalg.norm(mu)) > MULTIPLIER_LIMIT:
             raise MultiplierDivergedError(
@@ -374,13 +386,15 @@ def solve(prob: OcpProblem, partition: Partition,
         f"(best feasibility {best[0]:.3e}, stationarity {best[1]:.3e})")
 
 
-def _package(prob, partition, values, traj, costate, mu, total_inner, outer,
-             feas, stat, objective_log, feas_history) -> SampledSolution:
+def _package(prob, partition, values, traj, costate, mu, rho, total_inner,
+             outer, feas, stat, objective_log,
+             feas_history) -> SampledSolution:
     control = PiecewiseConstantControl(partition, values)
     diags = SolveDiagnostics(iterations=total_inner, outer_iterations=outer,
                              feasibility=feas, stationarity=stat,
                              objective_log=tuple(objective_log),
-                             feasibility_log=tuple(feas_history))
+                             feasibility_log=tuple(feas_history),
+                             penalty=rho)
     extremal = Extremal(prob, traj, control, costate, -1.0,
                         feas_tol=max(10 * feas, 1e-12))
     return SampledSolution(control=control, state=traj, costate=costate,

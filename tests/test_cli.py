@@ -164,14 +164,31 @@ class TestSolve:
 
     def test_grid_over_the_step_bound_is_usage_error(self, tmp_path, capsys):
         """`--h-max 1e-9` asks for 1e9 steps on the unit horizon, more
-        than `MAX_GRID_STEPS`: refused on the count, before any node."""
+        than `MAX_GRID_STEPS`: refused on the count, before any node and
+        before the output directory is made."""
         out = tmp_path / "o"
         code = cli.main(["solve", "--problem", "lq_double_integrator",
                          "--N", "2", "--h-max", "1e-9", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert "--h-max" in err and "Traceback" not in err
-        assert not (out / "summary").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["solve", "--N", "2"],
+                                         ["converge", "--Ns", "2"]],
+                             ids=["solve", "converge"])
+    def test_out_under_a_file_is_usage_error(self, tmp_path, capsys,
+                                             command):
+        """An output directory that cannot be made exits 1 with one
+        line, not a `NotADirectoryError` traceback."""
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        code = cli.main([command[0], "--problem", "lq_double_integrator",
+                         *command[1:], "--out", str(blocker / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --out:")
+        assert len(err.splitlines()) == 1
 
     def test_malformed_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "noradius.json"

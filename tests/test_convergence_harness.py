@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from sampled_ocp import (SolverOptions, SweepConfig, build_problem,
+from sampled_ocp import (SolverOptions, SweepConfig, build_problem, solve,
                          solve_lq_permanent, solve_lq_sampled_exact, sweep,
                          uniform_partition)
 from sampled_ocp.convergence_harness import (REPORT_HEADER, _decreasing_with_noise,
+                                             default_solver_options,
                                              fit_rates, write_report)
+from sampled_ocp.solver_sampled import PENALTY_GROWTH, PENALTY_INIT
 
 
 class TestSweepOnDoubleIntegrator:
@@ -61,6 +63,59 @@ class TestSweepOnDoubleIntegrator:
     def test_limitation_note_present(self, di_sweep):
         report, _ = di_sweep
         assert any("global optimality" in n for n in report.notes)
+
+
+class TestCascadeCarriesPenalty:
+    """A cascade row starts from its coarser row's control, multiplier
+    and penalty; a cold row starts from none of them."""
+
+    def test_cascade_work_budget(self, di_problem, di_reference,
+                                 monkeypatch):
+        """Rows N = 2..64 take 42 inner iterations and 8 builds of
+        C = dx(T)/du; restarting rho at PENALTY_INIT in every row took 70
+        and 18."""
+        import sampled_ocp.solver_sampled as solver_module
+        builds = []
+        build = solver_module._terminal_jacobian
+
+        def counted(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "_terminal_jacobian", counted)
+        cfg = SweepConfig(problem=di_problem, reference=di_reference,
+                          resolutions=(2, 4, 8, 16, 32, 64))
+        report, solutions = sweep(cfg, return_solutions=True)
+        assert report.verdicts and report.all_pass()
+        assert sum(s.diagnostics.iterations for s in solutions.values()) <= 45
+        assert len(builds) <= 8
+
+    def test_rows_certify_at_carried_penalties(self, di_sweep):
+        """Each row's penalty is PENALTY_INIT times a power of the growth
+        factor, and no finer row certifies below its coarser row's."""
+        _, solutions = di_sweep
+        ladder = [PENALTY_INIT * PENALTY_GROWTH ** k for k in range(12)]
+        rhos = [solutions[N].diagnostics.penalty for N in sorted(solutions)]
+        assert all(rho in ladder for rho in rhos)
+        assert rhos == sorted(rhos)
+
+    def test_cold_rows_equal_independent_cold_solves(self, di_problem,
+                                                     di_reference):
+        cfg = SweepConfig(problem=di_problem, reference=di_reference,
+                          resolutions=(2, 4), warm_start_policy="cold",
+                          comparison_points=257)
+        _, solutions = sweep(cfg, return_solutions=True)
+        assert sorted(solutions) == [2, 4]
+        for N, sol in solutions.items():
+            cold = solve(di_problem, uniform_partition(N, 1.0),
+                         default_solver_options())
+            np.testing.assert_array_equal(sol.control.values,
+                                          cold.control.values)
+            np.testing.assert_array_equal(sol.multiplier, cold.multiplier)
+            np.testing.assert_array_equal(sol.costate.costates,
+                                          cold.costate.costates)
+            assert sol.cost == cold.cost
+            assert sol.diagnostics == cold.diagnostics
 
 
 class TestDegenerateSweep:

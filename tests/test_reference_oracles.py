@@ -388,7 +388,7 @@ class TestFineSurrogate:
         calls = []
 
         def fake_solve(prob, partition, opts, warm_start=None,
-                       warm_multiplier=None):
+                       warm_multiplier=None, warm_penalty=None):
             N = partition.N
             calls.append(N)
             value = np.zeros(prob.n)
@@ -397,6 +397,7 @@ class TestFineSurrogate:
                 control=PiecewiseConstantControl(partition,
                                                  np.zeros((N, prob.m))),
                 multiplier=np.zeros(prob.n), costate=None, cost=float(N),
+                diagnostics=SimpleNamespace(penalty=10.0),
                 state=SimpleNamespace(
                     sample=lambda ts: np.tile(value, (len(ts), 1))))
 

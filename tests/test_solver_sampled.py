@@ -302,6 +302,29 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.control.values, b.control.values)
 
 
+class TestWarmPenalty:
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_is_refused(self, di_problem, rho):
+        with pytest.raises(ValueError, match="warm penalty"):
+            solve(di_problem, uniform_partition(2, 1.0), warm_penalty=rho)
+
+    @pytest.mark.parametrize("name, N, counts, rho", [
+        ("lq_double_integrator", 8, (16, 7), 1e3),
+        ("lq_double_integrator", 64, (14, 7), 1e3),
+        ("lq_double_integrator", 256, (12, 7), 1e3),
+        ("affine_quadratic", 32, (19, 9), 1e2),
+    ])
+    def test_cold_solve_counts_pinned(self, name, N, counts, rho):
+        """The problems and sizes of perfbench's cold `solve` workload,
+        at the catalog's x0: cold solves start rho at PENALTY_INIT, so a
+        warm-start change leaves their (inner, outer) counts and
+        certifying penalties where they are."""
+        prob = build_problem(name)
+        diags = solve(prob, uniform_partition(N, prob.horizon)).diagnostics
+        assert (diags.iterations, diags.outer_iterations) == counts
+        assert diags.penalty == rho
+
+
 class TestFailureModes:
     def test_unreachable_target_reported(self):
         """A feeble control bound cannot reach the target: the solver
