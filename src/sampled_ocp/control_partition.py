@@ -278,35 +278,46 @@ def resample_onto(u: PiecewiseConstantControl,
 # Serialization
 
 
-def write_control_csv(path, u: PiecewiseConstantControl) -> None:
-    """CSV with header t_start,t_end,u_0,...,u_{m-1}, one row per interval."""
-    header = "t_start,t_end," + ",".join(f"u_{j}" for j in range(u.m))
+def _write_float_rows(path, header: str, rows) -> None:
+    """CSV of a header line and one line per row of floats, each at 17
+    significant digits, so that it reads back exactly."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for i in range(u.partition.N):
-            row = [u.partition.times[i], u.partition.times[i + 1], *u.values[i]]
+        for row in rows:
             fh.write(",".join(_FLOAT_FMT % x for x in row) + "\n")
 
 
-def read_control_csv(path) -> PiecewiseConstantControl:
+def _read_float_rows(path, header_ok):
+    """(header, data) of a CSV of float rows under a header line whose
+    column names `header_ok` accepts; data is a (rows, columns) array,
+    refused when it is empty, ragged or holds a non-finite entry."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        cols = header.split(",")
-        if cols[:2] != ["t_start", "t_end"] or len(cols) < 3:
-            raise ValueError(f"{path}: bad control CSV header {header!r}")
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
+        header = fh.readline().strip().split(",")
+        if not header_ok(header):
+            raise ValueError(f"{path}: unexpected header {header!r}")
+        rows = [[float(tok) for tok in line.split(",")]
+                for line in map(str.strip, fh) if line]
     if not rows:
-        raise ValueError(f"{path}: empty control CSV")
-    if any(len(row) != len(cols) for row in rows):
+        raise ValueError(f"{path}: no data rows")
+    if any(len(row) != len(header) for row in rows):
         raise ValueError(f"{path}: a row does not have the header's "
-                         f"{len(cols)} columns")
+                         f"{len(header)} columns")
     data = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite entry")
+    return header, data
+
+
+def write_control_csv(path, u: PiecewiseConstantControl) -> None:
+    """CSV with header t_start,t_end,u_0,...,u_{m-1}, one row per interval."""
+    t = u.partition.times
+    header = "t_start,t_end," + ",".join(f"u_{j}" for j in range(u.m))
+    _write_float_rows(path, header, np.column_stack([t[:-1], t[1:], u.values]))
+
+
+def read_control_csv(path) -> PiecewiseConstantControl:
+    _, data = _read_float_rows(
+        path, lambda cols: cols[:2] == ["t_start", "t_end"] and len(cols) >= 3)
     starts, ends, values = data[:, 0], data[:, 1], data[:, 2:]
     if not np.all(starts[1:] == ends[:-1]):
         raise ValueError(f"{path}: intervals are not contiguous")

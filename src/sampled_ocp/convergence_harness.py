@@ -30,7 +30,8 @@ from .control_partition import resample_onto, uniform_partition
 from .errors import GridAlignmentError, SampledOcpError
 from .problem_model import _FLOAT_FMT, OcpProblem
 from .reference_oracles import PermanentReference
-from .solver_sampled import SampledSolution, SolverOptions, solve
+from .solver_sampled import (SampledSolution, SolverOptions, _warm_start_from,
+                             solve)
 
 REPORT_HEADER = ("N,partition_norm,cost,cost_err,state_sup_err,"
                  "costate_sup_err,ahg_sup_residual,feasibility,iterations")
@@ -155,14 +156,12 @@ def sweep(cfg: SweepConfig, return_solutions: bool = False):
     previous: Optional[SampledSolution] = None
     for N in cfg.resolutions:
         partition = uniform_partition(N, prob.horizon)
-        warm = warm_mu = warm_rho = None
-        if cfg.warm_start_policy == "cascade" and previous is not None:
-            warm = resample_onto(previous.control, partition)
-            warm_mu = previous.multiplier
-            warm_rho = previous.diagnostics.penalty
+        # the harness's own `resample_onto`: perfbench's tracer times that name
+        warm = _warm_start_from(
+            previous if cfg.warm_start_policy == "cascade" else None,
+            partition, resample_onto)
         try:
-            sol = solve(prob, partition, opts, warm_start=warm,
-                        warm_multiplier=warm_mu, warm_penalty=warm_rho)
+            sol = solve(prob, partition, opts, **warm)
         except GridAlignmentError:
             raise
         except SampledOcpError as exc:

@@ -17,10 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from .control_partition import Partition, PiecewiseConstantControl
+from .control_partition import (Partition, PiecewiseConstantControl,
+                                _read_float_rows, _write_float_rows)
 from .errors import (GridAlignmentError, IntegrationDivergedError,
                      TrivialLiftError)
-from .problem_model import _FLOAT_FMT, OcpProblem, _frozen
+from .problem_model import OcpProblem, _frozen
 
 Array = np.ndarray
 
@@ -544,42 +545,24 @@ def simpson_on_interval(values: Array, h: float) -> Array:
 def write_state_csv(path, traj: Trajectory) -> None:
     """CSV with header t,x_0,...,x_{n-1}."""
     n = traj.states.shape[1]
-    header = "t," + ",".join(f"x_{j}" for j in range(n))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for t, x in zip(traj.grid.times, traj.states):
-            fh.write(",".join(_FLOAT_FMT % v for v in (t, *x)) + "\n")
+    _write_float_rows(path, "t," + ",".join(f"x_{j}" for j in range(n)),
+                      np.column_stack([traj.grid.times, traj.states]))
 
 
 def write_costate_csv(path, p: CostateTrajectory) -> None:
     """CSV with header t,p_0,...,p_{n-1},p0."""
-    n = p.costates.shape[1]
-    header = "t," + ",".join(f"p_{j}" for j in range(n)) + ",p0"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for t, row in zip(p.grid.times, p.costates):
-            fh.write(",".join(_FLOAT_FMT % v for v in (t, *row, p.p0)) + "\n")
+    K1, n = p.costates.shape
+    _write_float_rows(path,
+                      "t," + ",".join(f"p_{j}" for j in range(n)) + ",p0",
+                      np.column_stack([p.grid.times, p.costates,
+                                       np.full(K1, p.p0)]))
 
 
 def _read_csv_columns(path, prefix: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[0] != "t" or not all(h.startswith(prefix) or h == "p0"
-                                       for h in header[1:]):
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    if any(len(row) != len(header) for row in rows):
-        raise ValueError(f"{path}: a row does not have the header's "
-                         f"{len(header)} columns")
-    data = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"{path}: non-finite entry")
+    """(times, columns, header) of a state or costate CSV."""
+    header, data = _read_float_rows(
+        path, lambda cols: cols[0] == "t" and all(
+            c.startswith(prefix) or c == "p0" for c in cols[1:]))
     return data[:, 0], data[:, 1:], header
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .control_partition import (Partition, PiecewiseConstantControl,
-                                resample_onto, uniform_partition)
+                                uniform_partition)
 from .errors import OracleError, SurrogateRejectedError, UnreachableTargetError
 from .integrate import (CostateTrajectory, HermitePath, Trajectory,
                         build_time_grid)
@@ -478,7 +478,7 @@ def fine_surrogate(prob: OcpProblem, n_ref: int,
     first-order extrapolation of the error bar would then exceed ten
     times the sweep's smallest expected error).
     """
-    from .solver_sampled import SolverOptions, solve
+    from .solver_sampled import SolverOptions, _warm_start_from, solve
 
     if n_ref < MIN_SURROGATE_N:
         raise SurrogateRejectedError(
@@ -497,13 +497,7 @@ def fine_surrogate(prob: OcpProblem, n_ref: int,
     for N in chain:
         coarse = sol
         part = uniform_partition(N, prob.horizon)
-        warm = warm_mu = warm_rho = None
-        if sol is not None:
-            warm = resample_onto(sol.control, part)
-            warm_mu = sol.multiplier
-            warm_rho = sol.diagnostics.penalty
-        sol = solve(prob, part, opts, warm_start=warm,
-                    warm_multiplier=warm_mu, warm_penalty=warm_rho)
+        sol = solve(prob, part, opts, **_warm_start_from(sol, part))
     fine = sol
 
     ts = np.linspace(0.0, prob.horizon, SURROGATE_COMPARISON_POINTS)

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .control_partition import (Partition, PiecewiseConstantControl,
-                                write_control_csv)
+                                resample_onto, write_control_csv)
 from .errors import (InfeasibleStalledError, IntegrationDivergedError,
                      MaxIterationsError, MembershipError,
                      MultiplierDivergedError, OracleError)
@@ -232,24 +232,20 @@ def _model_step(U: ControlSet, values: Array, g: Array,
 
 def _line_search(aug, values: Array, step: Array, g: Array, phi: float,
                  mu: Array, rho: float):
-    """Armijo backtracking along values + t * step from t = 1; returns
-    (values, trajectory, objective, settled) of the accepted point, or
-    None.  When the predicted decrease -g's sits at the rounding level
-    of phi the Armijo test compares rounding errors, so the unit step is
-    accepted if phi rose by no more than that level, and `settled` says
-    that further steps cannot measurably decrease phi."""
+    """Armijo backtracking along values + t * step: the first t in 1,
+    1/2, ... with phi(t) <= phi + ARMIJO_C t g's + floor, floor the
+    rounding level of phi, is accepted (only t = 1 when -g's is itself
+    at the floor).  Returns (values, trajectory, objective, settled), or
+    None; `settled` says the accepted step changed phi by at most floor."""
     decrease = float(np.sum(g * step))
     floor = ROUNDING_FLOOR * (1.0 + abs(phi))
-    settled = -decrease <= floor
-    if decrease >= 0.0 and not settled:
-        return None
     t = 1.0
     while t >= 1e-14:
         cand = project(aug.prob.control_set, values + t * step)
         traj, val = aug.trial(cand, mu, rho)
-        if val <= phi + (floor if settled else ARMIJO_C * t * decrease):
-            return cand, traj, val, settled
-        if settled:
+        if val <= phi + ARMIJO_C * t * decrease + floor:
+            return cand, traj, val, phi - val <= floor
+        if -decrease <= floor:
             return None
         t *= ARMIJO_BACKTRACK
     return None
@@ -269,6 +265,18 @@ def solver_grid(prob: OcpProblem, partition: Partition,
     return build_time_grid(prob.horizon, partition, h_max)
 
 
+def _warm_start_from(coarser: Optional[SampledSolution],
+                     partition: Partition, resample=resample_onto) -> dict:
+    """`solve`'s warm-start keywords from `coarser`, a solution on a
+    coarser partition: its control moved onto `partition` by `resample`,
+    its multiplier and its penalty; none (a cold start) without one."""
+    if coarser is None:
+        return {}
+    return {"warm_start": resample(coarser.control, partition),
+            "warm_multiplier": coarser.multiplier,
+            "warm_penalty": coarser.diagnostics.penalty}
+
+
 @_single_blas_thread
 def solve(prob: OcpProblem, partition: Partition,
           options: Optional[SolverOptions] = None,
@@ -286,8 +294,9 @@ def solve(prob: OcpProblem, partition: Partition,
     BFGS estimate of the rest of the Hessian, started at diag(h_i) and
     carried across rounds.  Each step minimizes the model over the
     control set (`_model_step`) and backtracks from the unit step under
-    an Armijo test; a unit step whose predicted decrease is at the
-    rounding level of the objective ends the round.
+    an Armijo test loosened by the rounding level of the objective; an
+    accepted step that changes the objective by no more than that level
+    ends the round.
 
     A refinement cascade passes the coarser solution's control,
     multiplier and penalty (`diagnostics.penalty`) as `warm_start`,

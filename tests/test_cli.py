@@ -7,6 +7,7 @@ import math
 import os
 import shutil
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -369,6 +370,21 @@ class TestConverge:
         assert "Traceback" not in capsys.readouterr().err
         surrogate.assert_not_called()
         assert not out.exists()
+
+    def test_rounding_level_row_finishes(self, tmp_path):
+        """A one-row sweep whose line search sits at the rounding level
+        of the objective (it took 56 s when such steps backtracked)."""
+        cfg = _write_config(tmp_path / "c.json", {
+            "problem": "lq_double_integrator", "horizon": 3.004538361588751,
+            "xT": [2.00001, -7.036626451553446e-84]})
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        code = cli.main(["converge", "--config", cfg, "--Ns", "2",
+                         "--h-max", "0.2", "--out", str(out)])
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        verdicts = json.loads((out / "summary").read_text())["verdicts"]
+        assert verdicts and all(verdicts.values())
 
     def test_unknown_problem(self, tmp_path):
         code = cli.main(["converge", "--problem", "nope", "--Ns", "2,4",

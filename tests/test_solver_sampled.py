@@ -308,18 +308,20 @@ class TestWarmPenalty:
         with pytest.raises(ValueError, match="warm penalty"):
             solve(di_problem, uniform_partition(2, 1.0), warm_penalty=rho)
 
-    @pytest.mark.parametrize("name, N, counts, rho", [
-        ("lq_double_integrator", 8, (16, 7), 1e3),
-        ("lq_double_integrator", 64, (14, 7), 1e3),
-        ("lq_double_integrator", 256, (12, 7), 1e3),
-        ("affine_quadratic", 32, (19, 9), 1e2),
+    @pytest.mark.parametrize("name, N, counts, rho, params", [
+        ("lq_double_integrator", 8, (16, 7), 1e3, {}),
+        ("lq_double_integrator", 64, (14, 7), 1e3, {}),
+        ("lq_double_integrator", 256, (12, 7), 1e3, {}),
+        ("affine_quadratic", 32, (19, 9), 1e2, {}),
+        ("lq_double_integrator", 4, (19, 8), 1e4,
+         {"u_bound": 4.0, "x0": [0.9, 0.0]}),
     ])
-    def test_cold_solve_counts_pinned(self, name, N, counts, rho):
+    def test_cold_solve_counts_pinned(self, name, N, counts, rho, params):
         """The problems and sizes of perfbench's cold `solve` workload,
-        at the catalog's x0: cold solves start rho at PENALTY_INIT, so a
-        warm-start change leaves their (inner, outer) counts and
-        certifying penalties where they are."""
-        prob = build_problem(name)
+        at the catalog's x0 (the bounded one from (0.9, 0)): cold solves
+        start rho at PENALTY_INIT, so a warm-start change leaves their
+        (inner, outer) counts and certifying penalties where they are."""
+        prob = build_problem(name, **params)
         diags = solve(prob, uniform_partition(N, prob.horizon)).diagnostics
         assert (diags.iterations, diags.outer_iterations) == counts
         assert diags.penalty == rho
@@ -354,6 +356,22 @@ class TestFailureModes:
             solve_lq_sampled_exact(prob.lq, part, prob.control_set)
         with pytest.raises(InfeasibleStalledError, match="9.938e-03"):
             solve(prob, part)
+
+    def test_rounding_level_steps_end_the_round(self, state_marches):
+        """Here the predicted decrease sits just above the rounding level
+        of the objective, where an Armijo test without the rounding
+        floor compares rounding errors: it backtracked about 32 times
+        per step, for 2,018 inner iterations and about 65,800 state
+        marches.  An accepted step that changes the objective by no more
+        than the floor ends the round instead."""
+        prob = build_problem("lq_double_integrator",
+                             horizon=3.004538361588751,
+                             xT=[2.00001, -7.036626451553446e-84])
+        sol = solve(prob, uniform_partition(2, prob.horizon),
+                    SolverOptions(feas_tol=1e-9, h_max=0.2))
+        assert sol.residuals.certifies_solve()
+        assert sol.diagnostics.iterations <= 50
+        assert len(state_marches) <= 60
 
     def test_iteration_budget_respected(self, di_problem):
         from sampled_ocp.errors import MaxIterationsError
