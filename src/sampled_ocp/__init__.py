@@ -11,22 +11,23 @@ from .control_partition import (Partition, PiecewiseConstantControl,
                                 SampledControlSignal, average_onto,
                                 l1_distance, partition_norm, resample_onto,
                                 uniform_partition)
-from .convergence_harness import ConvergenceReport, SweepConfig, sweep
+from .convergence_harness import (ConvergenceReport, SweepConfig,
+                                  fine_surrogate, sweep)
 from .integrate import (CostateTrajectory, TimeGrid, Trajectory,
                         build_time_grid, integrate_costate, integrate_state,
                         integrate_variation, transition_matrix)
-from .pmp_check import (Extremal, ResidualReport, ahg_residual,
-                        classify_normality, evaluate_extremal,
+from .pmp_check import (Extremal, ResidualReport, SampledSolution,
+                        ahg_residual, classify_normality, evaluate_extremal,
                         grad_u_hamiltonian, hamiltonian, hg_residual, hm_gap,
                         lift_inequality)
 from .problem_model import (Ball, Box, ControlSet, LqProblemData, OcpProblem,
                             ProductSet, build_problem, catalog,
                             load_problem_config, normal_cone_residual,
                             problem_from_callables, project)
-from .reference_oracles import (PermanentReference, fine_surrogate,
-                                solve_lq_permanent, solve_lq_sampled_exact)
-from .solver_sampled import (SampledSolution, SolverOptions, gradient_check,
-                             solve, write_solution_bundle)
+from .reference_oracles import (PermanentReference, solve_lq_permanent,
+                                solve_lq_sampled_exact)
+from .solver_sampled import (SolverOptions, gradient_check, solve,
+                             write_solution_bundle)
 
 __version__ = "0.1.0"
 

@@ -21,13 +21,14 @@ import numpy as np
 
 from . import convergence_harness as harness
 from .control_partition import Partition, read_control_csv, uniform_partition
+from .convergence_harness import fine_surrogate
 from .errors import (ConfigFormatError, GridAlignmentError,
                      IntegrationDivergedError, OracleError, ProblemLookupError,
-                     SampledOcpError, SolverError, SurrogateRejectedError)
+                     SampledOcpError, SolverError)
 from .integrate import costate_from_nodes, read_costate_csv, read_state_csv
 from .pmp_check import Extremal, evaluate_extremal
 from .problem_model import OcpProblem, build_problem, catalog, load_problem_config
-from .reference_oracles import fine_surrogate, solve_lq_permanent
+from .reference_oracles import solve_lq_permanent
 from .solver_sampled import (SolverOptions, solve, solver_grid,
                              write_solution_bundle)
 
@@ -116,13 +117,15 @@ def _output_dir(args, default_name: str) -> str:
     return out
 
 
-def _check_grids(prob: OcpProblem, partitions, opts: SolverOptions) -> None:
-    """Usage error unless `solve` can build its grid on every partition."""
+def _check_grids(prob: OcpProblem, partitions, opts: SolverOptions,
+                 flag: str = "--h-max") -> None:
+    """Usage error naming `flag` unless `solve` can build its grid on
+    every partition."""
     try:
         for partition in partitions:
             solver_grid(prob, partition, opts)
     except GridAlignmentError as exc:
-        raise _UsageError(f"--h-max: {exc}") from exc
+        raise _UsageError(f"{flag}: {exc}") from exc
 
 
 def _partition_from_args(args, horizon: float) -> Partition:
@@ -217,14 +220,6 @@ def run_check(args) -> int:
     return EXIT_OK if report.all_pass() else EXIT_CERTIFICATION
 
 
-def _reference_for(prob: OcpProblem, args, max_n: int):
-    if prob.lq is not None:
-        return solve_lq_permanent(prob.lq)
-    return fine_surrogate(prob, args.surrogate_N,
-                          reject_above=args.reference_reject_above,
-                          sweep_max_n=max_n)
-
-
 def run_converge(args) -> int:
     if args.reference_reject_above is not None and \
             np.isnan(args.reference_reject_above):
@@ -241,10 +236,18 @@ def run_converge(args) -> int:
     solver_opts = _solver_options(args, harness.default_solver_options())
     _check_grids(prob, [uniform_partition(n, prob.horizon) for n in ns],
                  solver_opts)
-    out = _output_dir(args, "report")
     try:
-        reference = _reference_for(prob, args, max(ns))
-    except (SurrogateRejectedError, OracleError) as exc:
+        if prob.lq is None:
+            chain = harness.surrogate_chain(args.surrogate_N, max(ns))
+            _check_grids(prob,
+                         [uniform_partition(n, prob.horizon) for n in chain],
+                         SolverOptions(), "--surrogate-N")
+        out = _output_dir(args, "report")
+        reference = (solve_lq_permanent(prob.lq) if prob.lq is not None else
+                     fine_surrogate(prob, args.surrogate_N,
+                                    reject_above=args.reference_reject_above,
+                                    sweep_max_n=max(ns)))
+    except OracleError as exc:
         print(f"reference rejected: {exc}", file=sys.stderr)
         return EXIT_REFERENCE
     cfg = harness.SweepConfig(problem=prob, reference=reference,

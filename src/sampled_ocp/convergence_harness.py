@@ -11,7 +11,7 @@ Under the "cascade" policy each row is warm-started from the previous
 row's solution: its control resampled onto the finer partition, its
 multiplier and its penalty, so the augmented Lagrangian of a row starts
 where the coarser row's ended.  Under "cold" every row is an
-independent cold solve.
+independent cold solve.  `fine_surrogate` walks the same cascade.
 
 Known limitation, recorded in every report: the harness tracks one
 stationary point per resolution (warm-start cascading stabilizes which
@@ -27,11 +27,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .control_partition import resample_onto, uniform_partition
-from .errors import GridAlignmentError, SampledOcpError
+from .errors import (GridAlignmentError, SampledOcpError,
+                     SurrogateRejectedError)
 from .problem_model import _FLOAT_FMT, OcpProblem
 from .reference_oracles import PermanentReference
-from .solver_sampled import (SampledSolution, SolverOptions, _warm_start_from,
-                             solve)
+from .solver_sampled import SolverOptions, solve
 
 REPORT_HEADER = ("N,partition_norm,cost,cost_err,state_sup_err,"
                  "costate_sup_err,ahg_sup_residual,feasibility,iterations")
@@ -42,6 +42,9 @@ NOISE_STEP_FACTOR = 1.05
 COST_FLOOR_SLACK = 1e-7
 LIMITATION_NOTE = ("single stationary point tracked per resolution; global "
                    "optimality not certified")
+MIN_SURROGATE_N = 256
+# Points on which the fine surrogate compares its two finest states.
+SURROGATE_COMPARISON_POINTS = 2049
 
 
 def default_solver_options() -> SolverOptions:
@@ -134,13 +137,40 @@ class ConvergenceReport:
         return all(bool(v) for v in self.verdicts.values())
 
 
+def _cascade(prob: OcpProblem, resolutions, opts: SolverOptions,
+             warm: bool = True):
+    """Yield (N, partition, solution or package error) for the uniform
+    partition of each resolution; with `warm` each solve starts from the
+    last solution's control (resampled), multiplier and penalty.  A
+    `GridAlignmentError` (no grid under the step bound) is raised."""
+    last = None
+    for N in resolutions:
+        partition = uniform_partition(N, prob.horizon)
+        # the harness's own `resample_onto`: perfbench's tracer times that name
+        start = {} if last is None else {
+            "warm_start": resample_onto(last.control, partition),
+            "warm_multiplier": last.multiplier,
+            "warm_penalty": last.diagnostics.penalty}
+        try:
+            sol = solve(prob, partition, opts, **start)
+        except GridAlignmentError:
+            raise
+        except SampledOcpError as exc:
+            yield N, partition, exc
+            continue
+        if warm:
+            last = sol
+        yield N, partition, sol
+
+
 def sweep(cfg: SweepConfig, return_solutions: bool = False):
     """Run the refinement sweep and assemble the convergence report.
 
     Rows are solved in resolution order; a package error of a row is
     recorded as a failure, except a `GridAlignmentError` (the step bound
-    cannot give a grid), which is raised.  With `return_solutions` the
-    per-resolution solver outputs come back too.
+    cannot give a grid), which is raised; certification failures follow.
+    With `return_solutions` the per-resolution solver outputs come back
+    too.
     """
     prob = cfg.problem
     ref = cfg.reference
@@ -152,54 +182,36 @@ def sweep(cfg: SweepConfig, return_solutions: bool = False):
     ref_pT = float(np.linalg.norm(np.atleast_1d(ref.p.at(prob.horizon))))
 
     solutions: dict = {}
-    failures = []
-    previous: Optional[SampledSolution] = None
-    for N in cfg.resolutions:
-        partition = uniform_partition(N, prob.horizon)
-        # the harness's own `resample_onto`: perfbench's tracer times that name
-        warm = _warm_start_from(
-            previous if cfg.warm_start_policy == "cascade" else None,
-            partition, resample_onto)
-        try:
-            sol = solve(prob, partition, opts, **warm)
-        except GridAlignmentError:
-            raise
-        except SampledOcpError as exc:
-            failures.append({"N": N, "error": type(exc).__name__,
-                             "message": str(exc)})
+    rows, failures, uncertified = [], [], []
+    for N, partition, sol in _cascade(prob, cfg.resolutions, opts,
+                                      cfg.warm_start_policy == "cascade"):
+        if isinstance(sol, SampledOcpError):
+            failures.append({"N": N, "error": type(sol).__name__,
+                             "message": str(sol)})
             continue
-        previous = sol
         solutions[N] = sol
-
-    rows = []
-    for N in cfg.resolutions:
-        if N not in solutions:
-            continue
-        sol = solutions[N]
-        partition = uniform_partition(N, prob.horizon)
         report = sol.residuals
-        certified = (report is not None and report.certifies_solve()
-                     and sol.p0 == -1.0)
+        if not (report is not None and report.certifies_solve()
+                and sol.p0 == -1.0):
+            uncertified.append({"N": N, "error": "certification",
+                                "message": "lift failed the residual gate",
+                                "ae": report.ae_residual if report else None,
+                                "ahg": report.ahg_sup if report else None})
+            continue
         state_err = float(np.max(np.linalg.norm(sol.state.sample(ts) - ref_x,
                                                 axis=1)))
         costate_err = float(np.max(np.linalg.norm(sol.costate.sample(ts) - ref_p,
                                                   axis=1)))
-        row = ConvergenceRow(
+        rows.append(ConvergenceRow(
             N=N, partition_norm=partition.norm, cost=sol.cost,
             cost_err=abs(sol.cost - ref.cost), state_sup_err=state_err,
             costate_sup_err=costate_err,
-            ahg_sup_residual=float(report.ahg_sup) if report else float("nan"),
+            ahg_sup_residual=float(report.ahg_sup),
             feasibility=sol.diagnostics.feasibility,
             iterations=sol.diagnostics.iterations,
-            certified=certified, p0=sol.p0,
-            costate_terminal_norm=float(np.linalg.norm(sol.costate.final_costate)))
-        if certified:
-            rows.append(row)
-        else:
-            failures.append({"N": N, "error": "certification",
-                             "message": "lift failed the residual gate",
-                             "ae": report.ae_residual if report else None,
-                             "ahg": report.ahg_sup if report else None})
+            certified=True, p0=sol.p0,
+            costate_terminal_norm=float(np.linalg.norm(sol.costate.final_costate))))
+    failures += uncertified
     rates = fit_rates(rows)
     verdicts = evaluate_sweep(rows, failures, cfg, ref, ref_pT)
     notes = [LIMITATION_NOTE] + list(ref.notes)
@@ -274,3 +286,51 @@ def write_report(path_csv, path_summary, report: ConvergenceReport) -> None:
     with open(path_summary, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.summary_json() + "\n")
 
+
+def surrogate_chain(n_ref: int, sweep_max_n: Optional[int] = None) -> list:
+    """`fine_surrogate`'s chain: the halvings of n_ref while the half is an
+    integer >= 16, then n_ref and 2 n_ref.  Rejected below MIN_SURROGATE_N,
+    or when the sweep extends past 20x n_ref (a first-order extrapolation
+    of the error bar would then exceed ten times its smallest error)."""
+    if n_ref < MIN_SURROGATE_N:
+        raise SurrogateRejectedError(
+            f"surrogate resolution {n_ref} below minimum {MIN_SURROGATE_N}")
+    if sweep_max_n is not None and sweep_max_n > 20 * n_ref:
+        raise SurrogateRejectedError(
+            f"sweep partitions up to N={sweep_max_n} would not be resolved by "
+            f"a surrogate at N_ref={n_ref}")
+    chain = [n_ref, 2 * n_ref]
+    while chain[0] % 2 == 0 and chain[0] // 2 >= 16:
+        chain.insert(0, chain[0] // 2)
+    return chain
+
+
+def fine_surrogate(prob: OcpProblem, n_ref: int,
+                   reject_above: Optional[float] = None,
+                   sweep_max_n: Optional[int] = None) -> PermanentReference:
+    """Very fine sampled solution standing in for the permanent optimum:
+    the cascade over `surrogate_chain` under `SolverOptions()`, with the
+    sup distance of the n_ref and 2 n_ref states as its error bar.
+    `SurrogateRejectedError` under the chain's rules, when a link fails
+    (naming its N), or when the error bar exceeds `reject_above`."""
+    fine = None
+    for N, _, sol in _cascade(prob, surrogate_chain(n_ref, sweep_max_n),
+                              SolverOptions()):
+        if isinstance(sol, SampledOcpError):
+            raise SurrogateRejectedError(
+                f"surrogate link N={N} failed: {type(sol).__name__}: "
+                f"{sol}") from sol
+        coarse, fine = fine, sol
+
+    ts = np.linspace(0.0, prob.horizon, SURROGATE_COMPARISON_POINTS)
+    err_bar = float(np.max(np.linalg.norm(
+        fine.state.sample(ts) - coarse.state.sample(ts), axis=1)))
+    if reject_above is not None and err_bar > reject_above:
+        raise SurrogateRejectedError(
+            f"surrogate error bar {err_bar:.3e} exceeds limit {reject_above:.3e}")
+
+    return PermanentReference(
+        x=fine.state, u=fine.control, p=fine.costate, p0=-1.0,
+        cost=fine.cost, provenance=f"fine_surrogate(N_ref={n_ref})",
+        error_bar=err_bar,
+        notes=[f"error bar = sup state distance between N={n_ref} and N={2 * n_ref}"])

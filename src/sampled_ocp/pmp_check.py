@@ -398,6 +398,34 @@ class ResidualReport:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
+@dataclass(frozen=True)
+class SolveDiagnostics:
+    iterations: int            # total inner iterations (or oracle solves)
+    outer_iterations: int
+    feasibility: float
+    stationarity: float
+    objective_log: tuple       # (outer, inner, augmented objective) triples
+    feasibility_log: tuple = ()  # terminal defect norm after each outer round
+    penalty: Optional[float] = None  # rho of the certifying round (oracles: None)
+
+
+@dataclass(frozen=True)
+class SampledSolution:
+    """A solution on one partition from `solve` or the exact oracle."""
+
+    control: PiecewiseConstantControl
+    state: Trajectory
+    costate: CostateTrajectory
+    cost: float
+    multiplier: Array
+    diagnostics: SolveDiagnostics
+    residuals: Optional[ResidualReport]
+
+    @property
+    def p0(self) -> float:
+        return self.costate.p0
+
+
 def evaluate_extremal(e: Extremal, *, with_hm: bool = False,
                       hm_density: int = 1001, hm_time_stride: int = 1,
                       lift_probes: int = 0) -> ResidualReport:

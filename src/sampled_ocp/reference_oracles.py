@@ -1,4 +1,4 @@
-"""Exact and surrogate reference solutions.
+"""Exact reference solutions for linear-quadratic problems.
 
 For constant-coefficient linear-quadratic problems two references are
 available to machine precision: the permanent-control optimum from the
@@ -7,8 +7,9 @@ n-by-n solve; the cost follows from the boundary values of <p, x>), and
 the sampled-data optimum from exact zero-order-hold discretization
 (block matrix exponentials) followed by an equality-constrained QP,
 whose hold blocks also give its state, costate and running cost on the
-grid.  Nonlinear problems get a fine-partition surrogate whose trust is
-established by a two-resolution self-check.
+grid.  Nonlinear problems get a fine-partition surrogate instead
+(`convergence_harness.fine_surrogate`), solved on the harness's own
+refinement cascade.
 
 Everything here is deterministic: matrix exponentials use scipy's
 scaling-and-squaring Pade implementation and all solves are direct.
@@ -28,13 +29,12 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import expm
 
-from .control_partition import (Partition, PiecewiseConstantControl,
-                                uniform_partition)
-from .errors import OracleError, SurrogateRejectedError, UnreachableTargetError
+from .control_partition import Partition, PiecewiseConstantControl
+from .errors import OracleError, UnreachableTargetError
 from .integrate import (CostateTrajectory, HermitePath, Trajectory,
                         build_time_grid)
-from .problem_model import (Box, ControlSet, LqProblemData, OcpProblem,
-                            _frozen)
+from .pmp_check import SampledSolution, SolveDiagnostics
+from .problem_model import Box, ControlSet, LqProblemData, _frozen
 
 Array = np.ndarray
 
@@ -45,8 +45,6 @@ SHOOTING_CONDITION_LIMIT = 1e12
 ACTIVE_SET_MAX_ROUNDS = 50
 # Steps of the permanent LQ reference's dense paths.
 PERMANENT_RESOLUTION = 4096
-# Points on which the fine surrogate compares its two finest states.
-SURROGATE_COMPARISON_POINTS = 2049
 
 
 @functools.cache
@@ -400,8 +398,6 @@ def solve_lq_sampled_exact(data: LqProblemData, partition: Partition,
     The returned bundle carries exact nodal state/costate paths, so the
     averaged-gradient residual of the result is quadrature-level small.
     """
-    from .solver_sampled import SampledSolution, SolveDiagnostics
-
     N, m, n = partition.N, data.m, data.n
     if control_set is None:
         lo, up = np.full(N * m, -np.inf), np.full(N * m, np.inf)
@@ -456,59 +452,3 @@ def solve_lq_sampled_exact(data: LqProblemData, partition: Partition,
     return SampledSolution(control=control, state=traj, costate=costate,
                            cost=float(cost), multiplier=_frozen(nu),
                            diagnostics=diags, residuals=None)
-
-
-# ---------------------------------------------------------------------------
-# Fine-partition surrogate for nonlinear problems
-
-MIN_SURROGATE_N = 256
-
-
-def fine_surrogate(prob: OcpProblem, n_ref: int,
-                   reject_above: Optional[float] = None,
-                   sweep_max_n: Optional[int] = None) -> PermanentReference:
-    """Very fine sampled solution standing in for the permanent optimum.
-
-    Solves at n_ref and 2*n_ref intervals, warm-cascaded from the
-    halvings of n_ref (each link passes the next its control, multiplier
-    and penalty), and uses the sup distance between the two states as
-    the surrogate's error bar.
-    Rejected when the error bar exceeds `reject_above`, or when the
-    requesting sweep extends past 20x the surrogate resolution (a
-    first-order extrapolation of the error bar would then exceed ten
-    times the sweep's smallest expected error).
-    """
-    from .solver_sampled import SolverOptions, _warm_start_from, solve
-
-    if n_ref < MIN_SURROGATE_N:
-        raise SurrogateRejectedError(
-            f"surrogate resolution {n_ref} below minimum {MIN_SURROGATE_N}")
-    if sweep_max_n is not None and sweep_max_n > 20 * n_ref:
-        raise SurrogateRejectedError(
-            f"sweep partitions up to N={sweep_max_n} would not be resolved by "
-            f"a surrogate at N_ref={n_ref}")
-    opts = SolverOptions()
-
-    # halvings of n_ref while the half is an integer >= 16, n_ref, 2 n_ref
-    chain = [n_ref, 2 * n_ref]
-    while chain[0] % 2 == 0 and chain[0] // 2 >= 16:
-        chain.insert(0, chain[0] // 2)
-    coarse = sol = None
-    for N in chain:
-        coarse = sol
-        part = uniform_partition(N, prob.horizon)
-        sol = solve(prob, part, opts, **_warm_start_from(sol, part))
-    fine = sol
-
-    ts = np.linspace(0.0, prob.horizon, SURROGATE_COMPARISON_POINTS)
-    err_bar = float(np.max(np.linalg.norm(
-        fine.state.sample(ts) - coarse.state.sample(ts), axis=1)))
-    if reject_above is not None and err_bar > reject_above:
-        raise SurrogateRejectedError(
-            f"surrogate error bar {err_bar:.3e} exceeds limit {reject_above:.3e}")
-
-    return PermanentReference(
-        x=fine.state, u=fine.control, p=fine.costate, p0=-1.0,
-        cost=fine.cost, provenance=f"fine_surrogate(N_ref={n_ref})",
-        error_bar=err_bar,
-        notes=[f"error bar = sup state distance between N={n_ref} and N={2 * n_ref}"])

@@ -33,15 +33,15 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .control_partition import (Partition, PiecewiseConstantControl,
-                                resample_onto, write_control_csv)
+                                write_control_csv)
 from .errors import (InfeasibleStalledError, IntegrationDivergedError,
                      MaxIterationsError, MembershipError,
                      MultiplierDivergedError, OracleError)
-from .integrate import (CostateTrajectory, Linearization, TimeGrid,
-                        Trajectory, build_time_grid, integrate_costate,
-                        integrate_state, write_costate_csv, write_state_csv)
-from .pmp_check import (Extremal, ResidualReport, evaluate_extremal,
-                        interval_grad_integrals)
+from .integrate import (Linearization, TimeGrid, Trajectory, build_time_grid,
+                        integrate_costate, integrate_state, write_costate_csv,
+                        write_state_csv)
+from .pmp_check import (Extremal, SampledSolution, SolveDiagnostics,
+                        evaluate_extremal, interval_grad_integrals)
 from .problem_model import TOL_SET, Box, ControlSet, OcpProblem, project
 from .reference_oracles import _ReducedQp, _single_blas_thread, _solve_box_qp
 
@@ -63,10 +63,10 @@ STALL_ROUNDS = 5
 ARMIJO_C = 1e-4
 ARMIJO_BACKTRACK = 0.5
 ROUNDING_FLOOR = 1e-13
-# iteration cap and relative residual tolerance of the ADMM model step;
-# 100 iterations at 1e-6 left a 1-D ball solve without convergence
-ADMM_MAX_ITER = 400
-ADMM_TOL = 1e-10
+# ADMM iteration cap and residual tolerance (absolute plus relative);
+# 1-D ball models at rho = 900 took up to 1,030 iterations to converge
+ADMM_MAX_ITER = 2000
+ADMM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,32 +88,6 @@ class SolverOptions:
         if self.h_max is not None and \
                 not (np.isfinite(self.h_max) and self.h_max > 0):
             raise ValueError("h_max must be finite and positive")
-
-
-@dataclass(frozen=True)
-class SolveDiagnostics:
-    iterations: int            # total inner iterations (or oracle solves)
-    outer_iterations: int
-    feasibility: float
-    stationarity: float
-    objective_log: tuple       # (outer, inner, augmented objective) triples
-    feasibility_log: tuple = ()  # terminal defect norm after each outer round
-    penalty: Optional[float] = None  # rho of the certifying round (oracles: None)
-
-
-@dataclass(frozen=True)
-class SampledSolution:
-    control: PiecewiseConstantControl
-    state: Trajectory
-    costate: CostateTrajectory
-    cost: float
-    multiplier: Array
-    diagnostics: SolveDiagnostics
-    residuals: Optional[ResidualReport]
-
-    @property
-    def p0(self) -> float:
-        return self.costate.p0
 
 
 class _AugmentedObjective:
@@ -198,10 +172,11 @@ def _model_step(U: ControlSet, values: Array, g: Array,
     On a box the primal-dual active-set loop of the exact oracle solves
     the model.  Off a box, or where that loop does not settle (the model
     need not be an M-matrix), ADMM on the split s = w, w in U - values
-    (Boyd et al., Found. Trends Mach. Learn. 2011, sec. 5) with the
-    penalty sigma = sqrt(lambda_min * lambda_max) of the model: one
-    Cholesky factor of model + sigma I serves every iteration, and the
-    feasible iterate w is returned."""
+    (Boyd et al., Found. Trends Mach. Learn. 2011, sec. 5) from the
+    penalty sigma = sqrt(lambda_min * lambda_max) of the model, doubled
+    or halved every tenth iteration while one residual leads the other
+    tenfold (sec. 3.4.1); the Cholesky factor of model + sigma I is
+    rebuilt only then.  The feasible iterate w is returned."""
     u, c = values.ravel(), g.ravel()
     if isinstance(U, Box):
         N = values.shape[0]
@@ -216,17 +191,21 @@ def _model_step(U: ControlSet, values: Array, g: Array,
     sigma = float(np.sqrt(eig[0] * eig[-1]))
     factor = cho_factor(model + sigma * np.eye(u.size))
     w = lam = np.zeros(u.size)
-    for _ in range(ADMM_MAX_ITER):
+    for k in range(ADMM_MAX_ITER):
         s = cho_solve(factor, sigma * (w - lam) - c)
         w_prev = w
         w = project(U, (u + s + lam).reshape(values.shape)).ravel() - u
         lam = lam + s - w
-        primal = np.linalg.norm(s - w)
-        dual = sigma * np.linalg.norm(w - w_prev)
-        if primal <= ADMM_TOL * max(np.linalg.norm(s), np.linalg.norm(w)) \
-                and dual <= ADMM_TOL * max(np.linalg.norm(c),
-                                           sigma * np.linalg.norm(lam)):
+        primal = np.linalg.norm(s - w) / (
+            1.0 + max(np.linalg.norm(s), np.linalg.norm(w)))
+        dual = sigma * np.linalg.norm(w - w_prev) / (
+            1.0 + max(np.linalg.norm(c), sigma * np.linalg.norm(lam)))
+        if max(primal, dual) <= ADMM_TOL:
             break
+        if k % 10 == 0 and max(primal, dual) > 10.0 * min(primal, dual):
+            scale = 2.0 if primal > dual else 0.5
+            sigma, lam = sigma * scale, lam / scale
+            factor = cho_factor(model + sigma * np.eye(u.size))
     return w.reshape(values.shape)
 
 
@@ -263,18 +242,6 @@ def solver_grid(prob: OcpProblem, partition: Partition,
     h_max = opts.h_max if opts.h_max is not None \
         else prob.horizon / SOLVER_STEP_DIVISOR
     return build_time_grid(prob.horizon, partition, h_max)
-
-
-def _warm_start_from(coarser: Optional[SampledSolution],
-                     partition: Partition, resample=resample_onto) -> dict:
-    """`solve`'s warm-start keywords from `coarser`, a solution on a
-    coarser partition: its control moved onto `partition` by `resample`,
-    its multiplier and its penalty; none (a cold start) without one."""
-    if coarser is None:
-        return {}
-    return {"warm_start": resample(coarser.control, partition),
-            "warm_multiplier": coarser.multiplier,
-            "warm_penalty": coarser.diagnostics.penalty}
 
 
 @_single_blas_thread

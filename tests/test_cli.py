@@ -397,6 +397,44 @@ class TestConverge:
                          "--out", str(tmp_path)])
         assert code == 4
 
+    def test_rejected_surrogate_makes_no_output(self, tmp_path, capsys):
+        """The surrogate's rejection rules apply before `--out` is made."""
+        out = tmp_path / "o"
+        code = cli.main(["converge", "--problem", "affine_quadratic",
+                         "--Ns", "2,4", "--surrogate-N", "100",
+                         "--out", str(out)])
+        assert code == 4
+        assert "reference rejected" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ungriddable_surrogate_chain_is_usage_error(self, tmp_path,
+                                                        capsys):
+        """The 2 N_ref link of the surrogate chain has more grid steps than
+        a grid may have: exit 1 naming the flag, before anything is
+        built."""
+        out = tmp_path / "o"
+        code = cli.main(["converge", "--problem", "affine_quadratic",
+                         "--Ns", "2,4", "--surrogate-N", "600001",
+                         "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--surrogate-N" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_failed_surrogate_link_is_reference_rejection(self, tmp_path,
+                                                          capsys):
+        """A bound of 0.05 leaves the target out of reach, so the
+        surrogate's first link stalls: exit 4 naming that link."""
+        cfg = _write_config(tmp_path / "c.json", {
+            "problem": "affine_quadratic", "params": {"u_bound": 0.05},
+            "horizon": 0.5})
+        code = cli.main(["converge", "--config", cfg, "--Ns", "2",
+                         "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "reference rejected" in err and "N=16" in err
+        assert "Traceback" not in err
+
     def test_nan_reject_limit_is_usage_error(self, tmp_path, capsys):
         """A NaN limit would never reject (every comparison with NaN is
         false); it exits 1 before any solve."""

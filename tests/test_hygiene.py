@@ -1,7 +1,7 @@
 """Source hygiene: every name a package module imports is used there,
-every module-level constant is read, every name the benchmark's tracer
-hooks exists, and the CLI starts without the modules only some commands
-need."""
+no module imports another inside a function, every module-level
+constant is read, every name the benchmark's tracer hooks exists, and
+the CLI starts without the modules only some commands need."""
 
 import ast
 import importlib.util
@@ -36,6 +36,29 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(_imported_names(tree)) - used)
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+def test_no_function_local_package_imports():
+    """Package modules import one another at module level only: an import
+    inside a function hides a dependency (or a cycle) from the module
+    header.  Lazy imports of other libraries stay allowed."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] if node.level == 0 else None
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if names is None or any(n.split(".")[0] == "sampled_ocp"
+                                        for n in names):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"function-local package imports: {sorted(set(found))}"
 
 
 def test_no_unread_constants():

@@ -526,6 +526,43 @@ class TestStructuredHmScan:
         assert calls[0] == 1002 * e.x.grid.times.size
 
 
+class TestCoordinateHmScan:
+    @pytest.mark.parametrize("R", [np.eye(3), [[2.0, 0.5, 0.0],
+                                                [0.5, 1.0, 0.3],
+                                                [0.0, 0.3, 1.5]]],
+                             ids=["identity", "coupled"])
+    def test_gap_brackets_the_exact_gap(self, R):
+        """With m = 3, `hm_gap` scans coordinate lines.  On an LQ problem
+        H is concave in u and its maximum over the box is a box QP, so at
+        each scanned node the exact gap is known: the reported gap lies
+        between it minus twice the slack and it."""
+        from sampled_ocp import Box, solve_lq_sampled_exact
+        from sampled_ocp.reference_oracles import _ReducedQp, _solve_box_qp
+        U = Box(-2.0 * np.ones(3), 2.0 * np.ones(3))
+        prob = build_problem("lq_generic", A=np.diag([1.0, 1.0], k=1),
+                             B=np.eye(3), R=R, x0=[0.0, 1.5, 0.0],
+                             xT=[0.0, 0.0, 0.0], control_set=U)
+        sol = solve_lq_sampled_exact(prob.lq, uniform_partition(4, 1.0), U)
+        e = Extremal(prob, sol.state, sol.control, sol.costate, -1.0,
+                     feas_tol=1e-9)
+        res = hm_gap(e, density=101, time_stride=32)
+        exact, clipped = [], 0
+        for k in range(0, e.x.grid.times.size, 32):
+            t = float(e.x.grid.times[k])
+            x, p = e.x.states[k], e.p.costates[k]
+            # max over the box of p'w - w'Rw/2, the u-dependent part of H
+            w, _, _ = _solve_box_qp(_ReducedQp.model(prob.lq.R, -p),
+                                    U.lower, U.upper)
+            clipped += bool(np.any(np.abs(w) == 2.0))
+            exact.append(hamiltonian(prob, x, w, p, -1.0, t)
+                         - hamiltonian(prob, x, e.control_value(t), p, -1.0,
+                                       t))
+        exact = np.asarray(exact)
+        assert clipped > 0 and exact.max() > 2.0 * res.slack
+        assert np.all(res.per_node <= exact + 1e-12)
+        assert np.all(res.per_node >= exact - 2.0 * res.slack)
+
+
 @pytest.mark.parametrize("fixture, tol", [("lq_oracle_extremal", 1e-9),
                                           ("di_probe_extremal", 1e-8)])
 @settings(max_examples=25, deadline=None)

@@ -11,8 +11,9 @@ from sampled_ocp import (Box, LqProblemData, build_problem,
                          solve_lq_permanent, solve_lq_sampled_exact,
                          uniform_partition)
 from sampled_ocp.errors import SurrogateRejectedError, UnreachableTargetError
+from sampled_ocp.convergence_harness import fine_surrogate
 from sampled_ocp.reference_oracles import (_ReducedQp, _solve_box_qp,
-                                           _zoh_blocks, fine_surrogate)
+                                           _zoh_blocks)
 
 
 def _scalar_transfer():
@@ -380,7 +381,7 @@ class TestFineSurrogate:
         and ends at 2 n_ref; the error bar compares the n_ref and 2 n_ref
         solves.
         The solves are stubbed: each state is N in its first component."""
-        import sampled_ocp.solver_sampled as solver_sampled
+        import sampled_ocp.convergence_harness as convergence_harness
         from types import SimpleNamespace
 
         from sampled_ocp import PiecewiseConstantControl
@@ -401,7 +402,7 @@ class TestFineSurrogate:
                 state=SimpleNamespace(
                     sample=lambda ts: np.tile(value, (len(ts), 1))))
 
-        monkeypatch.setattr(solver_sampled, "solve", fake_solve)
+        monkeypatch.setattr(convergence_harness, "solve", fake_solve)
         ref = fine_surrogate(aq_problem, n_ref)
         assert calls == chain
         assert ref.error_bar == float(n_ref)
