@@ -25,7 +25,8 @@ from .convergence_harness import fine_surrogate
 from .errors import (ConfigFormatError, GridAlignmentError,
                      IntegrationDivergedError, OracleError, ProblemLookupError,
                      SampledOcpError, SolverError)
-from .integrate import costate_from_nodes, read_costate_csv, read_state_csv
+from .integrate import (BLOWUP_NORM, costate_from_nodes, read_costate_csv,
+                        read_state_csv)
 from .pmp_check import Extremal, evaluate_extremal
 from .problem_model import OcpProblem, build_problem, catalog, load_problem_config
 from .reference_oracles import solve_lq_permanent
@@ -118,13 +119,22 @@ def _output_dir(args, default_name: str) -> str:
 
 
 def _check_grids(prob: OcpProblem, partitions, opts: SolverOptions,
-                 flag: str = "--h-max") -> None:
-    """Usage error naming `flag` unless `solve` can build its grid on
-    every partition."""
+                 flag: str) -> None:
+    """Usage error unless `solve` can build its grid on every partition;
+    it names --h-max when the options carry one, `flag` otherwise."""
     try:
         for partition in partitions:
             solver_grid(prob, partition, opts)
     except GridAlignmentError as exc:
+        raise _UsageError(f"{'--h-max' if opts.h_max is not None else flag}: "
+                          f"{exc}") from exc
+
+
+def _resolutions(ns, flag: str) -> tuple:
+    """`harness.checked_resolutions(ns)`, or a usage error naming `flag`."""
+    try:
+        return harness.checked_resolutions(ns)
+    except ValueError as exc:
         raise _UsageError(f"{flag}: {exc}") from exc
 
 
@@ -132,12 +142,12 @@ def _partition_from_args(args, horizon: float) -> Partition:
     if bool(args.N) == bool(args.times_file):
         raise _UsageError("exactly one of --N or --times-file is required")
     if args.N:
-        if args.N < 1:
-            raise _UsageError("--N must be at least 1")
-        return uniform_partition(args.N, horizon)
+        return uniform_partition(_resolutions([args.N], "--N")[0], horizon)
     try:
         with open(args.times_file, "r", encoding="utf-8") as fh:
             times = [float(line.strip()) for line in fh if line.strip()]
+        # a list too short for a partition is left to `Partition` to refuse
+        harness.checked_resolutions([max(len(times) - 1, 1)])
         partition = Partition(np.asarray(times))
     except (OSError, ValueError) as exc:
         raise _UsageError(f"--times-file: {exc}")
@@ -164,7 +174,8 @@ def run_solve(args) -> int:
     prob = _load_problem(args)
     partition = _partition_from_args(args, prob.horizon)
     opts = _solver_options(args, SolverOptions())
-    _check_grids(prob, [partition], opts)
+    _check_grids(prob, [partition], opts,
+                 "--N" if args.N else "--times-file")
     out = _output_dir(args, "solution")
     try:
         sol = solve(prob, partition, opts)
@@ -175,7 +186,7 @@ def run_solve(args) -> int:
     report = sol.residuals
     print(report.to_json())
     print(f"bundle written to {out}")
-    if not report.certifies_solve():
+    if not report.all_pass():
         print("certification failed: adjoint or averaged-gradient residual "
               "above threshold", file=sys.stderr)
         return EXIT_CERTIFICATION
@@ -185,6 +196,9 @@ def run_solve(args) -> int:
 def run_check(args) -> int:
     if args.probes < 0:
         raise _UsageError("--probes must be nonnegative")
+    if args.p0 is not None and abs(args.p0) > BLOWUP_NORM:
+        raise _UsageError(f"--p0: {args.p0!r} exceeds {BLOWUP_NORM:g} in "
+                          "magnitude")
     prob = _load_problem(args)
     bundle = args.bundle
     try:
@@ -227,18 +241,17 @@ def run_converge(args) -> int:
     prob = _load_problem(args)
     # every argument is checked before the reference is built and the
     # output directory is made
-    ns = (2, 4, 8, 16, 32, 64)
-    if args.Ns:
-        try:
-            ns = harness.checked_resolutions(args.Ns.split(","))
-        except ValueError as exc:
-            raise _UsageError(f"--Ns: {exc}") from exc
+    ns = _resolutions(args.Ns.split(","), "--Ns") if args.Ns \
+        else (2, 4, 8, 16, 32, 64)
     solver_opts = _solver_options(args, harness.default_solver_options())
     _check_grids(prob, [uniform_partition(n, prob.horizon) for n in ns],
-                 solver_opts)
+                 solver_opts, "--Ns")
     try:
         if prob.lq is None:
-            chain = harness.surrogate_chain(args.surrogate_N, max(ns))
+            try:
+                chain = harness.surrogate_chain(args.surrogate_N, max(ns))
+            except ValueError as exc:
+                raise _UsageError(f"--surrogate-N: {exc}") from exc
             _check_grids(prob,
                          [uniform_partition(n, prob.horizon) for n in chain],
                          SolverOptions(), "--surrogate-N")

@@ -22,6 +22,9 @@ Array = np.ndarray
 
 PIECEWISE_CONSTANT = "piecewise_constant"
 PIECEWISE_LINEAR = "piecewise_linear"
+# Largest magnitude a marched or stored value may have: every march of
+# `integrate` stops past it, so no solve writes a CSV entry beyond it.
+BLOWUP_NORM = 1e12
 
 
 @dataclass(frozen=True)
@@ -157,6 +160,22 @@ class SampledControlSignal:
         s = min(max(s, 0.0), 1.0)
         return (1.0 - s) * self.values[k] + s * self.values[k + 1]
 
+    def limits(self, cuts) -> tuple:
+        """(start, end), each (len(cuts) - 1, m): the interpolant's one-sided
+        limits at both ends of every piece [cuts[j], cuts[j+1]], for
+        increasing `cuts` whose pieces straddle no signal time.  A held
+        value is the linear case with equal ends."""
+        cuts = np.asarray(cuts, dtype=float)
+        k = np.clip(np.searchsorted(self.times, cuts[:-1], side="right") - 1,
+                    0, self.times.size - 2)
+        v0 = self.values[k]
+        if self.interpolation == PIECEWISE_CONSTANT:
+            return v0, v0
+        t0, t1, v1 = self.times[k], self.times[k + 1], self.values[k + 1]
+        s0, s1 = (np.clip((t - t0) / (t1 - t0), 0.0, 1.0)[:, None]
+                  for t in (cuts[:-1], cuts[1:]))
+        return (1.0 - s0) * v0 + s0 * v1, (1.0 - s1) * v0 + s1 * v1
+
 
 def _as_signal(u) -> SampledControlSignal:
     if isinstance(u, SampledControlSignal):
@@ -170,41 +189,32 @@ def average_onto(u, partition: Partition) -> PiecewiseConstantControl:
     """Project a control onto the partition by exact interval averages.
 
     Each output value is the mean of u over [t_i, t_{i+1}], computed
-    segment-exactly from the interpolant (constants integrate as
-    rectangles, linear pieces as trapezoids).  Averaging preserves
-    membership in any convex set containing the input values.
+    segment-exactly from the interpolant: every piece between the
+    partition's and the signal's times integrates as a trapezoid of its
+    one-sided limits.  Averaging preserves membership in any convex set
+    containing the input values.
     """
     sig = _as_signal(u)
     T = partition.horizon
     if not sig.covers(0.0, T):
         raise CoverageError(
             f"signal on [{sig.times[0]}, {sig.times[-1]}] does not cover [0, {T}]")
-    out = np.empty((partition.N, sig.m))
-    for i in range(partition.N):
-        a, b = partition.times[i], partition.times[i + 1]
-        out[i] = _integrate_signal(sig, a, b) / (b - a)
-    return PiecewiseConstantControl(partition, out)
-
-
-def _integrate_signal(sig: SampledControlSignal, a: float, b: float) -> Array:
-    """Exact integral of the interpolant over [a, b]."""
-    cuts = sig.times[(sig.times > a) & (sig.times < b)]
-    pts = np.concatenate(([a], cuts, [b]))
-    total = np.zeros(sig.m)
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        dt = hi - lo
-        if sig.interpolation == PIECEWISE_CONSTANT:
-            total += sig.value(lo) * dt
-        else:
-            total += 0.5 * (sig.value(lo) + sig.value(hi)) * dt
-    return total
+    cuts = np.union1d(partition.times, sig.times[(sig.times > 0.0)
+                                                 & (sig.times < T)])
+    start, end = sig.limits(cuts)
+    pieces = 0.5 * (start + end) * np.diff(cuts)[:, None]
+    # each interval's pieces, summed in time order
+    first = np.searchsorted(cuts, partition.times)
+    sums = np.array([sum(pieces[lo:hi]) for lo, hi in zip(first, first[1:])])
+    return PiecewiseConstantControl(
+        partition, sums / np.diff(partition.times)[:, None])
 
 
 def l1_distance(u, v) -> float:
     """Exact L1 distance of two piecewise-constant/linear controls.
 
     int_0^T ||u(t) - v(t)|| dt with the Euclidean norm pointwise.  The
-    difference is affine on every segment of the merged breakpoint grid,
+    difference is affine on every piece of the merged breakpoint grid,
     and the integral of the norm of an affine function has a closed
     form, so no quadrature is involved.
     """
@@ -217,50 +227,36 @@ def l1_distance(u, v) -> float:
         raise CoverageError("controls do not share a time interval")
     cuts = np.unique(np.concatenate([su.times, sv.times]))
     cuts = cuts[(cuts >= lo) & (cuts <= hi)]
-    total = 0.0
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        d0 = su.value(t0) - sv.value(t0)
-        if su.interpolation == PIECEWISE_CONSTANT and \
-                sv.interpolation == PIECEWISE_CONSTANT:
-            total += float(np.linalg.norm(d0)) * (t1 - t0)
-            continue
-        # evaluate the left limit at t1 to stay inside this segment
-        tm = 0.5 * (t0 + t1)
-        dm = su.value(tm) - sv.value(tm)
-        d1 = 2.0 * dm - d0  # affine on the segment: endpoint from midpoint
-        total += _l1_affine_segment(d0, d1, t1 - t0)
-    return total
+    (u0, u1), (v0, v1) = su.limits(cuts), sv.limits(cuts)
+    return sum(_l1_affine_segment(a, b, h)
+               for a, b, h in zip(u0 - v0, u1 - v1, np.diff(cuts)))
 
 
 def _l1_affine_segment(a: Array, b: Array, h: float) -> float:
-    """int_0^h ||a + (s/h)(b - a)|| ds in closed form."""
+    """int_0^h ||a + (s/h)(b - a)|| ds in closed form: the norm is
+    g = sqrt(x^2 + C^2) in the coordinate x along b - a, C the line's
+    distance from 0, with antiderivative (x g + C^2 asinh(x/C)) / 2.  Its
+    differences are taken in product form, so a difference that barely
+    changes over the piece loses no digits to cancellation."""
     if h <= 0.0:
         return 0.0
-    e = (b - a) / h
-    alpha = float(e @ e)
-    beta = float(a @ e)
-    gamma = float(a @ a)
-    if alpha * h * h <= 1e-30 * max(gamma, 1e-300):
-        return h * float(np.linalg.norm(0.5 * (a + b)))
-    disc = alpha * gamma - beta * beta
-    if disc <= 1e-14 * alpha * gamma or disc <= 0.0:
-        # a and e collinear: the norm is sqrt(alpha)|s - r|
-        r = -beta / alpha
-        if r <= 0.0:
-            ramp = 0.5 * h * h - r * h
-        elif r >= h:
-            ramp = r * h - 0.5 * h * h
-        else:
-            ramp = 0.5 * (r * r + (h - r) * (h - r))
-        return math.sqrt(alpha) * ramp
-
-    def antideriv(s):
-        g = math.sqrt(alpha * s * s + 2.0 * beta * s + gamma)
-        lin = alpha * s + beta
-        return (lin * g / (2.0 * alpha)
-                + disc / (2.0 * alpha ** 1.5) * math.log(lin + math.sqrt(alpha) * g))
-
-    return antideriv(h) - antideriv(0.0)
+    d = b - a
+    ld = float(np.linalg.norm(d))
+    g0, g1 = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if ld == 0.0:
+        return h * g0
+    e = d / ld
+    x0, x1 = float(a @ e), float(b @ e)
+    c2 = float(np.sum((a - x0 * e) ** 2))
+    body = 0.5 * (g0 + g1) + 0.5 * (x0 + x1) ** 2 / (g0 + g1)
+    if c2 == 0.0:
+        tail = 0.0
+    elif x0 * x1 > 0.0:
+        tail = c2 * math.asinh(ld * (x0 + x1) / (x1 * g0 + x0 * g1)) / ld
+    else:
+        c = math.sqrt(c2)
+        tail = c2 * (math.asinh(x1 / c) - math.asinh(x0 / c)) / ld
+    return 0.5 * h * (body + tail)
 
 
 def resample_onto(u: PiecewiseConstantControl,
@@ -290,7 +286,8 @@ def _write_float_rows(path, header: str, rows) -> None:
 def _read_float_rows(path, header_ok):
     """(header, data) of a CSV of float rows under a header line whose
     column names `header_ok` accepts; data is a (rows, columns) array,
-    refused when it is empty, ragged or holds a non-finite entry."""
+    refused when it is empty, ragged or holds an entry that is not finite
+    or exceeds BLOWUP_NORM in magnitude."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if not header_ok(header):
@@ -305,6 +302,9 @@ def _read_float_rows(path, header_ok):
     data = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite entry")
+    if np.abs(data).max() > BLOWUP_NORM:
+        raise ValueError(f"{path}: an entry exceeds {BLOWUP_NORM:g} in "
+                         "magnitude")
     return header, data
 
 

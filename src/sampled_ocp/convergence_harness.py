@@ -29,6 +29,7 @@ import numpy as np
 from .control_partition import resample_onto, uniform_partition
 from .errors import (GridAlignmentError, SampledOcpError,
                      SurrogateRejectedError)
+from .integrate import MAX_GRID_STEPS
 from .problem_model import _FLOAT_FMT, OcpProblem
 from .reference_oracles import PermanentReference
 from .solver_sampled import SolverOptions, solve
@@ -71,11 +72,16 @@ class SweepConfig:
 
 def checked_resolutions(resolutions) -> tuple:
     """`resolutions` as a tuple of ints; `ValueError` unless they are
-    positive and strictly increasing."""
+    positive, strictly increasing and griddable.  Every interval takes at
+    least two grid steps, so no grid holds more than MAX_GRID_STEPS // 2
+    intervals; a larger N is refused before anything is allocated."""
     ns = tuple(int(n) for n in resolutions)
     if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("resolution list must be positive and "
-                         "strictly increasing")
+        raise ValueError("resolutions must be positive and strictly "
+                         "increasing")
+    if ns[-1] > MAX_GRID_STEPS // 2:
+        raise ValueError(f"N = {ns[-1]} needs more than the {MAX_GRID_STEPS} "
+                         "grid steps a grid may have")
     return ns
 
 
@@ -191,8 +197,7 @@ def sweep(cfg: SweepConfig, return_solutions: bool = False):
             continue
         solutions[N] = sol
         report = sol.residuals
-        if not (report is not None and report.certifies_solve()
-                and sol.p0 == -1.0):
+        if not (report is not None and report.all_pass() and sol.p0 == -1.0):
             uncertified.append({"N": N, "error": "certification",
                                 "message": "lift failed the residual gate",
                                 "ae": report.ae_residual if report else None,
@@ -291,7 +296,8 @@ def surrogate_chain(n_ref: int, sweep_max_n: Optional[int] = None) -> list:
     """`fine_surrogate`'s chain: the halvings of n_ref while the half is an
     integer >= 16, then n_ref and 2 n_ref.  Rejected below MIN_SURROGATE_N,
     or when the sweep extends past 20x n_ref (a first-order extrapolation
-    of the error bar would then exceed ten times its smallest error)."""
+    of the error bar would then exceed ten times its smallest error);
+    `ValueError` when no grid holds 2 n_ref intervals (`checked_resolutions`)."""
     if n_ref < MIN_SURROGATE_N:
         raise SurrogateRejectedError(
             f"surrogate resolution {n_ref} below minimum {MIN_SURROGATE_N}")
@@ -299,7 +305,7 @@ def surrogate_chain(n_ref: int, sweep_max_n: Optional[int] = None) -> list:
         raise SurrogateRejectedError(
             f"sweep partitions up to N={sweep_max_n} would not be resolved by "
             f"a surrogate at N_ref={n_ref}")
-    chain = [n_ref, 2 * n_ref]
+    chain = list(checked_resolutions([n_ref, 2 * n_ref]))
     while chain[0] % 2 == 0 and chain[0] // 2 >= 16:
         chain.insert(0, chain[0] // 2)
     return chain

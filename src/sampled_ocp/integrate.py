@@ -13,12 +13,14 @@ across steps and results are bitwise reproducible for a fixed grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .control_partition import (Partition, PiecewiseConstantControl,
-                                _read_float_rows, _write_float_rows)
+from .control_partition import (BLOWUP_NORM, Partition,
+                                PiecewiseConstantControl, _read_float_rows,
+                                _write_float_rows)
 from .errors import (GridAlignmentError, IntegrationDivergedError,
                      TrivialLiftError)
 from .problem_model import OcpProblem, _frozen
@@ -33,7 +35,6 @@ DEFAULT_STEP_DIVISOR = 1024
 # machine, so a larger count is an h_max slip, refused before the grid
 # takes memory.
 MAX_GRID_STEPS = 2 ** 20
-BLOWUP_NORM = 1e12
 
 
 @dataclass(frozen=True)
@@ -118,23 +119,23 @@ class ControlDifference:
         self.b = b
 
 
-def _control_values_per_segment(u, grid: TimeGrid):
-    """Resolve the control for RK4 stages.
-
-    Piecewise-constant controls are frozen per segment at the value of
-    the interval the segment lies in (stages never cross a sampling time
-    on aligned grids).  Callables are evaluated at stage times.
-    """
+def _on_segments(u, grid: TimeGrid):
+    """(value, jumps): `value(k, t)` is the control-like `u` on segment k
+    at stage time t, `jumps` the nodes where u may jump.  A held control
+    is frozen per segment (stages never cross a sampling time on aligned
+    grids) and jumps at its sampling times, a difference where either
+    part does; a callable is evaluated at stage times and jumps nowhere."""
     if isinstance(u, PiecewiseConstantControl):
-        per_seg = np.repeat(u.values, np.diff(grid.boundaries_of(u.partition)),
-                            axis=0)
-        return lambda k, t: per_seg[k]
+        bounds = grid.boundaries_of(u.partition)
+        per_seg = np.repeat(u.values, np.diff(bounds), axis=0)
+        return (lambda k, t: per_seg[k]), bounds
     if isinstance(u, ControlDifference):
-        va = _control_values_per_segment(u.a, grid)
-        vb = _control_values_per_segment(u.b, grid)
-        return lambda k, t: va(k, t) - vb(k, t)
+        va, ja = _on_segments(u.a, grid)
+        vb, jb = _on_segments(u.b, grid)
+        return (lambda k, t: va(k, t) - vb(k, t)), np.union1d(ja, jb)
     if callable(u):
-        return lambda k, t: np.atleast_1d(np.asarray(u(t), dtype=float))
+        return ((lambda k, t: np.atleast_1d(np.asarray(u(t), dtype=float))),
+                np.empty(0, dtype=int))
     raise TypeError(f"unsupported control of type {type(u)!r}")
 
 
@@ -298,17 +299,6 @@ def costate_from_nodes(grid: TimeGrid, costates: Array,
                              _frozen(d_right), _frozen(d_left))
 
 
-def _control_jumps(u, grid: TimeGrid) -> Array:
-    """Node indices where the control-like `u` may jump: the sampling
-    times of its piecewise-constant parts.  Callables jump nowhere, since
-    every segment evaluates them at the same time."""
-    if isinstance(u, PiecewiseConstantControl):
-        return grid.boundaries_of(u.partition)
-    if isinstance(u, ControlDifference):
-        return np.union1d(_control_jumps(u.a, grid), _control_jumps(u.b, grid))
-    return np.empty(0, dtype=int)
-
-
 def _rk4_march(rhs, grid: TimeGrid, y0: Array, forward: bool, what: str,
                jumps: Array):
     """March RK4 over all segments; stores endpoint derivatives.
@@ -375,7 +365,7 @@ def integrate_state(prob: OcpProblem, u, grid: TimeGrid) -> Trajectory:
     The running cost integral rides along as one extra RK4 state, so the
     returned `cost` carries the same fourth-order accuracy as the state.
     """
-    uval = _control_values_per_segment(u, grid)
+    uval, jumps = _on_segments(u, grid)
     n = prob.n
 
     def rhs(k, t, y, stage):
@@ -388,7 +378,7 @@ def integrate_state(prob: OcpProblem, u, grid: TimeGrid) -> Trajectory:
 
     y0 = np.concatenate([prob.x0, [0.0]])
     ys, dr, dl = _rk4_march(rhs, grid, y0, forward=True, what="state integration",
-                            jumps=_control_jumps(u, grid))
+                            jumps=jumps)
     return Trajectory(grid, _frozen(ys[:, :n]), _frozen(dr[:, :n]),
                       _frozen(dl[:, :n]), _frozen(ys[:, n]))
 
@@ -430,8 +420,7 @@ class Linearization:
         times = self.grid.times
         nodes, mids = x.states, x.path.midpoints()
         t_mid = times[:-1] + 0.5 * (times[1:] - times[:-1])
-        uval = _control_values_per_segment(u, self.grid)
-        self._jumps = _control_jumps(u, self.grid)
+        uval, self._jumps = _on_segments(u, self.grid)
         # per segment: (states, controls, times) at the three stage points
         self._stages = [
             ((nodes[k], mids[k], nodes[k + 1]),
@@ -439,6 +428,14 @@ class Linearization:
              (times[k], t_mid[k], times[k + 1]))
             for k in range(self.grid.K)]
         self._tables: dict = {}
+
+    @cached_property
+    def node_controls(self) -> Array:
+        """(K+1, m) right-continuous control u(t_k) at every grid node:
+        segment k's stage control at its left node, and at T the last
+        segment's."""
+        return np.array([controls[0] for _, controls, _ in self._stages]
+                        + [self._stages[-1][1][2]])
 
     def table(self, name: str) -> list:
         """Nested list [k][j] of the problem's evaluator `name`."""
@@ -474,7 +471,7 @@ class Linearization:
         n = self.prob.n
         fx, fu = self.table("dynamics_jac_x"), self.table("dynamics_jac_u")
         lx, lu = self.table("cost_grad_x"), self.table("cost_grad_u")
-        vval = _control_values_per_segment(direction, self.grid)
+        vval, vjumps = _on_segments(direction, self.grid)
 
         def rhs(k, t, y, stage):
             w = y[:n]
@@ -484,9 +481,9 @@ class Linearization:
             out[n] = lx[k][stage] @ w + lu[k][stage] @ vv
             return out
 
-        jumps = np.union1d(self._jumps, _control_jumps(direction, self.grid))
         ys, _, _ = _rk4_march(rhs, self.grid, np.zeros(n + 1), forward=True,
-                              what="variation integration", jumps=jumps)
+                              what="variation integration",
+                              jumps=np.union1d(self._jumps, vjumps))
         return VariationResult(self.grid, _frozen(ys[:, :n]), _frozen(ys[:, n]))
 
     def at_final(self) -> Array:
@@ -597,7 +594,7 @@ def read_state_csv(path, prob: OcpProblem, u) -> Trajectory:
                          f"has n = {prob.n}")
     partition = u.partition if isinstance(u, PiecewiseConstantControl) else None
     grid = grid_from_times(t, partition)
-    uval = _control_values_per_segment(u, grid)
+    uval, _ = _on_segments(u, grid)
     K = grid.K
     dr = np.empty((K, prob.n))
     dl = np.empty((K + 1, prob.n))

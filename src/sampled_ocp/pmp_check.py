@@ -28,10 +28,6 @@ Array = np.ndarray
 
 PASS_THRESHOLD = 1e-6
 WARN_THRESHOLD = 1e-3
-# Gate on a sampled solve's own output (the CLI `solve` exit code and the
-# rows a sweep reports): ae at the pass level, ahg looser.
-SOLVE_GATE_AE = PASS_THRESHOLD
-SOLVE_GATE_AHG = 1e-5
 
 
 def hamiltonian(prob: OcpProblem, x: Array, u: Array, p: Array, p0: float,
@@ -89,11 +85,6 @@ class Extremal:
     def feasibility(self) -> float:
         return float(np.linalg.norm(self.x.final_state - self.problem.xT))
 
-    def control_value(self, t: float) -> Array:
-        if callable(self.u):
-            return np.atleast_1d(np.asarray(self.u(t), dtype=float))
-        return self.u.value(t)
-
 
 def classify_normality(e: Extremal) -> str:
     """'normal' iff p0 < 0; with p0 = 0 the costate guarantees p(T) != 0."""
@@ -106,14 +97,10 @@ def classify_normality(e: Extremal) -> str:
 
 def _nodal_grad_u(e: Extremal):
     """grad_u H at every grid node with the right-continuous control."""
-    grid = e.x.grid
-    out = np.empty((grid.times.size, e.problem.m))
-    uu = np.empty_like(out)
-    for k, t in enumerate(grid.times):
-        u_t = e.control_value(float(t))
-        uu[k] = u_t
-        out[k] = grad_u_hamiltonian(e.problem, e.x.states[k], u_t,
-                                    e.p.costates[k], e.p0, float(t))
+    uu = e.linearization.node_controls
+    out = np.array([grad_u_hamiltonian(e.problem, e.x.states[k], uu[k],
+                                       e.p.costates[k], e.p0, float(t))
+                    for k, t in enumerate(e.x.grid.times)])
     return uu, out
 
 
@@ -232,13 +219,14 @@ def hm_gap(e: Extremal, density: int = 1001, time_stride: int = 1) -> HmResult:
     sub = None if omegas is None else omegas[::max(1, len(omegas) // 32)]
     R = None if omegas is None else prob.control_hessian
     spacing = grid_spacing(U, density)
+    node_controls = e.linearization.node_controls
     gaps = []
     worst_slack = 0.0
     for k in nodes:
         t = float(grid.times[k])
         xk = e.x.states[k]
         pk = e.p.costates[k]
-        u_t = e.control_value(t)
+        u_t = node_controls[k]
         if R is not None:
             best, h_here, lip = _structured_scan(prob, R, xk, pk, e.p0, t,
                                                  u_t, omegas, sub)
@@ -367,14 +355,6 @@ class ResidualReport:
         """True iff every gating section was evaluated and passes."""
         verdicts = self.verdicts()
         return all(verdicts.get(name) == "pass" for name in self.gating)
-
-    def certifies_solve(self) -> bool:
-        """True iff ae and ahg were evaluated and are within the solve
-        gate (SOLVE_GATE_AE, SOLVE_GATE_AHG)."""
-        return (self.ae_residual is not None
-                and self.ae_residual <= SOLVE_GATE_AE
-                and self.ahg_sup is not None
-                and self.ahg_sup <= SOLVE_GATE_AHG)
 
     def to_json(self) -> str:
         values = self.section_values()

@@ -8,6 +8,7 @@ import os
 import shutil
 import tempfile
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sampled_ocp import SolverOptions, cli
+from sampled_ocp import SolverOptions, cli, integrate
 
 # check bundles stored with the benchmark; tests only read them
 BUNDLES = Path(__file__).resolve().parents[1] / "perfbench" / "bundles"
@@ -174,6 +175,59 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "--h-max" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["solve", "--problem", "lq_double_integrator", "--N", "10000000"],
+         "--N"),
+        (["solve", "--problem", "lq_double_integrator",
+          "--N", "1000000000000"], "--N"),
+        (["converge", "--problem", "lq_double_integrator",
+          "--Ns", "2,10000000"], "--Ns"),
+        (["converge", "--problem", "lq_double_integrator",
+          "--Ns", "2,1000000000000"], "--Ns"),
+        (["converge", "--problem", "affine_quadratic", "--Ns", "2,4",
+          "--surrogate-N", "1000000000000"], "--surrogate-N")],
+        ids=["N1e7", "N1e12", "Ns1e7", "Ns1e12", "surrogate1e12"])
+    def test_ungriddable_resolution_is_refused_at_once(self, tmp_path,
+                                                       capsys, argv, flag):
+        """Every interval takes at least two grid steps, so an N above
+        MAX_GRID_STEPS // 2 is a usage error naming its flag, refused
+        before any partition or grid takes memory."""
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        code = cli.main([*argv, "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"usage error: {flag}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert elapsed < 0.5
+
+    def test_times_file_past_the_bound_is_usage_error(self, tmp_path, capsys,
+                                                      monkeypatch):
+        """A times file is held to the same bound (lowered here to 8
+        intervals) before its partition is built."""
+        monkeypatch.setattr(cli.harness, "MAX_GRID_STEPS", 16)
+        times = tmp_path / "times"
+        times.write_text("\n".join(map(str, np.linspace(0.0, 1.0, 10).tolist())))
+        out = tmp_path / "o"
+        code = cli.main(["solve", "--problem", "lq_double_integrator",
+                         "--times-file", str(times), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "usage error: --times-file: N = 9 ")
+        assert not out.exists()
+
+    def test_grid_error_names_h_max_only_when_given(self, tmp_path, capsys,
+                                                    monkeypatch):
+        """Without --h-max the grid comes from the partition, so a grid
+        over the (here lowered) step bound names the resolution's flag."""
+        monkeypatch.setattr(integrate, "MAX_GRID_STEPS", 64)
+        code = cli.main(["solve", "--problem", "lq_double_integrator",
+                         "--N", "2", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: --N: h_max")
 
     @pytest.mark.parametrize("command", [["solve", "--N", "2"],
                                          ["converge", "--Ns", "2"]],
@@ -702,6 +756,8 @@ class TestCheckFuzz:
                     ("costate.csv", ("reverse",))], flags=[])
     @example(edits=[("state.csv", ("drop_row", 5))], flags=[])
     @example(edits=[("control.csv", ("scale_times", 2.0))], flags=[])
+    @example(edits=[("costate.csv", ("entry", 3, 1, "1e300"))],
+             flags=["--require-hm"])
     @given(edits=st.lists(st.tuples(st.sampled_from(_CSV_NAMES), _EDITS),
                           min_size=1, max_size=3),
            flags=st.lists(st.sampled_from(
@@ -709,8 +765,9 @@ class TestCheckFuzz:
                 ["--p0", "nan"], ["--p0", "1e308"]]), max_size=2)
            .map(lambda groups: ["--probes", "0"] + sum(groups, [])))
     def test_exit_codes_without_traceback(self, tmp_path, edits, flags):
-        """Whatever the edits, `check` exits 0-4, prints no traceback,
-        and lets no exception escape `main`."""
+        """Whatever the edits, `check` exits 0-4, prints no traceback and
+        no warning, lets no exception escape `main`, and any report it
+        prints is strict JSON (no Infinity or NaN)."""
         with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
             bundle = Path(shutil.copytree(BUNDLES / "v0" / "lq",
                                           Path(tmp) / "b"))
@@ -723,10 +780,21 @@ class TestCheckFuzz:
                     path.unlink()
                 else:
                     path.write_text(text)
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(err):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 code = cli.main(["check", str(bundle), "--config",
                                  str(bundle / "problem.json"), *flags])
         assert 0 <= code <= 4
         assert "Traceback" not in err.getvalue()
+        assert "Warning" not in err.getvalue()
+        assert not caught, [str(w.message) for w in caught]
+        if out.getvalue():
+            json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    """`json.loads` hook: Infinity, -Infinity and NaN are not JSON."""
+    raise ValueError(f"{name} is not JSON (RFC 8259)")

@@ -69,6 +69,35 @@ class TestPiecewiseConstant:
                                      np.array([[1.0], [2.0]]))
 
 
+class TestLimits:
+    CUTS = [0.0, 0.1, 0.3, 0.5, 0.7, 1.0]
+
+    def test_held_signal_has_equal_ends(self):
+        """A held value is the linear case with equal ends, bit for bit."""
+        rng = np.random.default_rng(5)
+        sig = SampledControlSignal([0.0, 0.3, 0.7, 1.0],
+                                   rng.normal(size=(4, 2)),
+                                   "piecewise_constant")
+        start, end = sig.limits(self.CUTS)
+        assert start.shape == (5, 2)
+        np.testing.assert_array_equal(start, end)
+        np.testing.assert_array_equal(start,
+                                      [sig.value(t) for t in self.CUTS[:-1]])
+
+    def test_linear_signal_ends_are_one_sided_values(self):
+        """Each piece starts at the interpolant's value at its left cut and
+        ends at its value at its right cut, a signal time included."""
+        rng = np.random.default_rng(6)
+        sig = SampledControlSignal([0.0, 0.3, 0.7, 1.0],
+                                   rng.normal(size=(4, 2)))
+        start, end = sig.limits(self.CUTS)
+        np.testing.assert_array_equal(start,
+                                      [sig.value(t) for t in self.CUTS[:-1]])
+        np.testing.assert_array_equal(end,
+                                      [sig.value(t) for t in self.CUTS[1:]])
+        np.testing.assert_array_equal(end[[1, 3, 4]], sig.values[1:])
+
+
 class TestAveraging:
     def test_constant_stays_constant(self):
         sig = SampledControlSignal([0.0, 0.3, 1.0], [[2.5], [2.5], [2.5]],
@@ -204,6 +233,17 @@ class TestL1Distance:
         f = np.sqrt((2 * tt - 1) ** 2 + (0.5 - tt) ** 2)
         oracle = np.trapezoid(f, tt)
         assert l1_distance(a, b) == pytest.approx(oracle, abs=1e-9)
+
+    def test_nearly_constant_difference_keeps_its_digits(self):
+        """A difference that changes by 2e-6 of itself over the piece: the
+        closed form must not cancel (a log form lost 2.3e-10 here).  The
+        oracle, 8-point Gauss-Legendre, is exact to rounding for so
+        smooth an integrand."""
+        u = PiecewiseConstantControl(uniform_partition(1, 1.0), [[3.0, 4.0]])
+        v = SampledControlSignal([0.0, 1.0], [[0.0, 0.0], [1e-5, 0.0]])
+        x, w = np.polynomial.legendre.leggauss(8)
+        oracle = 0.5 * np.sum(w * np.hypot(3.0 - 0.5e-5 * (x + 1.0), 4.0))
+        assert l1_distance(u, v) == pytest.approx(oracle, rel=1e-14)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 2),

@@ -417,6 +417,29 @@ class TestLinearization:
         integrate_variation(prob, x, u, v)
         assert calls == {name: 3 * grid.K for name in names}
 
+    def test_node_controls_are_right_continuous(self, aq_problem):
+        """u(t_k) at every node of a grid finer than the held control's
+        partition, sampling times and T included, read from the stage
+        controls; for a callable, u(t_k).  A march leaves them unbuilt."""
+        part = Partition([0.0, 0.25, 0.625, 1.0])
+        grid = build_time_grid(1.0, part, h_max=1.0 / 16.0)
+        u = PiecewiseConstantControl(part, [[1.0], [-2.0], [0.5]])
+        lin = integrate.Linearization(aq_problem,
+                                      integrate_state(aq_problem, u, grid), u)
+        lin.costate(-1.0, [1.0, 0.5])
+        assert "node_controls" not in vars(lin)
+        assert grid.K > part.N
+        np.testing.assert_array_equal(lin.node_controls, u.value(grid.times))
+        np.testing.assert_array_equal(lin.node_controls[grid.boundaries],
+                                      [[1.0], [-2.0], [0.5], [0.5]])
+
+        def w(t):
+            return np.array([np.cos(2.0 * t)])
+        lin = integrate.Linearization(aq_problem,
+                                      integrate_state(aq_problem, w, grid), w)
+        np.testing.assert_array_equal(lin.node_controls,
+                                      [w(t) for t in grid.times])
+
 
 class TestStateCsv:
     @pytest.mark.parametrize("name,N", [("affine_quadratic", 32),

@@ -12,7 +12,9 @@ from sampled_ocp import (Extremal, PiecewiseConstantControl, build_problem,
                          integrate_costate, integrate_state, lift_inequality,
                          uniform_partition)
 from sampled_ocp.errors import GridAlignmentError, TrivialLiftError
-from sampled_ocp.integrate import CostateTrajectory, Trajectory
+from sampled_ocp.control_partition import resample_onto
+from sampled_ocp.integrate import (ControlDifference, CostateTrajectory,
+                                   Trajectory)
 from sampled_ocp.pmp_check import (ResidualReport, _structured_scan,
                                    ae_residual, ahg_residual,
                                    evaluate_extremal, grad_u_hamiltonian,
@@ -301,7 +303,7 @@ class TestNeedleProbes:
         # choose the scan direction that realizes the violation
         from sampled_ocp.pmp_check import grad_u_hamiltonian
         g = grad_u_hamiltonian(di_problem, x.states[k_bad],
-                               e.control_value(tau), p.costates[k_bad],
+                               e.u.value(tau), p.costates[k_bad],
                                -1.0, tau)
         lo, up = di_problem.control_set.bounding_box()
         omega = np.where(g > 0, up, lo)
@@ -388,6 +390,30 @@ class TestSharedLinearization:
         evaluate_extremal(e, lift_probes=5)
         assert grid.K == 64
         assert calls[0] == 3 * grid.K
+
+    def test_control_difference_reports_as_its_held_value(self, aq_problem):
+        """Every control a march accepts is one the certificates accept:
+        under ControlDifference(u, v) of two held controls the report
+        (ae, hg, hm) is the held control u - v's, bit for bit."""
+        fine, coarse = uniform_partition(4, 1.0), uniform_partition(2, 1.0)
+        rng = np.random.default_rng(7)
+        u = PiecewiseConstantControl(fine, rng.uniform(-1, 1, size=(4, 1)))
+        v = PiecewiseConstantControl(coarse, rng.uniform(-1, 1, size=(2, 1)))
+        held = PiecewiseConstantControl(
+            fine, u.values - resample_onto(v, fine).values)
+        grid = build_time_grid(1.0, fine, h_max=1.0 / 64.0)
+        extremals = []
+        for w in (ControlDifference(u, v), held):
+            x = integrate_state(aq_problem, w, grid)
+            p = integrate_costate(aq_problem, x, w, p0=-1.0, pT=[1.0, -0.5])
+            extremals.append(Extremal(aq_problem, x, w, p, -1.0,
+                                      feas_tol=100.0))
+        report = evaluate_extremal(extremals[0], with_hm=True)
+        ref = evaluate_extremal(extremals[1], with_hm=True)
+        assert report.ae_residual == ref.ae_residual
+        assert report.hm_gap == ref.hm_gap > 0.0
+        assert report.hg_residual == hg_residual(extremals[1]).sup
+        assert report.feasibility == ref.feasibility
 
     def test_mismatched_grids_rejected(self, aq_problem):
         part = uniform_partition(4, 1.0)
@@ -555,7 +581,7 @@ class TestCoordinateHmScan:
                                     U.lower, U.upper)
             clipped += bool(np.any(np.abs(w) == 2.0))
             exact.append(hamiltonian(prob, x, w, p, -1.0, t)
-                         - hamiltonian(prob, x, e.control_value(t), p, -1.0,
+                         - hamiltonian(prob, x, e.u.value(t), p, -1.0,
                                        t))
         exact = np.asarray(exact)
         assert clipped > 0 and exact.max() > 2.0 * res.slack
