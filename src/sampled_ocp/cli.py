@@ -25,10 +25,10 @@ from .convergence_harness import fine_surrogate
 from .errors import (ConfigFormatError, GridAlignmentError,
                      IntegrationDivergedError, OracleError, ProblemLookupError,
                      SampledOcpError, SolverError)
-from .integrate import (BLOWUP_NORM, costate_from_nodes, read_costate_csv,
-                        read_state_csv)
+from .integrate import costate_from_nodes, read_costate_csv, read_state_csv
 from .pmp_check import Extremal, evaluate_extremal
-from .problem_model import OcpProblem, build_problem, catalog, load_problem_config
+from .problem_model import (BLOWUP_NORM, OcpProblem, build_problem, catalog,
+                            load_problem_config)
 from .reference_oracles import solve_lq_permanent
 from .solver_sampled import (SolverOptions, solve, solver_grid,
                              write_solution_bundle)
@@ -281,8 +281,10 @@ def run_converge(args) -> int:
 
 def run_catalog(_args) -> int:
     for entry in catalog():
-        print(f"{entry.name:24s} reference={entry.reference_kind:26s} "
-              f"{entry.summary}")
+        # the reference `converge` builds for the default instance
+        reference = ("lq_exact" if entry.builder().lq is not None
+                     else "fine_partition_surrogate")
+        print(f"{entry.name:24s} reference={reference:26s} {entry.summary}")
     return EXIT_OK
 
 

@@ -16,15 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError
-from .problem_model import _FLOAT_FMT, ControlSet, _frozen, distance_to
+from .problem_model import (_FLOAT_FMT, BLOWUP_NORM, ControlSet, _frozen,
+                            distance_to)
 
 Array = np.ndarray
 
 PIECEWISE_CONSTANT = "piecewise_constant"
 PIECEWISE_LINEAR = "piecewise_linear"
-# Largest magnitude a marched or stored value may have: every march of
-# `integrate` stops past it, so no solve writes a CSV entry beyond it.
-BLOWUP_NORM = 1e12
 
 
 @dataclass(frozen=True)
@@ -64,6 +62,15 @@ class Partition:
         times at or before t, so times outside [0, T] land in the first
         or last interval."""
         return np.searchsorted(self.times[1:-1], t, side="right")
+
+
+def _check_partition(partition) -> None:
+    """`TypeError` unless `partition` is a `Partition`, so that a bare
+    list of times is refused where it enters."""
+    if not isinstance(partition, Partition):
+        raise TypeError(f"expected a Partition, got "
+                        f"{type(partition).__name__}: wrap the sampling "
+                        "times in Partition(...)")
 
 
 def uniform_partition(N: int, horizon: float) -> Partition:
@@ -194,6 +201,7 @@ def average_onto(u, partition: Partition) -> PiecewiseConstantControl:
     one-sided limits.  Averaging preserves membership in any convex set
     containing the input values.
     """
+    _check_partition(partition)
     sig = _as_signal(u)
     T = partition.horizon
     if not sig.covers(0.0, T):
@@ -266,6 +274,7 @@ def resample_onto(u: PiecewiseConstantControl,
     Exact when the new partition refines the old one; used to seed
     warm starts when a partition is split.
     """
+    _check_partition(partition)
     mids = 0.5 * (partition.times[:-1] + partition.times[1:])
     return PiecewiseConstantControl(partition, u.value(mids))
 

@@ -67,6 +67,9 @@ class SweepConfig:
         ns = checked_resolutions(self.resolutions)
         if self.warm_start_policy not in ("cascade", "cold"):
             raise ValueError("warm_start_policy must be 'cascade' or 'cold'")
+        # t = 0 alone compares x0 with itself
+        if self.comparison_points < 2:
+            raise ValueError("comparison_points must be at least 2")
         object.__setattr__(self, "resolutions", ns)
 
 

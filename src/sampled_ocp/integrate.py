@@ -18,12 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .control_partition import (BLOWUP_NORM, Partition,
-                                PiecewiseConstantControl, _read_float_rows,
+from .control_partition import (Partition, PiecewiseConstantControl,
+                                _check_partition, _read_float_rows,
                                 _write_float_rows)
 from .errors import (GridAlignmentError, IntegrationDivergedError,
                      TrivialLiftError)
-from .problem_model import OcpProblem, _frozen
+from .problem_model import BLOWUP_NORM, OcpProblem, _frozen
 
 Array = np.ndarray
 
@@ -81,6 +81,8 @@ def build_time_grid(horizon: float, partition: Optional[Partition] = None,
     """Partition-aligned grid with even, uniform steps per interval.
     Raises `GridAlignmentError`, before allocating any node, when the grid
     that `h_max` asks for has more than `MAX_GRID_STEPS` steps."""
+    if partition is not None:
+        _check_partition(partition)
     horizon = float(horizon)
     if h_max is None:
         h_max = horizon / DEFAULT_STEP_DIVISOR
@@ -299,6 +301,8 @@ def costate_from_nodes(grid: TimeGrid, costates: Array,
                              _frozen(d_right), _frozen(d_left))
 
 
+# an overflowing stage is left to the blow-up test, without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _rk4_march(rhs, grid: TimeGrid, y0: Array, forward: bool, what: str,
                jumps: Array):
     """March RK4 over all segments; stores endpoint derivatives.

@@ -204,41 +204,33 @@ def hm_gap(e: Extremal, density: int = 1001, time_stride: int = 1) -> HmResult:
     """Pointwise maximization gap via exhaustive scan over the control set.
 
     Reports max over time nodes of (max_w H - H(u(t))) minus a
-    Lipschitz-based slack for the scan spacing, clamped at zero.  For
-    control dimension > 2 the scan degenerates to coordinate-wise
-    refinement.  On a problem that declares its `control_hessian`, each
-    node's scan is one numpy row built from the problem's evaluators at
-    w = 0; other problems call `hamiltonian` once per scan point.
+    Lipschitz-based slack for the scan spacing, clamped at zero.  Each
+    node reads H on rows of candidate controls (`_hamiltonian_rows`):
+    the point grid of U for control dimension <= 2, and coordinate
+    lines through the best point so far above that.
     """
+    if density < 2 or time_stride < 1:
+        raise ValueError(f"hm scan needs density >= 2 and time_stride >= 1, "
+                         f"got {density!r}, {time_stride!r}")
     prob = e.problem
     U = prob.control_set
     grid = e.x.grid
-    nodes = range(0, grid.times.size, max(1, int(time_stride)))
     omegas = sample_grid(U, density) if prob.m <= 2 else None
-    # Lipschitz estimate from a coarse subsample of grad_u H
-    sub = None if omegas is None else omegas[::max(1, len(omegas) // 32)]
-    R = None if omegas is None else prob.control_hessian
     spacing = grid_spacing(U, density)
     node_controls = e.linearization.node_controls
     gaps = []
     worst_slack = 0.0
-    for k in nodes:
-        t = float(grid.times[k])
-        xk = e.x.states[k]
-        pk = e.p.costates[k]
-        u_t = node_controls[k]
-        if R is not None:
-            best, h_here, lip = _structured_scan(prob, R, xk, pk, e.p0, t,
-                                                 u_t, omegas, sub)
-        elif omegas is not None:
-            h_here = hamiltonian(prob, xk, u_t, pk, e.p0, t)
-            best = float(np.max([hamiltonian(prob, xk, w, pk, e.p0, t)
-                                 for w in omegas]))
-            lip = max(float(np.linalg.norm(
-                grad_u_hamiltonian(prob, xk, w, pk, e.p0, t))) for w in sub)
+    for k in range(0, grid.times.size, int(time_stride)):
+        H, grad_norm = _hamiltonian_rows(prob, e.x.states[k], e.p.costates[k],
+                                         e.p0, float(grid.times[k]))
+        u_t = node_controls[k][None, :]
+        h_here = float(H(u_t)[0])
+        if omegas is None:
+            best, lip = _coordinate_scan(U, H, grad_norm, u_t, h_here, density)
         else:
-            h_here = hamiltonian(prob, xk, u_t, pk, e.p0, t)
-            best, lip = _coordinate_scan(prob, U, xk, pk, e.p0, t, u_t, density)
+            best = float(np.max(H(omegas)))
+            # Lipschitz estimate from a coarse subsample of grad_u H
+            lip = float(np.max(grad_norm(omegas[::max(1, len(omegas) // 32)])))
         slack = lip * spacing / 2.0
         worst_slack = max(worst_slack, slack)
         gaps.append(max(0.0, best - h_here - slack))
@@ -246,43 +238,48 @@ def hm_gap(e: Extremal, density: int = 1001, time_stride: int = 1) -> HmResult:
     return HmResult(float(np.max(per_node)), per_node, spacing, worst_slack)
 
 
-def _structured_scan(prob: OcpProblem, R: Array, x, p, p0, t, u, omegas,
-                     sub):
-    """(max of H over the rows of `omegas`, H(u), max of |grad_u H| over the
-    rows of `sub`) at one node, from H(w) = a.w + p0 w'Rw/2 + c with
-    a = f_u'p + p0 L_u and c = p.f + p0 L, all read at w = 0.  The
-    gradient is summed as f_u'p + p0 (R w + L_u), the order of
-    grad_u f' p + p0 grad_u L (R symmetric)."""
+def _hamiltonian_rows(prob: OcpProblem, x, p, p0, t):
+    """(H, |grad_u H|) at one node as functions of an (rows, m) array.
+    With R declared: H(w) = a.w + p0 w'Rw/2 + c, a = f_u'p + p0 L_u and
+    c = p.f + p0 L at w = 0, the gradient summed as f_u'p + p0 (R w + L_u)
+    like `grad_u_hamiltonian`; otherwise one call of each per row."""
+    R = prob.control_hessian
+    if R is None:
+        def H(w):
+            return np.array([hamiltonian(prob, x, v, p, p0, t) for v in w])
+
+        def grad_norm(w):
+            return np.array([np.linalg.norm(grad_u_hamiltonian(
+                prob, x, v, p, p0, t)) for v in w])
+        return H, grad_norm
     zero = np.zeros(prob.m)
     gp = prob.dynamics_jac_u(x, zero, t).T @ p
     lin = prob.cost_grad_u(x, zero, t)
     a = gp + p0 * lin
     c = float(p @ prob.dynamics(x, zero, t) + p0 * prob.cost(x, zero, t))
 
-    def h(w):
+    def H(w):
         return w @ a + (0.5 * p0) * np.sum((w @ R) * w, axis=1) + c
 
-    lip = np.linalg.norm(gp + p0 * (sub @ R.T + lin), axis=1)
-    return (float(np.max(h(omegas))), float(h(u[None, :])[0]),
-            float(np.max(lip)))
+    def grad_norm(w):
+        return np.linalg.norm(gp + p0 * (w @ R.T + lin), axis=1)
+    return H, grad_norm
 
 
-def _coordinate_scan(prob, U, x, p, p0, t, u_start, density):
-    """Coordinate-wise refinement for control dimension > 2: three sweeps."""
+def _coordinate_scan(U, H, grad_norm, u, best, density):
+    """Three coordinate-wise sweeps from the (1, m) row u, where H is
+    `best`: (best H seen, |grad_u H| at the row that reached it)."""
     lo, up = U.bounding_box()
-    u = np.asarray(u_start, dtype=float).copy()
-    best = hamiltonian(prob, x, u, p, p0, t)
     for _ in range(3):
-        for j in range(u.size):
-            cand = np.repeat(u[None, :], density, axis=0)
+        for j in range(u.shape[1]):
+            cand = np.repeat(u, density, axis=0)
             cand[:, j] = np.linspace(lo[j], up[j], density)
             cand = project(U, cand)
-            vals = [hamiltonian(prob, x, c, p, p0, t) for c in cand]
+            vals = H(cand)
             jbest = int(np.argmax(vals))
-            u = cand[jbest]
+            u = cand[jbest:jbest + 1]
             best = max(best, float(vals[jbest]))
-    lip = float(np.linalg.norm(grad_u_hamiltonian(prob, x, u, p, p0, t)))
-    return best, lip
+    return best, float(grad_norm(u)[0])
 
 
 def lift_inequality(e: Extremal, v) -> float:
@@ -417,6 +414,8 @@ def evaluate_extremal(e: Extremal, *, with_hm: bool = False,
     Lift probes draw random piecewise-constant controls valued in U from
     a generator seeded with 0, so a report is reproducible.
     """
+    if lift_probes < 0:
+        raise ValueError(f"lift_probes must be nonnegative, got {lift_probes!r}")
     e.validate()
     report = ResidualReport()
     report.feasibility = e.feasibility

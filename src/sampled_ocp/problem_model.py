@@ -9,6 +9,7 @@ so problems can be shared freely across concurrent evaluations.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -20,6 +21,10 @@ from .errors import ConfigFormatError, MembershipError, ProblemLookupError
 
 # Tolerance for "u in U" preconditions; absorbs projection round-off.
 TOL_SET = 1e-10
+# Largest magnitude a marched or stored value may have: every march of
+# `integrate` stops past it, so no solve writes a CSV entry beyond it,
+# and no problem starts or ends past it.
+BLOWUP_NORM = 1e12
 
 Array = np.ndarray
 Dynamics = Callable[[Array, Array, float], Array]
@@ -31,6 +36,15 @@ def _frozen(a) -> Array:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _check_endpoints(x0: Array, xT: Array) -> None:
+    """`ValueError` unless every entry of x0 and xT is finite and at most
+    BLOWUP_NORM in magnitude, where every march would stop."""
+    if not (np.all(np.abs(x0) <= BLOWUP_NORM)
+            and np.all(np.abs(xT) <= BLOWUP_NORM)):
+        raise ValueError(f"endpoint states must be finite and at most "
+                         f"{BLOWUP_NORM:g} in magnitude")
 
 
 # Float format of every CSV the package writes: 17 significant digits
@@ -208,9 +222,10 @@ def sample_grid(control_set: ControlSet, density: int) -> Array:
 
 
 def grid_spacing(control_set: ControlSet, density: int) -> float:
-    """Largest spacing of the grid produced by :func:`sample_grid`."""
+    """Largest spacing of the grid produced by :func:`sample_grid`, whose
+    `density` >= 2 points per dimension include both ends."""
     lo, up = control_set.bounding_box()
-    widths = (up - lo) / max(density - 1, 1)
+    widths = (up - lo) / (density - 1)
     return float(np.max(widths)) if widths.size else 0.0
 
 
@@ -242,8 +257,9 @@ class LqProblemData:
         R = _frozen(np.atleast_2d(self.R))
         x0 = _frozen(np.atleast_1d(self.x0))
         xT = _frozen(np.atleast_1d(self.xT))
-        if not all(np.all(np.isfinite(a)) for a in (A, B, Q, R, x0, xT)):
-            raise ValueError("LQ matrices and endpoint states must be finite")
+        if not all(np.all(np.isfinite(a)) for a in (A, B, Q, R)):
+            raise ValueError("LQ matrices must be finite")
+        _check_endpoints(x0, xT)
         n = A.shape[0]
         if A.shape != (n, n) or B.shape[0] != n or Q.shape != (n, n):
             raise ValueError("inconsistent LQ matrix shapes")
@@ -285,7 +301,9 @@ class OcpProblem:
 
     `control_hessian`, when given, declares the Hamiltonian quadratic in
     u: f is affine in u and L is u'Ru/2 plus terms at most linear in u,
-    with R = control_hessian a constant (m, m) array.
+    with R = control_hessian a constant (m, m) array.  `lq`, when given,
+    must have the problem's n and m, and takes the problem's horizon and
+    endpoint states.
     """
 
     n: int
@@ -314,8 +332,7 @@ class OcpProblem:
         object.__setattr__(self, "xT", _frozen(np.atleast_1d(self.xT)))
         if self.x0.shape != (self.n,) or self.xT.shape != (self.n,):
             raise ValueError("endpoint states must have length n")
-        if not (np.all(np.isfinite(self.x0)) and np.all(np.isfinite(self.xT))):
-            raise ValueError("endpoint states must be finite")
+        _check_endpoints(self.x0, self.xT)
         if self.control_set.dim != self.m:
             raise ValueError("control set dimension must equal m")
         if self.control_hessian is not None:
@@ -323,6 +340,11 @@ class OcpProblem:
             if R.shape != (self.m, self.m) or not np.all(np.isfinite(R)):
                 raise ValueError("control_hessian must be a finite (m, m) array")
             object.__setattr__(self, "control_hessian", R)
+        if self.lq is not None:
+            if (self.lq.n, self.lq.m) != (self.n, self.m):
+                raise ValueError("LQ data must have the problem's n and m")
+            object.__setattr__(self, "lq", dataclasses.replace(
+                self.lq, horizon=self.horizon, x0=self.x0, xT=self.xT))
 
     def __repr__(self):
         return (f"OcpProblem(name={self.name!r}, n={self.n}, m={self.m}, "
@@ -383,7 +405,6 @@ def problem_from_callables(f: Dynamics, L: Scalar, n: int, m: int,
 class ProblemCatalogEntry:
     name: str
     builder: Callable[..., OcpProblem]
-    reference_kind: str  # "lq_exact" | "fine_partition_surrogate" | "none"
     summary: str = ""
 
 
@@ -566,18 +587,18 @@ def build_affine_quadratic(coupling: float = 0.3, cross_weight: float = 0.1,
 
 _CATALOG = (
     ProblemCatalogEntry(
-        "cubic_counterexample", build_cubic_counterexample, "none",
+        "cubic_counterexample", build_cubic_counterexample,
         "scalar cubic-in-u dynamics, zero cost, zero endpoints; separates "
         "gradient-type from maximization-type stationarity"),
     ProblemCatalogEntry(
-        "lq_double_integrator", build_lq_double_integrator, "lq_exact",
+        "lq_double_integrator", build_lq_double_integrator,
         "double integrator with quadratic cost; analytic and exact sampled "
         "references available"),
     ProblemCatalogEntry(
-        "lq_generic", build_lq_generic, "lq_exact",
+        "lq_generic", build_lq_generic,
         "user-supplied constant matrices A, B, Q, R"),
     ProblemCatalogEntry(
-        "affine_quadratic", build_affine_quadratic, "fine_partition_surrogate",
+        "affine_quadratic", build_affine_quadratic,
         "nonlinear control-affine pendulum-like system with quadratic cost"),
 )
 

@@ -152,17 +152,25 @@ def solve_lq_permanent(data: LqProblemData) -> PermanentReference:
         raise UnreachableTargetError(
             f"shooting matrix condition {cond:.3e} exceeds "
             f"{SHOOTING_CONDITION_LIMIT:.1e}: target unreachable or degenerate")
-    p0vec = np.linalg.solve(E12, data.xT - E11 @ data.x0)
 
     times = np.linspace(0.0, data.horizon, PERMANENT_RESOLUTION + 1)
-    # each node from its own exponential: chained step products would
-    # compound rounding along the Hamiltonian's unstable modes
-    Z = expm(M * times[:, None, None]) @ np.concatenate([data.x0, p0vec])
-    dZ = Z @ M.T
-
-    Rinv_Bt = np.linalg.solve(data.R, data.B.T)
-    Upath = Z[:, n:] @ Rinv_Bt.T
-    dU = dZ[:, n:] @ Rinv_Bt.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        p0vec = np.linalg.solve(E12, data.xT - E11 @ data.x0)
+        # each node from its own exponential: chained step products would
+        # compound rounding along the Hamiltonian's unstable modes
+        Z = expm(M * times[:, None, None]) @ np.concatenate([data.x0, p0vec])
+        dZ = Z @ M.T
+        Rinv_Bt = np.linalg.solve(data.R, data.B.T)
+        Upath = Z[:, n:] @ Rinv_Bt.T
+        dU = dZ[:, n:] @ Rinv_Bt.T
+        # d/dt <p, x> = x'Qx + u'Ru along the extremal, so the cost is half
+        # the boundary difference of <p, x>, with p(T) from the shooting map.
+        pT = ET[n:] @ Z[0]
+        cost = 0.5 * (float(pT @ data.xT) - float(p0vec @ data.x0))
+    if not (np.isfinite(cost)
+            and all(np.all(np.isfinite(a)) for a in (Z, dZ, Upath, dU))):
+        raise UnreachableTargetError(
+            "permanent optimum overflows: its path or cost is not finite")
 
     times = _frozen(times)
 
@@ -173,11 +181,6 @@ def solve_lq_permanent(data: LqProblemData) -> PermanentReference:
     x_path = path(Z[:, :n], dZ[:, :n])
     p_path = path(Z[:, n:], dZ[:, n:])
     u_path = path(Upath, dU)
-
-    # d/dt <p, x> = x'Qx + u'Ru along the extremal, so the cost is half
-    # the boundary difference of <p, x>, with p(T) from the shooting map.
-    pT = ET[n:] @ Z[0]
-    cost = 0.5 * (float(pT @ data.xT) - float(p0vec @ data.x0))
     notes = []
     if float(np.linalg.norm(p0vec)) == 0.0 and \
             float(np.linalg.norm(data.xT - E11 @ data.x0)) == 0.0:

@@ -390,6 +390,8 @@ def gradient_check(prob: OcpProblem, partition: Partition,
     about fourfold on problems with genuine third derivatives.  The
     marches run on the default grid, h <= T / 1024.
     """
+    if not (np.isfinite(fd_step) and fd_step > 0):
+        raise ValueError("fd_step must be finite and positive")
     grid = build_time_grid(prob.horizon, partition)
     aug = _AugmentedObjective(prob, partition, grid)
     mu = np.asarray(mu, dtype=float)

@@ -22,10 +22,13 @@ from sampled_ocp import SolverOptions, cli, integrate
 # check bundles stored with the benchmark; tests only read them
 BUNDLES = Path(__file__).resolve().parents[1] / "perfbench" / "bundles"
 
-# config overrides that no problem can hold: JSON's Infinity and NaN
-NON_FINITE_OVERRIDES = [{"horizon": math.inf}, {"horizon": math.nan},
-                        {"x0": [math.nan, 0.0]}, {"xT": [0.0, -math.inf]}]
-NON_FINITE_IDS = ["horizon_inf", "horizon_nan", "x0_nan", "xT_neg_inf"]
+# config overrides that no problem can hold: JSON's Infinity and NaN, and
+# an endpoint past BLOWUP_NORM, where every march stops
+UNHOLDABLE_OVERRIDES = [{"horizon": math.inf}, {"horizon": math.nan},
+                        {"x0": [math.nan, 0.0]}, {"xT": [0.0, -math.inf]},
+                        {"x0": [0.0, 1e308]}]
+UNHOLDABLE_IDS = ["horizon_inf", "horizon_nan", "x0_nan", "xT_neg_inf",
+                  "x0_1e308"]
 
 
 def _write_config(path, config):
@@ -254,8 +257,8 @@ class TestSolve:
                          "--out", str(tmp_path)])
         assert code == 1
 
-    @pytest.mark.parametrize("override", NON_FINITE_OVERRIDES,
-                             ids=NON_FINITE_IDS)
+    @pytest.mark.parametrize("override", UNHOLDABLE_OVERRIDES,
+                             ids=UNHOLDABLE_IDS)
     def test_non_finite_config_is_usage_error(self, tmp_path, capsys,
                                               override):
         cfg = _write_config(tmp_path / "c.json",
@@ -265,7 +268,6 @@ class TestSolve:
         assert code == 1
         err = capsys.readouterr().err
         assert "bad problem specification" in err and "Traceback" not in err
-
 
 class TestCheck:
     def test_bundle_passes(self, di_bundle):
@@ -510,8 +512,8 @@ class TestConverge:
         assert "--h-max" in err and "Traceback" not in err
         assert not (out / "report.csv").exists()
 
-    @pytest.mark.parametrize("override", NON_FINITE_OVERRIDES,
-                             ids=NON_FINITE_IDS)
+    @pytest.mark.parametrize("override", UNHOLDABLE_OVERRIDES,
+                             ids=UNHOLDABLE_IDS)
     def test_non_finite_config_is_usage_error(self, tmp_path, capsys,
                                               override):
         cfg = _write_config(tmp_path / "c.json",
@@ -553,6 +555,19 @@ class TestCatalog:
         for name in ("cubic_counterexample", "lq_double_integrator",
                      "lq_generic", "affine_quadratic"):
             assert name in out
+
+    def test_reference_column_is_what_converge_builds(self, capsys):
+        """`converge` measures LQ problems against the exact permanent
+        optimum and every other problem against the fine-partition
+        surrogate; the catalog says so."""
+        assert cli.main(["catalog"]) == 0
+        column = {line.split()[0]: line.split()[1]
+                  for line in capsys.readouterr().out.splitlines()}
+        assert column == {
+            "cubic_counterexample": "reference=fine_partition_surrogate",
+            "lq_double_integrator": "reference=lq_exact",
+            "lq_generic": "reference=lq_exact",
+            "affine_quadratic": "reference=fine_partition_surrogate"}
 
     def test_no_subcommand_usage(self):
         assert cli.main([]) == 1
@@ -652,6 +667,8 @@ class TestFuzz:
                          ["--N", "2", "--max-outer", "3"]))
     @example(invocation=("converge", {"problem": "lq_double_integrator",
                                       "horizon": 1e308}, ["--Ns", "2"]))
+    @example(invocation=("converge", {"problem": "lq_double_integrator",
+                                      "x0": [0.0, 1e308]}, ["--Ns", "2"]))
     @example(invocation=("solve", {"problem": "affine_quadratic",
                                    "horizon": 1e308},
                          ["--N", "2", "--max-outer", "3"]))

@@ -99,6 +99,14 @@ class TestLimits:
 
 
 class TestAveraging:
+    @pytest.mark.parametrize("operator", [average_onto, resample_onto])
+    def test_list_of_times_refused(self, operator):
+        """The target must be a `Partition`, not its list of times."""
+        u = PiecewiseConstantControl(uniform_partition(2, 1.0),
+                                     [[1.0], [2.0]])
+        with pytest.raises(TypeError, match="Partition"):
+            operator(u, [0.0, 1.0])
+
     def test_constant_stays_constant(self):
         sig = SampledControlSignal([0.0, 0.3, 1.0], [[2.5], [2.5], [2.5]],
                                    "piecewise_linear")

@@ -119,6 +119,15 @@ class TestCascadeCarriesPenalty:
 
 
 class TestDegenerateSweep:
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_too_few_comparison_points_refused(self, di_problem,
+                                               di_reference, points):
+        """One point compares only x(0) = x0 with itself, and none fails
+        after the first row is solved; both are refused up front."""
+        with pytest.raises(ValueError, match="comparison_points"):
+            SweepConfig(problem=di_problem, reference=di_reference,
+                        comparison_points=points)
+
     def test_zero_transfer_rows(self):
         prob = build_problem("lq_generic", A=0.0, B=1.0, Q=1.0, R=1.0,
                              x0=[0.0, 0.0], xT=[0.0, 0.0])

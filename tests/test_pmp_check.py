@@ -15,7 +15,7 @@ from sampled_ocp.errors import GridAlignmentError, TrivialLiftError
 from sampled_ocp.control_partition import resample_onto
 from sampled_ocp.integrate import (ControlDifference, CostateTrajectory,
                                    Trajectory)
-from sampled_ocp.pmp_check import (ResidualReport, _structured_scan,
+from sampled_ocp.pmp_check import (ResidualReport, _hamiltonian_rows,
                                    ae_residual, ahg_residual,
                                    evaluate_extremal, grad_u_hamiltonian,
                                    hg_residual, hm_gap,
@@ -471,19 +471,47 @@ def _random_extremal(prob, seed, p0):
     return Extremal(prob, x, u, p, p0)
 
 
+_COUPLED_R = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]]
+
+
+def _m3_lq_problem(R=_COUPLED_R):
+    """An `lq_generic` problem with m = 3 on the box [-2, 2]^3, where
+    `hm_gap` scans coordinate lines."""
+    from sampled_ocp import Box
+    return build_problem("lq_generic", A=np.diag([1.0, 1.0], k=1),
+                         B=np.eye(3), R=R, x0=[0.0, 1.5, 0.0],
+                         xT=[0.0, 0.0, 0.0],
+                         control_set=Box(-2.0 * np.ones(3), 2.0 * np.ones(3)))
+
+
+def _m3_lq_extremal(R=_COUPLED_R):
+    """The exact N = 4 sampled optimum of `_m3_lq_problem(R)`."""
+    from sampled_ocp import solve_lq_sampled_exact
+    prob = _m3_lq_problem(R)
+    sol = solve_lq_sampled_exact(prob.lq, uniform_partition(4, 1.0),
+                                 prob.control_set)
+    return Extremal(prob, sol.state, sol.control, sol.costate, -1.0,
+                    feas_tol=1e-9)
+
+
 class TestStructuredHmScan:
-    @pytest.mark.parametrize("name", ["lq_double_integrator",
-                                      "affine_quadratic"])
+    @pytest.mark.parametrize("build, density", [
+        (lambda: build_problem("lq_double_integrator"), 1001),
+        (lambda: build_problem("affine_quadratic"), 1001),
+        (_m3_lq_problem, 101)], ids=["lq_double_integrator",
+                                     "affine_quadratic", "lq_generic_m3"])
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p0=st.sampled_from([-1.0, 0.0]))
-    def test_rows_match_the_call_loop(self, name, seed, p0):
-        """The scan read from the affine-quadratic structure gives the
-        per-call loop's gaps to 1e-12 of the largest gap, and its slack."""
-        prob = build_problem(name)
+    def test_rows_match_the_call_loop(self, build, density, seed, p0):
+        """The rows read from a declared control Hessian give the
+        per-call rows' gaps to 1e-12 of the largest gap, and their slack,
+        on the point grid (m <= 2) and on coordinate lines (m = 3)."""
+        prob = build()
         e = _random_extremal(prob, seed, p0)
         loop = hm_gap(dataclasses.replace(
-            e, problem=dataclasses.replace(prob, control_hessian=None)))
-        rows = hm_gap(e)
+            e, problem=dataclasses.replace(prob, control_hessian=None)),
+            density=density)
+        rows = hm_gap(e, density=density)
         assert loop.sup > 0.0
         np.testing.assert_allclose(rows.per_node, loop.per_node, rtol=1e-12,
                                    atol=1e-12 * loop.sup)
@@ -493,9 +521,9 @@ class TestStructuredHmScan:
     @given(seed=st.integers(0, 2**32 - 1), p0=st.sampled_from([-1.0, 0.0]))
     def test_structure_is_the_hamiltonian(self, seed, p0):
         """For every catalog problem that declares a control Hessian, the
-        scan's H(w), H(u) and slack Lipschitz bound |grad_u H(w)| equal
-        `hamiltonian` and `grad_u_hamiltonian`: a declaration that
-        disagrees with f and L fails here."""
+        closed-form rows' H(w), H(u) and slack Lipschitz bound
+        |grad_u H(w)| equal `hamiltonian` and `grad_u_hamiltonian`: a
+        declaration that disagrees with f and L fails here."""
         rng = np.random.default_rng(seed)
         declared = []
         for entry in catalog():
@@ -507,8 +535,9 @@ class TestStructuredHmScan:
             p = rng.uniform(-5, 5, prob.n)
             w, u = rng.uniform(-3, 3, (2, prob.m))
             t = float(rng.uniform(0, prob.horizon))
-            h_w, h_u, lip = _structured_scan(prob, prob.control_hessian, x, p,
-                                             p0, t, u, w[None, :], w[None, :])
+            H, grad_norm = _hamiltonian_rows(prob, x, p, p0, t)
+            h_w, h_u = H(np.array([w, u]))
+            lip = grad_norm(w[None, :])[0]
             for h, v in ((h_w, w), (h_u, u)):
                 exact = hamiltonian(prob, x, v, p, p0, t)
                 assert h == pytest.approx(exact, rel=1e-12, abs=1e-12)
@@ -532,8 +561,10 @@ class TestStructuredHmScan:
         assert not kept.control_hessian.flags.writeable
 
     def test_no_hamiltonian_calls_under_a_structure(self, monkeypatch):
-        """A structured problem scans without calling `hamiltonian`; the
-        loop calls it once per scan point and once at u(t), per node."""
+        """A problem that declares R scans without calling `hamiltonian`,
+        on the point grid and on the coordinate lines of m = 3; the
+        per-call rows call it once per scan point and once at u(t), per
+        node."""
         import sampled_ocp.pmp_check as pmp
         calls = [0]
         original = pmp.hamiltonian
@@ -550,27 +581,43 @@ class TestStructuredHmScan:
         hm_gap(dataclasses.replace(
             e, problem=dataclasses.replace(prob, control_hessian=None)))
         assert calls[0] == 1002 * e.x.grid.times.size
+        calls[0] = 0
+        hm_gap(_m3_lq_extremal(), density=101, time_stride=32)
+        assert calls[0] == 0
+
+
+class TestScanArguments:
+    @pytest.mark.parametrize("kwargs", [{"density": 0}, {"density": 1},
+                                        {"time_stride": 0}],
+                             ids=["density_0", "density_1", "stride_0"])
+    def test_vacuous_scan_refused(self, cubic_extremal, kwargs):
+        """A scan of no point, of the box's lower corner alone, or with a
+        stride that never advances is refused, directly and through the
+        report."""
+        with pytest.raises(ValueError, match="density >= 2"):
+            hm_gap(cubic_extremal, **kwargs)
+        with pytest.raises(ValueError, match="density >= 2"):
+            evaluate_extremal(cubic_extremal, with_hm=True,
+                              **{"hm_" + k: v for k, v in kwargs.items()})
+
+    def test_negative_probe_count_refused(self, cubic_extremal):
+        """A negative probe count is refused, not reported as "not
+        evaluated"."""
+        with pytest.raises(ValueError, match="lift_probes"):
+            evaluate_extremal(cubic_extremal, lift_probes=-5)
 
 
 class TestCoordinateHmScan:
-    @pytest.mark.parametrize("R", [np.eye(3), [[2.0, 0.5, 0.0],
-                                                [0.5, 1.0, 0.3],
-                                                [0.0, 0.3, 1.5]]],
+    @pytest.mark.parametrize("R", [np.eye(3), _COUPLED_R],
                              ids=["identity", "coupled"])
     def test_gap_brackets_the_exact_gap(self, R):
         """With m = 3, `hm_gap` scans coordinate lines.  On an LQ problem
         H is concave in u and its maximum over the box is a box QP, so at
         each scanned node the exact gap is known: the reported gap lies
         between it minus twice the slack and it."""
-        from sampled_ocp import Box, solve_lq_sampled_exact
         from sampled_ocp.reference_oracles import _ReducedQp, _solve_box_qp
-        U = Box(-2.0 * np.ones(3), 2.0 * np.ones(3))
-        prob = build_problem("lq_generic", A=np.diag([1.0, 1.0], k=1),
-                             B=np.eye(3), R=R, x0=[0.0, 1.5, 0.0],
-                             xT=[0.0, 0.0, 0.0], control_set=U)
-        sol = solve_lq_sampled_exact(prob.lq, uniform_partition(4, 1.0), U)
-        e = Extremal(prob, sol.state, sol.control, sol.costate, -1.0,
-                     feas_tol=1e-9)
+        e = _m3_lq_extremal(R)
+        prob, U = e.problem, e.problem.control_set
         res = hm_gap(e, density=101, time_stride=32)
         exact, clipped = [], 0
         for k in range(0, e.x.grid.times.size, 32):

@@ -1,5 +1,6 @@
 """Control sets, projections, normal cones, catalog, config loading."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -157,14 +158,30 @@ class TestCatalog:
                                       "lq_double_integrator"])
     @pytest.mark.parametrize("params", [
         {"horizon": np.inf}, {"horizon": np.nan}, {"x0": [np.nan, 0.0]},
-        {"xT": [0.0, -np.inf]}, {"x0": [[0.5, 0.0]]}],
-        ids=["horizon_inf", "horizon_nan", "x0_nan", "xT_inf", "x0_2d"])
+        {"xT": [0.0, -np.inf]}, {"x0": [[0.5, 0.0]]}, {"x0": [0.0, 1e308]},
+        {"xT": [-1e13, 0.0]}],
+        ids=["horizon_inf", "horizon_nan", "x0_nan", "xT_inf", "x0_2d",
+             "x0_1e308", "xT_neg_1e13"])
     def test_non_finite_or_misshapen_endpoints_refused(self, name, params):
         """`OcpProblem` and `LqProblemData` refuse what no march can
-        start from; a config loader turns the ValueError into a
-        `ConfigFormatError`."""
+        start from, or what every march stops at (past BLOWUP_NORM); a
+        config loader turns the ValueError into a `ConfigFormatError`."""
         with pytest.raises(ValueError):
             build_problem(name, **params)
+
+    def test_lq_data_takes_the_problem_endpoints(self):
+        """The problem owns its horizon and endpoint states: replacing
+        them on the problem moves its LQ data along."""
+        q = dataclasses.replace(build_problem("lq_double_integrator"),
+                                x0=[2.0, 0.0], xT=[0.0, 0.5], horizon=2.0)
+        np.testing.assert_array_equal(q.lq.x0, [2.0, 0.0])
+        np.testing.assert_array_equal(q.lq.xT, [0.0, 0.5])
+        assert q.lq.horizon == 2.0
+
+    def test_lq_data_of_other_dimensions_refused(self):
+        prob = build_problem("lq_double_integrator")
+        with pytest.raises(ValueError, match="n and m"):
+            dataclasses.replace(prob, lq=build_problem("lq_generic").lq)
 
     def test_cubic_dynamics_value(self):
         prob = build_problem("cubic_counterexample")

@@ -51,6 +51,15 @@ class TestPermanentLq:
             assert ref.p.at(t)[0] == pytest.approx(1.0, abs=1e-12)
         assert ref.cost == pytest.approx(0.5, abs=1e-12)
 
+    def test_overflowing_path_is_unreachable(self):
+        """x' = x + u from x0 = 1e12 over T = 700: the shooting matrix is
+        well conditioned, but e^700 x0 overflows the path; that is an
+        unreachable target, not a cost and path of inf and NaN."""
+        data = LqProblemData([[1.0]], [[1.0]], [[0.0]], [[1.0]], 700.0,
+                             [1e12], [0.0])
+        with pytest.raises(UnreachableTargetError, match="not finite"):
+            solve_lq_permanent(data)
+
     def test_overflowing_horizon_is_unreachable(self):
         """Over a finite horizon of 1e308 the shooting map's exponential
         overflows; that is an unreachable target, not a failed SVD."""

@@ -1,5 +1,7 @@
 """Augmented-Lagrangian solver with projected quasi-Newton steps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,21 @@ class TestBasics:
 
 
 class TestOracleEquivalence:
+    def test_replaced_endpoint_reaches_the_oracle(self):
+        """A problem whose x0 is replaced carries the new x0 into its LQ
+        data, so `solve` and the exact oracle solve the same problem."""
+        q = dataclasses.replace(build_problem("lq_double_integrator"),
+                                x0=[2.0, 0.0])
+        part = uniform_partition(4, 1.0)
+        sol = solve(q, part, SolverOptions(feas_tol=1e-9))
+        exact = solve_lq_sampled_exact(q.lq, part, q.control_set)
+        assert sol.cost == pytest.approx(exact.cost, rel=1e-7)
+
+    def test_list_of_times_refused(self, di_problem):
+        """Sampling times must come as a `Partition`."""
+        with pytest.raises(TypeError, match="Partition"):
+            solve(di_problem, [0.0, 0.5, 1.0])
+
     @pytest.mark.parametrize("N", [2, 4, 8, 16])
     def test_inactive_bound(self, di_problem, di_sweep, N):
         _, solutions = di_sweep
@@ -432,6 +449,14 @@ class TestFailureModes:
 
 
 class TestGradientCheck:
+    @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
+    def test_step_must_be_finite_and_positive(self, di_problem, step):
+        u = PiecewiseConstantControl(uniform_partition(2, 1.0),
+                                     np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="fd_step"):
+            gradient_check(di_problem, u.partition, u, mu=np.zeros(2),
+                           rho=1.0, fd_step=step)
+
     def test_lq_adjoint_gradient(self, di_problem, rng):
         u = PiecewiseConstantControl(uniform_partition(6, 1.0),
                                      rng.uniform(-3, 3, size=(6, 1)))
