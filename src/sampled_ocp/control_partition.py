@@ -272,9 +272,13 @@ def resample_onto(u: PiecewiseConstantControl,
     """Re-express a PC control on another partition by midpoint lookup.
 
     Exact when the new partition refines the old one; used to seed
-    warm starts when a partition is split.
+    warm starts when a partition is split.  `CoverageError` when the
+    partition spans another horizon.
     """
     _check_partition(partition)
+    if partition.horizon != u.horizon:
+        raise CoverageError(f"control on [0, {u.horizon}] cannot be "
+                            f"resampled onto [0, {partition.horizon}]")
     mids = 0.5 * (partition.times[:-1] + partition.times[1:])
     return PiecewiseConstantControl(partition, u.value(mids))
 

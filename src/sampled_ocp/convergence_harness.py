@@ -9,8 +9,9 @@ convergence but no order.
 
 Under the "cascade" policy each row is warm-started from the previous
 row's solution: its control resampled onto the finer partition, its
-multiplier and its penalty, so the augmented Lagrangian of a row starts
-where the coarser row's ended.  Under "cold" every row is an
+multiplier and its penalty, so a row takes SQP steps from the coarser
+row's KKT point (on a box), or its augmented Lagrangian starts where the
+coarser row's ended.  Under "cold" every row is an
 independent cold solve.  `fine_surrogate` walks the same cascade.
 
 Known limitation, recorded in every report: the harness tracks one

@@ -377,13 +377,14 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    iterations: int            # total inner iterations (or oracle solves)
-    outer_iterations: int
+    iterations: int            # inner iterations, SQP steps or oracle solves
+    outer_iterations: int      # AL multiplier rounds (SQP and oracles: 0)
     feasibility: float
     stationarity: float
-    objective_log: tuple       # (outer, inner, augmented objective) triples
-    feasibility_log: tuple = ()  # terminal defect norm after each outer round
-    penalty: Optional[float] = None  # rho of the certifying round (oracles: None)
+    objective_log: tuple       # (outer, inner, AL objective or SQP merit)
+    feasibility_log: tuple = ()  # terminal defect per AL round or SQP step
+    penalty: Optional[float] = None  # rho of the last AL round or the warm
+    # rho an SQP solve was given (oracles: None)
 
 
 @dataclass(frozen=True)

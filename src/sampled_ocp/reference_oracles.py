@@ -268,12 +268,15 @@ class _ReducedQp:
         self.b_eq = data.xT - c[N]
 
     @classmethod
-    def model(cls, H: Array, g: Array) -> "_ReducedQp":
-        """The QP min 1/2 u'Hu + g'u with no equality rows and no
-        discretization behind it."""
+    def model(cls, H: Array, g: Array, A_eq: Optional[Array] = None,
+              b_eq: Optional[Array] = None) -> "_ReducedQp":
+        """The QP min 1/2 u'Hu + g'u subject to A_eq u = b_eq (no rows
+        when A_eq is None), with no discretization behind it."""
         qp = cls.__new__(cls)
         qp.H, qp.g = H, g
-        qp.A_eq, qp.b_eq = np.empty((0, g.size)), np.empty(0)
+        if A_eq is None:
+            A_eq, b_eq = np.empty((0, g.size)), np.empty(0)
+        qp.A_eq, qp.b_eq = A_eq, b_eq
         return qp
 
     def step_blocks(self, h: float):

@@ -1,8 +1,10 @@
 """Sampled-data solve: minimize the cost over piecewise-constant controls
 under the terminal equality constraint, and reconstruct the costate.
 
-The terminal constraint is handled by an augmented Lagrangian whose
-converged multiplier supplies the costate terminal value.  The inner
+A cold solve handles the terminal constraint by an augmented Lagrangian
+whose converged multiplier supplies the costate terminal value; a warm
+start on a box takes SQP steps on the condensed problem instead
+(`_sqp`), whose QP multiplier does.  The AL's inner
 subproblems take projected quasi-Newton steps on every control set: the
 model Hessian is B + rho C'C, with C = dx(T)/du from n adjoint marches
 (the condensing of Bock & Plitt, IFAC 1984) and B a damped BFGS
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -71,7 +74,9 @@ ADMM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tuning knobs for the augmented-Lagrangian solve."""
+    """Tuning knobs of `solve`: an SQP solve takes at most `max_inner`
+    steps; the augmented Lagrangian at most `max_outer` rounds of at most
+    `max_inner` steps each."""
 
     max_outer: int = 50
     max_inner: int = 2000
@@ -80,8 +85,10 @@ class SolverOptions:
     h_max: Optional[float] = None
 
     def __post_init__(self):
-        if min(self.max_outer, self.max_inner) <= 0:
-            raise ValueError("iteration limits must be positive")
+        limits = (self.max_outer, self.max_inner)
+        if not all(isinstance(v, (int, np.integer)) and
+                   not isinstance(v, bool) and v > 0 for v in limits):
+            raise ValueError("iteration limits must be positive integers")
         if not all(np.isfinite(v) and v > 0
                    for v in (self.feas_tol, self.stat_tol)):
             raise ValueError("solver tolerances must be finite and positive")
@@ -108,14 +115,10 @@ class _AugmentedObjective:
         defect = traj.final_state - self.prob.xT
         return traj.cost + float(mu @ defect) + 0.5 * rho * float(defect @ defect)
 
-    def trial(self, values: Array, mu: Array, rho: float):
-        """(trajectory, objective) at a trial point; the objective is inf
-        where the state march blows up."""
-        try:
-            traj = self.forward(values)
-        except IntegrationDivergedError:
-            return None, np.inf
-        return traj, self.value(traj, mu, rho)
+    def merit(self, traj: Trajectory, weight: float) -> float:
+        """The l1 merit J + weight * ||x(T) - xT||_1 of the SQP steps."""
+        defect = traj.final_state - self.prob.xT
+        return traj.cost + weight * float(np.sum(np.abs(defect)))
 
     def gradient(self, values: Array, traj: Trajectory, mu: Array, rho: float):
         """Adjoint gradient blocks g_i = int (grad_u L + grad_u f' lambda).
@@ -209,19 +212,25 @@ def _model_step(U: ControlSet, values: Array, g: Array,
     return w.reshape(values.shape)
 
 
-def _line_search(aug, values: Array, step: Array, g: Array, phi: float,
-                 mu: Array, rho: float):
-    """Armijo backtracking along values + t * step: the first t in 1,
-    1/2, ... with phi(t) <= phi + ARMIJO_C t g's + floor, floor the
-    rounding level of phi, is accepted (only t = 1 when -g's is itself
-    at the floor).  Returns (values, trajectory, objective, settled), or
-    None; `settled` says the accepted step changed phi by at most floor."""
-    decrease = float(np.sum(g * step))
+def _line_search(aug, values: Array, step: Array, objective,
+                 decrease: float, phi: float):
+    """Armijo backtracking along values + t * step on `objective`, a
+    function of the trajectory that is phi at t = 0 with directional
+    derivative `decrease`: the first t in 1, 1/2, ... with phi(t) <=
+    phi + ARMIJO_C t decrease + floor, floor the rounding level of phi,
+    is accepted (only t = 1 when -decrease is itself at the floor); a
+    trial whose state march blows up has phi(t) = inf.  Returns (values,
+    trajectory, objective, settled), or None; `settled` says the
+    accepted step changed phi by at most floor."""
     floor = ROUNDING_FLOOR * (1.0 + abs(phi))
     t = 1.0
     while t >= 1e-14:
         cand = project(aug.prob.control_set, values + t * step)
-        traj, val = aug.trial(cand, mu, rho)
+        try:
+            traj = aug.forward(cand)
+        except IntegrationDivergedError:
+            traj = None
+        val = np.inf if traj is None else objective(traj)
         if val <= phi + ARMIJO_C * t * decrease + floor:
             return cand, traj, val, phi - val <= floor
         if -decrease <= floor:
@@ -252,7 +261,8 @@ def solve(prob: OcpProblem, partition: Partition,
           warm_penalty: Optional[float] = None) -> SampledSolution:
     """Solve the sampled-data problem on the given partition.
 
-    Outer loop: multiplier update mu <- mu + rho * (x(T) - xT), penalty
+    The augmented Lagrangian (AL), which every cold solve runs.  Outer
+    loop: multiplier update mu <- mu + rho * (x(T) - xT), penalty
     growth only when feasibility fails to contract by 10x.  Inner loop:
     projected quasi-Newton steps on the model B + rho C'C, one algorithm
     for every control set.  C = dx(T)/du is rebuilt from n adjoint
@@ -267,10 +277,14 @@ def solve(prob: OcpProblem, partition: Partition,
 
     A refinement cascade passes the coarser solution's control,
     multiplier and penalty (`diagnostics.penalty`) as `warm_start`,
-    `warm_multiplier` and `warm_penalty`, so the row starts where the
-    coarser row's augmented Lagrangian ended instead of climbing rho
-    from PENALTY_INIT again.  `warm_penalty` must be finite and
-    positive; with None rho starts at PENALTY_INIT.
+    `warm_multiplier` and `warm_penalty`.  On a box a warm start runs
+    SQP (`_sqp`): its multiplier nu gives p(T) = -nu, `penalty` is the
+    warm rho unchanged, `iterations` counts accepted SQP steps and
+    `outer_iterations` is 0, as there are no multiplier rounds.  Where
+    SQP fails, and on other sets, the AL runs from the warm start with
+    rho starting at `warm_penalty` (PENALTY_INIT when None).  Malformed
+    warm arguments raise `ValueError`, a warm control outside the set
+    `MembershipError`.
 
     On success the costate is p = -lambda with p(T) = -(mu + rho*defect)
     evaluated at the accepted stationary point, and p0 = -1.  The dense
@@ -280,26 +294,37 @@ def solve(prob: OcpProblem, partition: Partition,
     if warm_penalty is not None and \
             not (np.isfinite(warm_penalty) and warm_penalty > 0):
         raise ValueError("warm penalty must be finite and positive")
+    mu = np.zeros(prob.n) if warm_multiplier is None \
+        else np.asarray(warm_multiplier, dtype=float).copy()
+    if mu.shape != (prob.n,) or not np.all(np.isfinite(mu)):
+        raise ValueError(f"warm_multiplier must hold n = {prob.n} finite "
+                         "values")
     grid = solver_grid(prob, partition, opts)
     aug = _AugmentedObjective(prob, partition, grid)
+    rho = PENALTY_INIT if warm_penalty is None else float(warm_penalty)
+    B = np.diag(np.repeat(np.diff(partition.times), prob.m))
 
     if warm_start is not None:
         if warm_start.partition.N != partition.N or \
                 not np.array_equal(warm_start.partition.times, partition.times):
             raise ValueError("warm start lives on a different partition")
+        if warm_start.m != prob.m or \
+                not np.all(np.isfinite(warm_start.values)):
+            raise ValueError(f"warm_start must hold finite values with "
+                             f"m = {prob.m} columns")
         dist = warm_start.max_set_distance(prob.control_set)
         if dist > TOL_SET:
             raise MembershipError(
                 f"warm start leaves the control set by {dist:.3e}")
         values = warm_start.values.copy()
+        if isinstance(prob.control_set, Box):
+            sol = _sqp(aug, values, mu, rho, B, opts)
+            if sol is not None:
+                return sol
     else:
         values = _default_initial_control(prob, partition)
 
-    B = np.diag(np.repeat(np.diff(partition.times), prob.m))
     C = C_rho = None
-    mu = np.zeros(prob.n) if warm_multiplier is None \
-        else np.asarray(warm_multiplier, dtype=float).copy()
-    rho = PENALTY_INIT if warm_penalty is None else float(warm_penalty)
     total_inner = 0
     objective_log = []
     feas_history = []
@@ -319,7 +344,9 @@ def solve(prob: OcpProblem, partition: Partition,
                 break
             step = _model_step(prob.control_set, values, g,
                                B + rho * (C.T @ C))
-            found = _line_search(aug, values, step, g, phi, mu, rho)
+            found = _line_search(aug, values, step,
+                                 partial(aug.value, mu=mu, rho=rho),
+                                 float(np.sum(g * step)), phi)
             if found is None:
                 break
             cand, traj, phi, settled = found
@@ -360,6 +387,66 @@ def solve(prob: OcpProblem, partition: Partition,
     raise MaxIterationsError(
         f"no convergence within {opts.max_outer} outer rounds "
         f"(best feasibility {best[0]:.3e}, stationarity {best[1]:.3e})")
+
+
+def _sqp(aug: _AugmentedObjective, values: Array, nu: Array, rho: float,
+         B: Array, opts: SolverOptions) -> Optional[SampledSolution]:
+    """SQP on the condensed problem from a warm start on a box.
+
+    Each step marches one adjoint with p(T) = -nu, which gives the
+    Lagrangian gradient and the costate to certify; solves the box QP
+    min g_J's + 1/2 s'Bs subject to C s = -(x(T) - xT), whose multiplier
+    is the next nu; backtracks on the l1 merit J + pi ||x(T) - xT||_1
+    with pi = max(pi, 1.1 ||nu||_inf); and updates B (the initial one is
+    given) by damped BFGS on the change of the Lagrangian gradient.  C
+    is built once on LQ data, where x(T) is affine in u, and at every
+    iterate otherwise.  Returns the packaged solution (penalty rho,
+    unchanged) once the feasibility and stationarity tests pass, or None
+    when a QP fails, the merit search finds no step, or max_inner steps
+    pass."""
+    prob, U = aug.prob, aug.prob.control_set
+    N = values.shape[0]
+    lo, up = np.tile(U.lower, N), np.tile(U.upper, N)
+    traj = aug.forward(values)
+    g, costate, defect = aug.gradient(values, traj, nu, 0.0)
+    C = _terminal_jacobian(prob, traj, aug.control(values))
+    pi = 0.0
+    objective_log, feas_log = [], []
+    for steps in range(opts.max_inner + 1):
+        feas = float(np.linalg.norm(defect))
+        stat = _stationarity(prob, values, g)
+        if feas <= opts.feas_tol and stat <= opts.stat_tol:
+            return _package(prob, aug.partition, values, traj, costate, nu,
+                            rho, steps, 0, feas, stat, objective_log,
+                            feas_log)
+        if steps == opts.max_inner:
+            break
+        u = values.ravel()
+        g_cost = g.ravel() - C.T @ nu
+        try:
+            target, nu_next, _ = _solve_box_qp(_ReducedQp.model(
+                B, g_cost - B @ u, C, C @ u - defect), lo, up)
+        except OracleError:
+            return None
+        step = (target - u).reshape(values.shape)
+        pi = max(pi, 1.1 * float(np.max(np.abs(nu_next))))
+        found = _line_search(aug, values, step,
+                             partial(aug.merit, weight=pi),
+                             float(g_cost @ step.ravel())
+                             - pi * float(np.sum(np.abs(defect))),
+                             aug.merit(traj, pi))
+        if found is None:
+            return None
+        cand, traj, merit, _ = found
+        g_next, costate, defect = aug.gradient(cand, traj, nu_next, 0.0)
+        B = _damped_bfgs(B, (cand - values).ravel(),
+                         (g_next - g).ravel() - C.T @ (nu_next - nu))
+        if prob.lq is None:
+            C = _terminal_jacobian(prob, traj, aug.control(cand))
+        values, g, nu = cand, g_next, nu_next
+        objective_log.append((0, steps + 1, merit))
+        feas_log.append(float(np.linalg.norm(defect)))
+    return None
 
 
 def _package(prob, partition, values, traj, costate, mu, rho, total_inner,

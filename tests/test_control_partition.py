@@ -313,3 +313,13 @@ class TestSerialization:
                                      np.array([[1.0], [3.0]]))
         fine = resample_onto(u, uniform_partition(4, 1.0))
         np.testing.assert_array_equal(fine.values.ravel(), [1.0, 1.0, 3.0, 3.0])
+
+    @pytest.mark.parametrize("horizon", [2.0, 0.5])
+    def test_resample_onto_other_horizon_refused(self, horizon):
+        """Midpoint lookup past t = 1 would hold the last value, and a
+        shorter horizon would drop the tail: either is a CoverageError,
+        as it is for `average_onto`."""
+        u = PiecewiseConstantControl(uniform_partition(2, 1.0),
+                                     np.array([[1.0], [3.0]]))
+        with pytest.raises(CoverageError, match="resampled"):
+            resample_onto(u, uniform_partition(3, horizon))

@@ -1,4 +1,5 @@
-"""Augmented-Lagrangian solver with projected quasi-Newton steps."""
+"""Augmented-Lagrangian solver with projected quasi-Newton steps, and SQP
+steps for warm starts on a box."""
 
 import dataclasses
 
@@ -62,6 +63,42 @@ class TestBasics:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             SolverOptions(max_outer=0)
+
+    @pytest.mark.parametrize("limit", ["max_outer", "max_inner"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_non_integer_iteration_limit_refused(self, limit, value):
+        """A float limit used to reach `range` inside `solve` and fail
+        there with a TypeError."""
+        with pytest.raises(ValueError, match="positive integers"):
+            SolverOptions(**{limit: value})
+
+
+class TestWarmArguments:
+    """Malformed warm-start arguments are refused where they enter,
+    before they choose a solve path."""
+
+    def test_warm_start_with_wrong_m(self, di_problem):
+        part = uniform_partition(4, 1.0)
+        warm = PiecewiseConstantControl(part, np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="warm_start"):
+            solve(di_problem, part, warm_start=warm)
+
+    def test_warm_start_holding_nan(self, di_problem):
+        part = uniform_partition(4, 1.0)
+        warm = PiecewiseConstantControl(part, [[0.0], [np.nan], [0.0], [0.0]])
+        with pytest.raises(ValueError, match="warm_start"):
+            solve(di_problem, part, warm_start=warm)
+
+    def test_multiplier_of_wrong_length(self, di_problem):
+        with pytest.raises(ValueError, match="warm_multiplier"):
+            solve(di_problem, uniform_partition(4, 1.0),
+                  warm_multiplier=[1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_multiplier(self, di_problem, bad):
+        with pytest.raises(ValueError, match="warm_multiplier"):
+            solve(di_problem, uniform_partition(4, 1.0),
+                  warm_multiplier=[bad, 0.0])
 
 
 class TestOracleEquivalence:
@@ -393,6 +430,86 @@ class TestWarmPenalty:
         diags = solve(prob, uniform_partition(N, prob.horizon)).diagnostics
         assert (diags.iterations, diags.outer_iterations) == counts
         assert diags.penalty == rho
+
+
+class TestWarmSqp:
+    """A warm start on a box takes SQP steps; any SQP failure restarts
+    the augmented Lagrangian from the same warm start."""
+
+    def test_cascade_march_budget(self, di_problem, di_reference,
+                                  monkeypatch):
+        """The double-integrator cascade N = 2..64 marches the state at
+        most 36 times and the costate at most 43 times (the augmented
+        Lagrangian's multiplier rounds took 48 and 74)."""
+        import sampled_ocp.solver_sampled as solver_module
+        from sampled_ocp import SweepConfig, sweep
+        calls = {"integrate_state": 0, "integrate_costate": 0}
+        for name in calls:
+            march = getattr(solver_module, name)
+
+            def counted(*args, _name=name, _march=march, **kwargs):
+                calls[_name] += 1
+                return _march(*args, **kwargs)
+
+            monkeypatch.setattr(solver_module, name, counted)
+        report = sweep(SweepConfig(problem=di_problem, reference=di_reference,
+                                   resolutions=(2, 4, 8, 16, 32, 64)))
+        assert report.all_pass()
+        assert calls["integrate_state"] <= 36
+        assert calls["integrate_costate"] <= 43
+
+    def test_sqp_certificate(self, di_problem):
+        """p(T) = -nu exactly, the warm penalty comes back unchanged, one
+        log entry per accepted step, and the certificate passes."""
+        coarse = solve(di_problem, uniform_partition(4, 1.0))
+        part = uniform_partition(8, 1.0)
+        warm = PiecewiseConstantControl(part, np.repeat(coarse.control.values,
+                                                        2, axis=0))
+        sol = solve(di_problem, part, warm_start=warm,
+                    warm_multiplier=coarse.multiplier, warm_penalty=123.0)
+        diags = sol.diagnostics
+        np.testing.assert_array_equal(sol.multiplier,
+                                      -sol.costate.final_costate)
+        assert diags.penalty == 123.0
+        assert diags.outer_iterations == 0
+        assert diags.iterations == len(diags.objective_log) \
+            == len(diags.feasibility_log) >= 1
+        assert diags.feasibility <= 1e-8 and diags.stationarity <= 1e-8
+        assert sol.residuals.all_pass()
+
+    def test_unreachable_warm_solve_falls_back(self):
+        """No control in [-0.1, 0.1] reaches the target, so the first QP
+        is inconsistent; the augmented Lagrangian then stalls as a cold
+        solve does."""
+        prob = build_problem("lq_double_integrator", u_bound=0.1)
+        part = uniform_partition(4, 1.0)
+        with pytest.raises(InfeasibleStalledError, match="9.552e-01"):
+            solve(prob, part,
+                  warm_start=PiecewiseConstantControl(part, np.zeros((4, 1))))
+
+    def test_clamped_corner_falls_back(self):
+        """From (1, 0) under u_bound=4 at N=8, started at the -4 corner,
+        the first QP's KKT system is singular, and the augmented
+        Lagrangian solves from the same warm start with its own counts
+        and cost."""
+        prob = build_problem("lq_double_integrator", u_bound=4.0)
+        part = uniform_partition(8, 1.0)
+        sol = solve(prob, part, warm_start=PiecewiseConstantControl(
+            part, np.full((8, 1), -4.0)))
+        diags = sol.diagnostics
+        assert (diags.iterations, diags.outer_iterations) == (19, 8)
+        assert sol.cost == 8.858332918624441
+        assert sol.residuals.all_pass()
+
+    def test_stalled_surrogate_link_certifies(self):
+        """`affine_quadratic` over horizon 3 from (2.5, 0): warm from
+        N=32, the augmented Lagrangian at N=64 ran out of its 50 outer
+        rounds at stationarity 1.75; SQP certifies the link."""
+        from sampled_ocp.convergence_harness import _cascade
+        prob = build_problem("affine_quadratic", horizon=3.0, x0=[2.5, 0.0])
+        rows = {N: sol for N, _, sol in _cascade(prob, (16, 32, 64),
+                                                 SolverOptions())}
+        assert rows[64].residuals.all_pass()
 
 
 class TestFailureModes:
