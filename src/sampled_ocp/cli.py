@@ -84,7 +84,11 @@ def _build_parser() -> _Parser:
     p_conv.add_argument("--out", help="output directory")
     p_conv.add_argument("--Ns", help="comma-separated resolutions, e.g. 2,4,8")
     p_conv.add_argument("--warm-start", choices=("cascade", "cold"),
-                        default="cascade")
+                        default="cascade",
+                        help="cascade: the first row starts from the "
+                             "reference, each later row from the last "
+                             "row's solution; cold: every row is solved "
+                             "as `solve` would")
     p_conv.add_argument("--feas-tol", type=float)
     p_conv.add_argument("--stat-tol", type=float)
     p_conv.add_argument("--h-max", type=float)

@@ -7,12 +7,15 @@ reference on one shared comparison grid, and fits empirical rates.
 Rates are reported, never asserted: the underlying theory guarantees
 convergence but no order.
 
-Under the "cascade" policy each row is warm-started from the previous
+Under the "cascade" policy every row is warm-started.  The first row
+starts from the reference, which the sampled extremals converge to
+uniformly: its control at each interval's midpoint, projected onto U,
+and the multiplier -p_ref(T).  Each later row starts from the previous
 row's solution: its control resampled onto the finer partition, its
-multiplier and its penalty, so a row takes SQP steps from the coarser
-row's KKT point (on a box), or its augmented Lagrangian starts where the
-coarser row's ended.  Under "cold" every row is an
-independent cold solve.  `fine_surrogate` walks the same cascade.
+multiplier and its penalty.  On a box every row therefore takes SQP
+steps; on other sets its augmented Lagrangian starts from there.  Under
+"cold" every row is an independent cold solve.  `fine_surrogate` walks
+the same cascade without a reference, so its first link is cold.
 
 Known limitation, recorded in every report: the harness tracks one
 stationary point per resolution (warm-start cascading stabilizes which
@@ -27,11 +30,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .control_partition import resample_onto, uniform_partition
+from .control_partition import (Partition, PiecewiseConstantControl,
+                                resample_onto, uniform_partition)
 from .errors import (GridAlignmentError, SampledOcpError,
                      SurrogateRejectedError)
 from .integrate import MAX_GRID_STEPS
-from .problem_model import _FLOAT_FMT, OcpProblem
+from .problem_model import _FLOAT_FMT, OcpProblem, project
 from .reference_oracles import PermanentReference
 from .solver_sampled import SolverOptions, solve
 
@@ -71,6 +75,12 @@ class SweepConfig:
         # t = 0 alone compares x0 with itself
         if self.comparison_points < 2:
             raise ValueError("comparison_points must be at least 2")
+        # the cascade's first row starts from the multiplier -p_ref(T)
+        pT = np.asarray(self.reference.p.at(self.problem.horizon),
+                        dtype=float)
+        if pT.shape != (self.problem.n,) or not np.all(np.isfinite(pT)):
+            raise ValueError(f"reference costate at T must hold n = "
+                             f"{self.problem.n} finite values")
         object.__setattr__(self, "resolutions", ns)
 
 
@@ -147,20 +157,42 @@ class ConvergenceReport:
         return all(bool(v) for v in self.verdicts.values())
 
 
+def _reference_start(prob: OcpProblem, ref: PermanentReference,
+                     partition: Partition) -> dict:
+    """`solve`'s warm arguments from the reference: its control at each
+    interval's midpoint (the rule of `resample_onto`) projected onto U,
+    and the multiplier -p_ref(T).  No penalty is passed, so a fallback
+    augmented Lagrangian climbs from PENALTY_INIT as a cold solve does."""
+    mids = 0.5 * (partition.times[:-1] + partition.times[1:])
+    u = ref.u.value(mids) if isinstance(ref.u, PiecewiseConstantControl) \
+        else ref.u.sample(mids)
+    return {"warm_start": PiecewiseConstantControl(
+                partition, project(prob.control_set, u)),
+            "warm_multiplier": -np.asarray(ref.p.at(prob.horizon),
+                                           dtype=float)}
+
+
 def _cascade(prob: OcpProblem, resolutions, opts: SolverOptions,
-             warm: bool = True):
+             warm: bool = True, reference: Optional[PermanentReference] = None):
     """Yield (N, partition, solution or package error) for the uniform
-    partition of each resolution; with `warm` each solve starts from the
-    last solution's control (resampled), multiplier and penalty.  A
-    `GridAlignmentError` (no grid under the step bound) is raised."""
+    partition of each resolution.  The first solve starts from
+    `reference` (`_reference_start`) when one is given, cold otherwise;
+    with `warm` each later solve starts from the last solution's control
+    (resampled), multiplier and penalty.  A `GridAlignmentError` (no
+    grid under the step bound) is raised."""
     last = None
     for N in resolutions:
         partition = uniform_partition(N, prob.horizon)
-        # the harness's own `resample_onto`: perfbench's tracer times that name
-        start = {} if last is None else {
-            "warm_start": resample_onto(last.control, partition),
-            "warm_multiplier": last.multiplier,
-            "warm_penalty": last.diagnostics.penalty}
+        if last is not None:
+            # the harness's own `resample_onto`: perfbench's tracer times
+            # that name
+            start = {"warm_start": resample_onto(last.control, partition),
+                     "warm_multiplier": last.multiplier,
+                     "warm_penalty": last.diagnostics.penalty}
+        elif reference is not None:
+            start = _reference_start(prob, reference, partition)
+        else:
+            start = {}
         try:
             sol = solve(prob, partition, opts, **start)
         except GridAlignmentError:
@@ -176,9 +208,11 @@ def _cascade(prob: OcpProblem, resolutions, opts: SolverOptions,
 def sweep(cfg: SweepConfig, return_solutions: bool = False):
     """Run the refinement sweep and assemble the convergence report.
 
-    Rows are solved in resolution order; a package error of a row is
-    recorded as a failure, except a `GridAlignmentError` (the step bound
-    cannot give a grid), which is raised; certification failures follow.
+    Rows are solved in resolution order, under the cascade policy the
+    first from the reference and each later one from the last solution;
+    a package error of a row is recorded as a failure, except a
+    `GridAlignmentError` (the step bound cannot give a grid), which is
+    raised; certification failures follow.
     With `return_solutions` the per-resolution solver outputs come back
     too.
     """
@@ -193,8 +227,9 @@ def sweep(cfg: SweepConfig, return_solutions: bool = False):
 
     solutions: dict = {}
     rows, failures, uncertified = [], [], []
-    for N, partition, sol in _cascade(prob, cfg.resolutions, opts,
-                                      cfg.warm_start_policy == "cascade"):
+    warm = cfg.warm_start_policy == "cascade"
+    for N, partition, sol in _cascade(prob, cfg.resolutions, opts, warm,
+                                      ref if warm else None):
         if isinstance(sol, SampledOcpError):
             failures.append({"N": N, "error": type(sol).__name__,
                              "message": str(sol)})

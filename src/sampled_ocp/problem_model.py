@@ -652,12 +652,18 @@ def _control_set_from_dict(d: dict) -> ControlSet:
     raise ConfigFormatError(f"control_set: unknown kind {kind!r}")
 
 
+# the top-level keys of a problem configuration file
+_CONFIG_KEYS = ("problem", "params", "horizon", "x0", "xT", "control_set")
+
+
 def load_problem_config(path: str) -> OcpProblem:
     """Load a problem from a JSON configuration file.
 
     Recognized fields: `problem` (catalog name), `params` (builder
     keyword arguments; matrices as row-major lists), and optional
-    overrides `horizon`, `x0`, `xT`, `control_set`.
+    overrides `horizon`, `x0`, `xT`, `control_set`.  Any other key is
+    refused (`ConfigFormatError`): a builder argument such as `u_bound`
+    belongs under `params`, and ignoring it would solve another problem.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -669,6 +675,11 @@ def load_problem_config(path: str) -> OcpProblem:
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigFormatError(f"{path}: top level must be an object")
+    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ConfigFormatError(
+            f"{path}: unknown key {unknown[0]!r}; the keys are "
+            f"{', '.join(_CONFIG_KEYS)}")
     try:
         name = raw["problem"]
     except KeyError:

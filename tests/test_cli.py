@@ -269,6 +269,26 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "bad problem specification" in err and "Traceback" not in err
 
+@pytest.mark.parametrize("command", [["solve", "--N", "4"],
+                                     ["converge", "--Ns", "2,4"]],
+                         ids=["solve", "converge"])
+def test_unknown_config_key_is_usage_error(tmp_path, capsys, command):
+    """`u_bound` belongs under `params`.  At the top level it was ignored,
+    and `converge` exited 0 on the u_bound=20 problem where the intended
+    sweep exits 3; now the CLI exits 1 naming the key, with no traceback
+    and no output directory."""
+    cfg = _write_config(tmp_path / "c.json", {
+        "problem": "lq_double_integrator", "u_bound": 4.0, "x0": [0.9, 0.0]})
+    out = tmp_path / "o"
+    code = cli.main([command[0], "--config", cfg, *command[1:],
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bad problem specification" in err and "'u_bound'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestCheck:
     def test_bundle_passes(self, di_bundle):
         code = cli.main(["check", str(di_bundle), "--problem",

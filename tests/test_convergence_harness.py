@@ -1,15 +1,20 @@
 """Refinement sweeps, report format, verdicts."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from sampled_ocp import (SolverOptions, SweepConfig, build_problem, solve,
+import sampled_ocp.convergence_harness as harness
+from sampled_ocp import (PermanentReference, SolverOptions, SweepConfig,
+                         build_problem, resample_onto, solve,
                          solve_lq_permanent, solve_lq_sampled_exact, sweep,
                          uniform_partition)
 from sampled_ocp.convergence_harness import (REPORT_HEADER, _decreasing_with_noise,
                                              default_solver_options,
                                              fit_rates, write_report)
-from sampled_ocp.solver_sampled import PENALTY_GROWTH, PENALTY_INIT
+from sampled_ocp.solver_sampled import PENALTY_INIT
 
 
 class TestSweepOnDoubleIntegrator:
@@ -66,14 +71,16 @@ class TestSweepOnDoubleIntegrator:
 
 
 class TestCascadeCarriesPenalty:
-    """A cascade row starts from its coarser row's control, multiplier
-    and penalty; a cold row starts from none of them."""
+    """The first cascade row starts from the reference, each later row
+    from its coarser row's control, multiplier and penalty; a cold row
+    starts from none of them."""
 
     def test_cascade_work_budget(self, di_problem, di_reference,
                                  monkeypatch):
-        """Rows N = 2..64 take 42 inner iterations and 8 builds of
-        C = dx(T)/du; restarting rho at PENALTY_INIT in every row took 70
-        and 18."""
+        """Rows N = 2..64 take 19 SQP iterations and 6 builds of
+        C = dx(T)/du, one per row.  A cold augmented Lagrangian in the
+        first row took 30 and 8; restarting rho at PENALTY_INIT in every
+        row took 70 and 18."""
         import sampled_ocp.solver_sampled as solver_module
         builds = []
         build = solver_module._terminal_jacobian
@@ -87,17 +94,89 @@ class TestCascadeCarriesPenalty:
                           resolutions=(2, 4, 8, 16, 32, 64))
         report, solutions = sweep(cfg, return_solutions=True)
         assert report.verdicts and report.all_pass()
-        assert sum(s.diagnostics.iterations for s in solutions.values()) <= 45
-        assert len(builds) <= 8
+        assert sum(s.diagnostics.iterations for s in solutions.values()) <= 19
+        assert len(builds) <= 6
 
     def test_rows_certify_at_carried_penalties(self, di_sweep):
-        """Each row's penalty is PENALTY_INIT times a power of the growth
-        factor, and no finer row certifies below its coarser row's."""
+        """An SQP row reports the penalty it was given.  The first row is
+        given none, so it reports PENALTY_INIT and passes that on: every
+        double-integrator row reads PENALTY_INIT."""
         _, solutions = di_sweep
-        ladder = [PENALTY_INIT * PENALTY_GROWTH ** k for k in range(12)]
-        rhos = [solutions[N].diagnostics.penalty for N in sorted(solutions)]
-        assert all(rho in ladder for rho in rhos)
-        assert rhos == sorted(rhos)
+        assert [s.diagnostics.penalty for s in solutions.values()] == \
+            [PENALTY_INIT] * 6
+
+    def test_every_row_takes_sqp_steps(self, di_sweep):
+        """No row runs multiplier rounds: the first starts from the
+        reference, the others from the coarser row."""
+        _, solutions = di_sweep
+        assert [s.diagnostics.outer_iterations
+                for s in solutions.values()] == [0] * 6
+
+    def test_first_row_matches_cold_solve(self, di_sweep, di_problem):
+        """Started from the reference, the N = 2 row reaches the optimum
+        the independent cold solve reaches."""
+        _, solutions = di_sweep
+        cold = solve(di_problem, uniform_partition(2, 1.0),
+                     default_solver_options())
+        assert solutions[2].cost == pytest.approx(cold.cost, rel=1e-9)
+        np.testing.assert_allclose(solutions[2].control.values,
+                                   cold.control.values, rtol=0, atol=1e-6)
+
+    def test_first_row_start_lies_in_the_box(self, monkeypatch):
+        """Under u_bound=4 from (0.9, 0) the reference control leaves the
+        box; the first row starts from its projection."""
+        prob = build_problem("lq_double_integrator", u_bound=4.0,
+                             x0=[0.9, 0.0])
+        ref = solve_lq_permanent(prob.lq)
+        assert np.max(np.abs(ref.u.sample(np.linspace(0, 1, 9)))) > 4.0
+        starts = []
+
+        def recording_solve(prob, partition, opts, **warm):
+            starts.append(warm)
+            return solve(prob, partition, opts, **warm)
+
+        monkeypatch.setattr(harness, "solve", recording_solve)
+        sweep(SweepConfig(problem=prob, reference=ref, resolutions=(4, 8),
+                          comparison_points=257))
+        first = starts[0]
+        assert first["warm_start"].max_set_distance(prob.control_set) == 0.0
+        assert np.max(np.abs(first["warm_start"].values)) == 4.0
+        np.testing.assert_array_equal(first["warm_multiplier"],
+                                      -ref.p.at(1.0))
+        assert "warm_penalty" not in first
+
+    def test_piecewise_constant_reference_start(self, di_sweep, di_problem):
+        """A fine-surrogate reference carries a piecewise-constant
+        control: the first row starts from its value at each midpoint,
+        as `resample_onto` reads it, and takes SQP steps from there."""
+        _, solutions = di_sweep
+        fine = solutions[64]
+        ref = PermanentReference(x=fine.state, u=fine.control,
+                                 p=fine.costate, p0=-1.0, cost=fine.cost,
+                                 provenance="test")
+        partition = uniform_partition(2, 1.0)
+        start = harness._reference_start(di_problem, ref, partition)
+        np.testing.assert_array_equal(
+            start["warm_start"].values,
+            resample_onto(fine.control, partition).values)
+        _, rows = sweep(SweepConfig(problem=di_problem, reference=ref,
+                                    resolutions=(2,), comparison_points=257),
+                        return_solutions=True)
+        assert rows[2].diagnostics.outer_iterations == 0
+
+    def test_unreachable_sweep_fails_as_cold(self):
+        """No control in [-0.1, 0.1] reaches the target: the cascade
+        records the same failures, row by row, as the cold sweep."""
+        prob = build_problem("lq_double_integrator", u_bound=0.1)
+        ref = solve_lq_permanent(prob.lq)
+        failures = {
+            policy: sweep(SweepConfig(problem=prob, reference=ref,
+                                      resolutions=(2, 4, 8),
+                                      warm_start_policy=policy,
+                                      comparison_points=257)).failures
+            for policy in ("cascade", "cold")}
+        assert [f["N"] for f in failures["cold"]] == [2, 4, 8]
+        assert failures["cascade"] == failures["cold"]
 
     def test_cold_rows_equal_independent_cold_solves(self, di_problem,
                                                      di_reference):
@@ -119,6 +198,17 @@ class TestCascadeCarriesPenalty:
 
 
 class TestDegenerateSweep:
+    @pytest.mark.parametrize("pT", [[np.nan, 0.0], [1.0], [np.inf, 1.0]],
+                             ids=["nan", "one_value", "inf"])
+    def test_unusable_reference_costate_refused(self, di_problem,
+                                                di_reference, pT):
+        """The cascade's first row starts from -p_ref(T); a reference
+        whose p(T) is not n finite values is refused before any solve."""
+        bad_p = SimpleNamespace(at=lambda t: np.array(pT))
+        with pytest.raises(ValueError, match="reference costate"):
+            SweepConfig(problem=di_problem,
+                        reference=dataclasses.replace(di_reference, p=bad_p))
+
     @pytest.mark.parametrize("points", [0, 1])
     def test_too_few_comparison_points_refused(self, di_problem,
                                                di_reference, points):

@@ -85,13 +85,11 @@ def test_no_unread_constants():
     assert not unread, f"constants never read: {unread}"
 
 
-# `perfbench/tracing.py` still hooks these removed names, which the next
+# `perfbench/tracing.py` still hooks this removed name, which the next
 # benchmark change drops (ROADMAP item 1): the march that
 # `pmp_check.integrate_variation` wrapped is
-# `integrate.Linearization.variation`; `convergence_harness.project`
-# left with the harness's closed-form control recovery, its only caller.
-KNOWN_ABSENT_HOOKS = {"pmp_check.integrate_variation",
-                      "convergence_harness.project"}
+# `integrate.Linearization.variation`.
+KNOWN_ABSENT_HOOKS = {"pmp_check.integrate_variation"}
 
 
 def test_traced_names_resolve():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from sampled_ocp.errors import (ConfigFormatError, MembershipError,
 from sampled_ocp.problem_model import (distance_to, finite_difference_derivatives,
                                        problem_from_callables)
 
+# check bundles stored with the benchmark; tests only read them
+BUNDLES = Path(__file__).resolve().parents[1] / "perfbench" / "bundles"
 
 class TestProjection:
     def test_box_clamp(self):
@@ -307,6 +310,26 @@ class TestConfig:
         prob = load_problem_config(str(path))
         out = prob.control_set.project(np.array([5.0, -4.0]))
         np.testing.assert_allclose(out, [1.0, -3.0])
+
+    def test_unknown_key_refused(self, tmp_path):
+        """A builder argument at the top level is refused, naming the key
+        and the allowed ones; ignored, it would solve the u_bound=20
+        problem."""
+        path = tmp_path / "stray.json"
+        path.write_text(json.dumps({"problem": "lq_double_integrator",
+                                    "u_bound": 4.0, "x0": [0.9, 0.0]}))
+        with pytest.raises(ConfigFormatError,
+                           match="unknown key 'u_bound'.*problem, params, "
+                                 "horizon, x0, xT, control_set"):
+            load_problem_config(str(path))
+
+    @pytest.mark.parametrize(
+        "path", sorted(BUNDLES.glob("**/problem.json")),
+        ids=lambda p: str(p.relative_to(BUNDLES)))
+    def test_benchmark_bundle_configs_load(self, path):
+        """Every stored benchmark bundle's config uses only known keys."""
+        name = json.loads(path.read_text())["problem"]
+        assert load_problem_config(str(path)).name == name
 
     @pytest.mark.parametrize("extra", [
         {"params": [1, 2]},

@@ -387,20 +387,22 @@ class TestFineSurrogate:
     ])
     def test_chain_reaches_n_ref(self, aq_problem, monkeypatch, n_ref, chain):
         """The warm chain halves n_ref while the half is an integer >= 16
-        and ends at 2 n_ref; the error bar compares the n_ref and 2 n_ref
-        solves.
+        and ends at 2 n_ref; its first link is cold, as the chain has no
+        reference; the error bar compares the n_ref and 2 n_ref solves.
         The solves are stubbed: each state is N in its first component."""
         import sampled_ocp.convergence_harness as convergence_harness
         from types import SimpleNamespace
 
         from sampled_ocp import PiecewiseConstantControl
 
-        calls = []
+        calls, cold = [], []
 
         def fake_solve(prob, partition, opts, warm_start=None,
                        warm_multiplier=None, warm_penalty=None):
             N = partition.N
             calls.append(N)
+            cold.append(warm_start is None and warm_multiplier is None
+                        and warm_penalty is None)
             value = np.zeros(prob.n)
             value[0] = N
             return SimpleNamespace(
@@ -414,6 +416,7 @@ class TestFineSurrogate:
         monkeypatch.setattr(convergence_harness, "solve", fake_solve)
         ref = fine_surrogate(aq_problem, n_ref)
         assert calls == chain
+        assert cold == [True] + [False] * (len(chain) - 1)
         assert ref.error_bar == float(n_ref)
         assert ref.cost == float(2 * n_ref)
 
@@ -428,6 +431,13 @@ class TestFineSurrogate:
         assert err <= 1e-4
         assert ref.error_bar is not None and ref.error_bar < 1e-3
         assert abs(ref.cost - di_reference.cost) < 1e-4
+
+    def test_surrogate_pinned(self, di_surrogates):
+        """The reference start of `sweep`'s cascade leaves the surrogate
+        chain alone: the N_ref = 256 surrogate keeps its cost and error
+        bar to the last bit."""
+        assert di_surrogates[0].cost == 6.7846968851511305
+        assert di_surrogates[0].error_bar == 2.5719085872334755e-05
 
     def test_error_bar_shrinks_with_resolution(self, di_surrogates):
         bar256, bar512 = di_surrogates[0].error_bar, di_surrogates[1].error_bar

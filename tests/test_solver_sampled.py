@@ -439,8 +439,9 @@ class TestWarmSqp:
     def test_cascade_march_budget(self, di_problem, di_reference,
                                   monkeypatch):
         """The double-integrator cascade N = 2..64 marches the state at
-        most 36 times and the costate at most 43 times (the augmented
-        Lagrangian's multiplier rounds took 48 and 74)."""
+        most 25 times and the costate at most 25 times.  A cold first row
+        took 36 and 43, and the augmented Lagrangian's multiplier rounds
+        in every row 48 and 74."""
         import sampled_ocp.solver_sampled as solver_module
         from sampled_ocp import SweepConfig, sweep
         calls = {"integrate_state": 0, "integrate_costate": 0}
@@ -455,8 +456,8 @@ class TestWarmSqp:
         report = sweep(SweepConfig(problem=di_problem, reference=di_reference,
                                    resolutions=(2, 4, 8, 16, 32, 64)))
         assert report.all_pass()
-        assert calls["integrate_state"] <= 36
-        assert calls["integrate_costate"] <= 43
+        assert calls["integrate_state"] <= 25
+        assert calls["integrate_costate"] <= 25
 
     def test_sqp_certificate(self, di_problem):
         """p(T) = -nu exactly, the warm penalty comes back unchanged, one
