@@ -27,8 +27,8 @@ from .errors import (ConfigFormatError, GridAlignmentError,
                      SampledOcpError, SolverError)
 from .integrate import costate_from_nodes, read_costate_csv, read_state_csv
 from .pmp_check import Extremal, evaluate_extremal
-from .problem_model import (BLOWUP_NORM, OcpProblem, build_problem, catalog,
-                            load_problem_config)
+from .problem_model import (BLOWUP_NORM, TOL_SET, OcpProblem, build_problem,
+                            catalog, distance_to, load_problem_config)
 from .reference_oracles import solve_lq_permanent
 from .solver_sampled import (SolverOptions, solve, solver_grid,
                              write_solution_bundle)
@@ -259,14 +259,19 @@ def run_converge(args) -> int:
             _check_grids(prob,
                          [uniform_partition(n, prob.horizon) for n in chain],
                          SolverOptions(), "--surrogate-N")
-        out = _output_dir(args, "report")
         reference = (solve_lq_permanent(prob.lq) if prob.lq is not None else
                      fine_surrogate(prob, args.surrogate_N,
                                     reject_above=args.reference_reject_above,
                                     sweep_max_n=max(ns)))
+        # lq_analytic ignores U: a control outside U is not the rows' limit
+        dist = float(np.max(distance_to(prob.control_set, reference.u.values)))
+        if dist > TOL_SET:
+            raise OracleError(f"the {reference.provenance} control leaves "
+                              f"the control set by {dist:.3e}")
     except OracleError as exc:
         print(f"reference rejected: {exc}", file=sys.stderr)
         return EXIT_REFERENCE
+    out = _output_dir(args, "report")
     cfg = harness.SweepConfig(problem=prob, reference=reference,
                               resolutions=ns,
                               warm_start_policy=args.warm_start,

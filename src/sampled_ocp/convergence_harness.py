@@ -11,10 +11,9 @@ Under the "cascade" policy every row is warm-started.  The first row
 starts from the reference, which the sampled extremals converge to
 uniformly: its control at each interval's midpoint, projected onto U,
 and the multiplier -p_ref(T).  Each later row starts from the previous
-row's solution: its control resampled onto the finer partition, its
-multiplier and its penalty.  On a box every row therefore takes SQP
-steps; on other sets its augmented Lagrangian starts from there.  Under
-"cold" every row is an independent cold solve.  `fine_surrogate` walks
+row's solution: its control resampled onto the finer partition and its
+multiplier.  Every row therefore takes SQP steps, on every control set.
+Under "cold" every row is an independent cold solve.  `fine_surrogate` walks
 the same cascade without a reference, so its first link is cold.
 
 Known limitation, recorded in every report: the harness tracks one
@@ -161,8 +160,7 @@ def _reference_start(prob: OcpProblem, ref: PermanentReference,
                      partition: Partition) -> dict:
     """`solve`'s warm arguments from the reference: its control at each
     interval's midpoint (the rule of `resample_onto`) projected onto U,
-    and the multiplier -p_ref(T).  No penalty is passed, so a fallback
-    augmented Lagrangian climbs from PENALTY_INIT as a cold solve does."""
+    and the multiplier -p_ref(T)."""
     mids = 0.5 * (partition.times[:-1] + partition.times[1:])
     u = ref.u.value(mids) if isinstance(ref.u, PiecewiseConstantControl) \
         else ref.u.sample(mids)
@@ -178,7 +176,7 @@ def _cascade(prob: OcpProblem, resolutions, opts: SolverOptions,
     partition of each resolution.  The first solve starts from
     `reference` (`_reference_start`) when one is given, cold otherwise;
     with `warm` each later solve starts from the last solution's control
-    (resampled), multiplier and penalty.  A `GridAlignmentError` (no
+    (resampled) and multiplier.  A `GridAlignmentError` (no
     grid under the step bound) is raised."""
     last = None
     for N in resolutions:
@@ -187,8 +185,7 @@ def _cascade(prob: OcpProblem, resolutions, opts: SolverOptions,
             # the harness's own `resample_onto`: perfbench's tracer times
             # that name
             start = {"warm_start": resample_onto(last.control, partition),
-                     "warm_multiplier": last.multiplier,
-                     "warm_penalty": last.diagnostics.penalty}
+                     "warm_multiplier": last.multiplier}
         elif reference is not None:
             start = _reference_start(prob, reference, partition)
         else:

@@ -383,8 +383,6 @@ class SolveDiagnostics:
     stationarity: float
     objective_log: tuple       # (outer, inner, AL objective or SQP merit)
     feasibility_log: tuple = ()  # terminal defect per AL round or SQP step
-    penalty: Optional[float] = None  # rho of the last AL round or the warm
-    # rho an SQP solve was given (oracles: None)
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,15 @@
 """Sampled-data solve: minimize the cost over piecewise-constant controls
 under the terminal equality constraint, and reconstruct the costate.
 
-A cold solve handles the terminal constraint by an augmented Lagrangian
-whose converged multiplier supplies the costate terminal value; a warm
-start on a box takes SQP steps on the condensed problem instead
-(`_sqp`), whose QP multiplier does.  The AL's inner
-subproblems take projected quasi-Newton steps on every control set: the
-model Hessian is B + rho C'C, with C = dx(T)/du from n adjoint marches
-(the condensing of Bock & Plitt, IFAC 1984) and B a damped BFGS
-estimate of the rest.  Each step minimizes the model over the control
-set: on a box with the exact oracle's active-set loop, elsewhere (or
-where that loop does not settle) by ADMM, whose Cholesky factor solves
-the ill-conditioned rho C'C part exactly.  The inner loop stops on the
-projected-gradient test, so its fixed points are exactly the points
-where the interval integral of grad_u H lies in the normal cone at each
-control value, and the returned costate is a stationarity certificate
-rather than a trusted by-product: the adjoint-equation and
-averaged-gradient residuals are recomputed and attached to every
-solution.
+A cold solve runs an augmented Lagrangian (AL), a warm start SQP on the
+condensed problem (`_sqp`; the condensing of Bock & Plitt, IFAC 1984),
+and both minimize their quasi-Newton model over the control set in one
+place, `_model_step`.  Both stop on the projected-gradient test, whose
+fixed points are exactly the points where the interval integral of
+grad_u H lies in the normal cone at each control value, so the returned
+costate is a stationarity certificate rather than a trusted by-product:
+the adjoint-equation and averaged-gradient residuals are recomputed and
+attached to every solution.
 
 Sign convention: with the normal normalization (p0 = -1) we have
 H = <p, f> - L, the adjoint lambda of the augmented objective satisfies
@@ -168,34 +160,54 @@ def _damped_bfgs(B: Array, s: Array, y: Array) -> Array:
     return B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / float(s @ y)
 
 
-def _model_step(U: ControlSet, values: Array, g: Array,
-                model: Array) -> Array:
-    """Step s minimizing g's + 1/2 s' model s subject to values + s in U.
-
-    On a box the primal-dual active-set loop of the exact oracle solves
-    the model.  Off a box, or where that loop does not settle (the model
+def _model_step(U: ControlSet, values: Array, g: Array, model: Array,
+                C: Optional[Array] = None, r: Optional[Array] = None):
+    """(s, nu): the step minimizing g's + 1/2 s' model s subject to
+    values + s in U and, when C is given, C s = r, and the rows'
+    multiplier.  On a box the exact oracle's active-set loop solves it;
+    off a box, or where that loop does not settle without rows (the model
     need not be an M-matrix), ADMM on the split s = w, w in U - values
-    (Boyd et al., Found. Trends Mach. Learn. 2011, sec. 5) from the
-    penalty sigma = sqrt(lambda_min * lambda_max) of the model, doubled
-    or halved every tenth iteration while one residual leads the other
-    tenfold (sec. 3.4.1); the Cholesky factor of model + sigma I is
-    rebuilt only then.  The feasible iterate w is returned."""
+    (Boyd et al., Found. Trends Mach. Learn. 2011, sec. 5), with sigma
+    from sqrt(lambda_min lambda_max) of the model, doubled or halved every
+    tenth iteration while one residual leads the other tenfold (sec.
+    3.4.1); only then are the Cholesky factors of model + sigma I (exact
+    on the AL's ill-conditioned rho C'C) and of the Schur complement
+    C (model + sigma I)^-1 C' rebuilt.  Without rows the feasible w is
+    returned; with rows s, which meets them and leaves U by at most the
+    ADMM tolerance (SQP's merit needs the rows met).  With rows an
+    unsettled loop, a singular Schur complement or ADMM_MAX_ITER
+    iterations raise `OracleError`."""
     u, c = values.ravel(), g.ravel()
+    rows = C is not None
+    if not rows:
+        C, r = np.empty((0, u.size)), np.empty(0)
     if isinstance(U, Box):
         N = values.shape[0]
         lo, up = np.tile(U.lower, N), np.tile(U.upper, N)
         try:
-            target, _, _ = _solve_box_qp(
-                _ReducedQp.model(model, c - model @ u), lo, up)
-            return (target - u).reshape(values.shape)
+            target, nu, _ = _solve_box_qp(
+                _ReducedQp.model(model, c - model @ u, C, C @ u + r), lo, up)
+            return (target - u).reshape(values.shape), nu
         except OracleError:
-            pass
+            if rows:
+                raise
     eig = np.linalg.eigvalsh(model)
-    sigma = float(np.sqrt(eig[0] * eig[-1]))
-    factor = cho_factor(model + sigma * np.eye(u.size))
+    sigma, factor = float(np.sqrt(eig[0] * eig[-1])), None
     w = lam = np.zeros(u.size)
+    nu = np.empty(0)
     for k in range(ADMM_MAX_ITER):
+        if factor is None:
+            factor = cho_factor(model + sigma * np.eye(u.size))
+            KC = cho_solve(factor, C.T)
+            try:
+                schur = cho_factor(C @ KC)
+            except np.linalg.LinAlgError as exc:
+                raise OracleError("singular Schur complement: the rows of "
+                                  "C are dependent") from exc
         s = cho_solve(factor, sigma * (w - lam) - c)
+        if rows:
+            nu = cho_solve(schur, C @ s - r)
+            s = s - KC @ nu
         w_prev = w
         w = project(U, (u + s + lam).reshape(values.shape)).ravel() - u
         lam = lam + s - w
@@ -208,8 +220,11 @@ def _model_step(U: ControlSet, values: Array, g: Array,
         if k % 10 == 0 and max(primal, dual) > 10.0 * min(primal, dual):
             scale = 2.0 if primal > dual else 0.5
             sigma, lam = sigma * scale, lam / scale
-            factor = cho_factor(model + sigma * np.eye(u.size))
-    return w.reshape(values.shape)
+            factor = None
+    if rows and max(primal, dual) > ADMM_TOL:
+        raise OracleError(f"ADMM did not settle within {ADMM_MAX_ITER} "
+                          "iterations")
+    return (s if rows else w).reshape(values.shape), nu
 
 
 def _line_search(aug, values: Array, step: Array, objective,
@@ -257,8 +272,7 @@ def solver_grid(prob: OcpProblem, partition: Partition,
 def solve(prob: OcpProblem, partition: Partition,
           options: Optional[SolverOptions] = None,
           warm_start: Optional[PiecewiseConstantControl] = None,
-          warm_multiplier: Optional[Array] = None,
-          warm_penalty: Optional[float] = None) -> SampledSolution:
+          warm_multiplier: Optional[Array] = None) -> SampledSolution:
     """Solve the sampled-data problem on the given partition.
 
     The augmented Lagrangian (AL), which every cold solve runs.  Outer
@@ -275,25 +289,18 @@ def solve(prob: OcpProblem, partition: Partition,
     accepted step that changes the objective by no more than that level
     ends the round.
 
-    A refinement cascade passes the coarser solution's control,
-    multiplier and penalty (`diagnostics.penalty`) as `warm_start`,
-    `warm_multiplier` and `warm_penalty`.  On a box a warm start runs
-    SQP (`_sqp`): its multiplier nu gives p(T) = -nu, `penalty` is the
-    warm rho unchanged, `iterations` counts accepted SQP steps and
-    `outer_iterations` is 0, as there are no multiplier rounds.  Where
-    SQP fails, and on other sets, the AL runs from the warm start with
-    rho starting at `warm_penalty` (PENALTY_INIT when None).  Malformed
-    warm arguments raise `ValueError`, a warm control outside the set
-    `MembershipError`.
+    `warm_start` and `warm_multiplier` (a refinement cascade passes the
+    coarser solution's) run SQP (`_sqp`): its multiplier nu gives p(T) =
+    -nu, `iterations` counts accepted SQP steps and `outer_iterations` is
+    0; where SQP fails, the AL runs from the warm start as a cold solve
+    does.  Malformed warm arguments raise `ValueError`, a warm control
+    outside the set `MembershipError`.
 
     On success the costate is p = -lambda with p(T) = -(mu + rho*defect)
     evaluated at the accepted stationary point, and p0 = -1.  The dense
     algebra runs on one OpenBLAS thread.
     """
     opts = options if options is not None else SolverOptions()
-    if warm_penalty is not None and \
-            not (np.isfinite(warm_penalty) and warm_penalty > 0):
-        raise ValueError("warm penalty must be finite and positive")
     mu = np.zeros(prob.n) if warm_multiplier is None \
         else np.asarray(warm_multiplier, dtype=float).copy()
     if mu.shape != (prob.n,) or not np.all(np.isfinite(mu)):
@@ -301,7 +308,7 @@ def solve(prob: OcpProblem, partition: Partition,
                          "values")
     grid = solver_grid(prob, partition, opts)
     aug = _AugmentedObjective(prob, partition, grid)
-    rho = PENALTY_INIT if warm_penalty is None else float(warm_penalty)
+    rho = PENALTY_INIT
     B = np.diag(np.repeat(np.diff(partition.times), prob.m))
 
     if warm_start is not None:
@@ -317,10 +324,9 @@ def solve(prob: OcpProblem, partition: Partition,
             raise MembershipError(
                 f"warm start leaves the control set by {dist:.3e}")
         values = warm_start.values.copy()
-        if isinstance(prob.control_set, Box):
-            sol = _sqp(aug, values, mu, rho, B, opts)
-            if sol is not None:
-                return sol
+        sol = _sqp(aug, values, mu, B, opts)
+        if sol is not None:
+            return sol
     else:
         values = _default_initial_control(prob, partition)
 
@@ -342,8 +348,8 @@ def solve(prob: OcpProblem, partition: Partition,
             stat = _stationarity(prob, values, g)
             if stat <= inner_tol:
                 break
-            step = _model_step(prob.control_set, values, g,
-                               B + rho * (C.T @ C))
+            step, _ = _model_step(prob.control_set, values, g,
+                                  B + rho * (C.T @ C))
             found = _line_search(aug, values, step,
                                  partial(aug.value, mu=mu, rho=rho),
                                  float(np.sum(g * step)), phi)
@@ -368,8 +374,8 @@ def solve(prob: OcpProblem, partition: Partition,
             best = (feas, stat)
         if feas <= opts.feas_tol and stat <= opts.stat_tol:
             return _package(prob, partition, values, traj, costate,
-                            mu_certificate, rho, total_inner, outer, feas,
-                            stat, objective_log, feas_history)
+                            mu_certificate, total_inner, outer, feas, stat,
+                            objective_log, feas_history)
         mu = mu_certificate
         if float(np.linalg.norm(mu)) > MULTIPLIER_LIMIT:
             raise MultiplierDivergedError(
@@ -389,24 +395,22 @@ def solve(prob: OcpProblem, partition: Partition,
         f"(best feasibility {best[0]:.3e}, stationarity {best[1]:.3e})")
 
 
-def _sqp(aug: _AugmentedObjective, values: Array, nu: Array, rho: float,
-         B: Array, opts: SolverOptions) -> Optional[SampledSolution]:
-    """SQP on the condensed problem from a warm start on a box.
+def _sqp(aug: _AugmentedObjective, values: Array, nu: Array, B: Array,
+         opts: SolverOptions) -> Optional[SampledSolution]:
+    """SQP on the condensed problem from a warm start.
 
     Each step marches one adjoint with p(T) = -nu, which gives the
-    Lagrangian gradient and the costate to certify; solves the box QP
-    min g_J's + 1/2 s'Bs subject to C s = -(x(T) - xT), whose multiplier
-    is the next nu; backtracks on the l1 merit J + pi ||x(T) - xT||_1
-    with pi = max(pi, 1.1 ||nu||_inf); and updates B (the initial one is
-    given) by damped BFGS on the change of the Lagrangian gradient.  C
-    is built once on LQ data, where x(T) is affine in u, and at every
-    iterate otherwise.  Returns the packaged solution (penalty rho,
-    unchanged) once the feasibility and stationarity tests pass, or None
-    when a QP fails, the merit search finds no step, or max_inner steps
-    pass."""
-    prob, U = aug.prob, aug.prob.control_set
-    N = values.shape[0]
-    lo, up = np.tile(U.lower, N), np.tile(U.upper, N)
+    Lagrangian gradient and the costate to certify; solves the QP
+    min g_J's + 1/2 s'Bs subject to values + s in U and C s = -(x(T) -
+    xT) with `_model_step`, whose multiplier is the next nu; backtracks
+    on the l1 merit J + pi ||x(T) - xT||_1 with pi = max(pi, 1.1
+    ||nu||_inf); and updates B (the initial one is given) by damped BFGS
+    on the change of the Lagrangian gradient.  C is built once on LQ
+    data, where x(T) is affine in u, and at every iterate otherwise.
+    Returns the packaged solution once the feasibility and stationarity
+    tests pass, or None when a QP fails, the merit search finds no step,
+    or max_inner steps pass."""
+    prob = aug.prob
     traj = aug.forward(values)
     g, costate, defect = aug.gradient(values, traj, nu, 0.0)
     C = _terminal_jacobian(prob, traj, aug.control(values))
@@ -417,22 +421,19 @@ def _sqp(aug: _AugmentedObjective, values: Array, nu: Array, rho: float,
         stat = _stationarity(prob, values, g)
         if feas <= opts.feas_tol and stat <= opts.stat_tol:
             return _package(prob, aug.partition, values, traj, costate, nu,
-                            rho, steps, 0, feas, stat, objective_log,
-                            feas_log)
+                            steps, 0, feas, stat, objective_log, feas_log)
         if steps == opts.max_inner:
             break
-        u = values.ravel()
-        g_cost = g.ravel() - C.T @ nu
+        g_cost = g - (C.T @ nu).reshape(g.shape)
         try:
-            target, nu_next, _ = _solve_box_qp(_ReducedQp.model(
-                B, g_cost - B @ u, C, C @ u - defect), lo, up)
+            step, nu_next = _model_step(prob.control_set, values, g_cost, B,
+                                        C, -defect)
         except OracleError:
             return None
-        step = (target - u).reshape(values.shape)
         pi = max(pi, 1.1 * float(np.max(np.abs(nu_next))))
         found = _line_search(aug, values, step,
                              partial(aug.merit, weight=pi),
-                             float(g_cost @ step.ravel())
+                             float(g_cost.ravel() @ step.ravel())
                              - pi * float(np.sum(np.abs(defect))),
                              aug.merit(traj, pi))
         if found is None:
@@ -449,15 +450,13 @@ def _sqp(aug: _AugmentedObjective, values: Array, nu: Array, rho: float,
     return None
 
 
-def _package(prob, partition, values, traj, costate, mu, rho, total_inner,
-             outer, feas, stat, objective_log,
-             feas_history) -> SampledSolution:
+def _package(prob, partition, values, traj, costate, mu, total_inner, outer,
+             feas, stat, objective_log, feas_history) -> SampledSolution:
     control = PiecewiseConstantControl(partition, values)
     diags = SolveDiagnostics(iterations=total_inner, outer_iterations=outer,
                              feasibility=feas, stationarity=stat,
                              objective_log=tuple(objective_log),
-                             feasibility_log=tuple(feas_history),
-                             penalty=rho)
+                             feasibility_log=tuple(feas_history))
     extremal = Extremal(prob, traj, control, costate, -1.0,
                         feas_tol=max(10 * feas, 1e-12))
     return SampledSolution(control=control, state=traj, costate=costate,

@@ -473,6 +473,28 @@ class TestConverge:
                          "--out", str(tmp_path)])
         assert code == 4
 
+    @pytest.mark.parametrize("config, distance", [
+        ({"params": {"u_bound": 4.0}, "x0": [0.9, 0.0]}, "1.536e+00"),
+        ({"control_set": {"kind": "ball", "center": [0.0], "radius": 5.0}},
+         "1.151e+00"),
+        ({"params": {"u_bound": 0.1}}, "6.051e+00")],
+        ids=["bound4", "ball5", "bound0.1"])
+    def test_analytic_reference_outside_the_set_is_rejected(
+            self, tmp_path, capsys, config, distance):
+        """`lq_analytic` ignores U, so where its control leaves U it is not
+        the optimum the rows converge to: exit 4 naming the distance, and
+        no output directory.  These ran the sweep and exited 3, 3 and 2
+        (the last unreachable within the bound)."""
+        cfg = _write_config(tmp_path / "c.json",
+                            {"problem": "lq_double_integrator", **config})
+        out = tmp_path / "o"
+        code = cli.main(["converge", "--config", cfg, "--Ns", "2,4",
+                         "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("reference rejected:") and distance in err
+        assert not out.exists()
+
     def test_rejected_surrogate_makes_no_output(self, tmp_path, capsys):
         """The surrogate's rejection rules apply before `--out` is made."""
         out = tmp_path / "o"

@@ -14,7 +14,6 @@ from sampled_ocp import (PermanentReference, SolverOptions, SweepConfig,
 from sampled_ocp.convergence_harness import (REPORT_HEADER, _decreasing_with_noise,
                                              default_solver_options,
                                              fit_rates, write_report)
-from sampled_ocp.solver_sampled import PENALTY_INIT
 
 
 class TestSweepOnDoubleIntegrator:
@@ -72,8 +71,8 @@ class TestSweepOnDoubleIntegrator:
 
 class TestCascadeCarriesPenalty:
     """The first cascade row starts from the reference, each later row
-    from its coarser row's control, multiplier and penalty; a cold row
-    starts from none of them."""
+    from its coarser row's control and multiplier; a cold row starts from
+    neither."""
 
     def test_cascade_work_budget(self, di_problem, di_reference,
                                  monkeypatch):
@@ -96,14 +95,6 @@ class TestCascadeCarriesPenalty:
         assert report.verdicts and report.all_pass()
         assert sum(s.diagnostics.iterations for s in solutions.values()) <= 19
         assert len(builds) <= 6
-
-    def test_rows_certify_at_carried_penalties(self, di_sweep):
-        """An SQP row reports the penalty it was given.  The first row is
-        given none, so it reports PENALTY_INIT and passes that on: every
-        double-integrator row reads PENALTY_INIT."""
-        _, solutions = di_sweep
-        assert [s.diagnostics.penalty for s in solutions.values()] == \
-            [PENALTY_INIT] * 6
 
     def test_every_row_takes_sqp_steps(self, di_sweep):
         """No row runs multiplier rounds: the first starts from the
@@ -143,7 +134,6 @@ class TestCascadeCarriesPenalty:
         assert np.max(np.abs(first["warm_start"].values)) == 4.0
         np.testing.assert_array_equal(first["warm_multiplier"],
                                       -ref.p.at(1.0))
-        assert "warm_penalty" not in first
 
     def test_piecewise_constant_reference_start(self, di_sweep, di_problem):
         """A fine-surrogate reference carries a piecewise-constant

@@ -398,18 +398,16 @@ class TestFineSurrogate:
         calls, cold = [], []
 
         def fake_solve(prob, partition, opts, warm_start=None,
-                       warm_multiplier=None, warm_penalty=None):
+                       warm_multiplier=None):
             N = partition.N
             calls.append(N)
-            cold.append(warm_start is None and warm_multiplier is None
-                        and warm_penalty is None)
+            cold.append(warm_start is None and warm_multiplier is None)
             value = np.zeros(prob.n)
             value[0] = N
             return SimpleNamespace(
                 control=PiecewiseConstantControl(partition,
                                                  np.zeros((N, prob.m))),
                 multiplier=np.zeros(prob.n), costate=None, cost=float(N),
-                diagnostics=SimpleNamespace(penalty=10.0),
                 state=SimpleNamespace(
                     sample=lambda ts: np.tile(value, (len(ts), 1))))
 

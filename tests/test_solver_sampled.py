@@ -1,5 +1,5 @@
 """Augmented-Lagrangian solver with projected quasi-Newton steps, and SQP
-steps for warm starts on a box."""
+steps for warm starts on every control set."""
 
 import dataclasses
 
@@ -255,42 +255,78 @@ class TestOffBox:
         assert len(state_marches) <= 40
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 12))
-    def test_model_step_feasible_and_ball_equals_box(self, seed, N):
+    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 12),
+           rows=st.booleans())
+    def test_model_step_feasible_and_ball_equals_box(self, seed, N, rows):
         """On models B + rho C'C shaped like the solver's (rho = 10, B
-        positive definite), the step keeps every control set; where the
-        box's active-set loop settles, a 1-D ball's ADMM step equals
-        that box's step (within 1.6e-8 over 540 random models)."""
+        positive definite), the step keeps every control set and, with
+        SQP's equality rows C s = r (r = C d for a step d that keeps the
+        set, so the QP is feasible), meets them.  Where the box's
+        active-set loop settles, a 1-D ball's ADMM step equals that box's
+        step (within 1.6e-8 over 540 random models without rows), and
+        with rows so does its multiplier wherever the free entries fix
+        it.  Over 600 seeded models with rows, ADMM's step left the set
+        by at most 1.2e-11 and missed the rows by 2e-15; it stayed within
+        3.8e-11 of the box's step and its multiplier within 1.4e-11
+        (relative) of the box's.  A QP with rows may be refused with
+        `OracleError` (ADMM gave up on 8 of the 1,800 ball and product
+        models), which SQP takes as a failed step."""
         from sampled_ocp.problem_model import distance_to
         from sampled_ocp.reference_oracles import _ReducedQp, _solve_box_qp
         from sampled_ocp.solver_sampled import _model_step
         rng = np.random.default_rng(seed)
         center, radius = rng.uniform(-1, 1), rng.uniform(0.1, 5)
+        lo, up = np.full(N, center - radius), np.full(N, center + radius)
         sets = [Box([center - radius], [center + radius]),
                 Ball([center], radius), Ball([center, 0.0], radius),
                 ProductSet((Box([-1.0], [1.0]), Ball([0.0, center], radius)))]
         steps = []
         for U in sets:
             size = N * U.dim
-            C = rng.normal(size=(2, size)) / N
+            C = rng.normal(size=(min(2, size), size)) / N
             A = rng.normal(size=(size, size)) * 0.1 / N
             model = np.eye(size) / N + A @ A.T + 10.0 * C.T @ C
             values = U.project(rng.normal(center, radius, size=(N, U.dim)))
             g = rng.normal(size=(N, U.dim)) * 10.0 ** rng.uniform(-3, 1)
-            step = _model_step(U, values, g, model)
+            eq = ()
+            if rows:
+                d = U.project(values + rng.normal(size=values.shape)) - values
+                eq = (C, C @ d.ravel())
+            try:
+                step, nu = _model_step(U, values, g, model, *eq)
+            except OracleError:
+                assert rows
+                steps.append(None)
+                continue
             assert step.shape == values.shape
-            assert np.max(distance_to(U, values + step)) <= 1e-12
-            steps.append((values, g, model, step))
-        # the 1-D ball on the box's model, values and gradient
-        values, g, model, box_step = steps[0]
-        qp = _ReducedQp.model(model, g.ravel() - model @ values.ravel())
-        try:
-            _solve_box_qp(qp, np.full(N, center - radius),
-                          np.full(N, center + radius))
-        except OracleError:
+            assert np.max(distance_to(U, values + step)) <= \
+                (1e-10 if rows else 1e-12)
+            if rows:
+                assert np.max(np.abs(C @ step.ravel() - eq[1])) <= 1e-12
+            steps.append((values, g, model, eq, step, nu))
+        if steps[0] is None:
             return
-        ball_step = _model_step(sets[1], values, g, model)
-        assert np.max(np.abs(ball_step - box_step)) <= 1e-6
+        # the 1-D ball on the box's model, values, gradient and rows
+        values, g, model, eq, box_step, box_nu = steps[0]
+        if not rows:
+            qp = _ReducedQp.model(model, g.ravel() - model @ values.ravel())
+            try:
+                _solve_box_qp(qp, lo, up)
+            except OracleError:
+                return
+        try:
+            ball_step, ball_nu = _model_step(sets[1], values, g, model, *eq)
+        except OracleError:
+            assert rows
+            return
+        assert np.max(np.abs(ball_step - box_step)) <= \
+            (1e-9 if rows else 1e-6)
+        if rows:
+            target = (values + box_step).ravel()
+            free = (target > lo + 1e-9) & (target < up - 1e-9)
+            if np.linalg.matrix_rank(eq[0][:, free]) == eq[0].shape[0]:
+                assert np.max(np.abs(ball_nu - box_nu)) <= \
+                    1e-9 * (1.0 + np.max(np.abs(box_nu)))
 
     @pytest.mark.parametrize("rho", [10.0, 900.0])
     def test_ball_step_equals_exact_box_step(self, rho):
@@ -318,7 +354,7 @@ class TestOffBox:
             except OracleError:
                 continue
             settled += 1
-            step = _model_step(Ball([center], radius), values, g, model)
+            step, _ = _model_step(Ball([center], radius), values, g, model)
             worst = max(worst, float(np.max(np.abs(
                 step.ravel() - (target - values.ravel())))))
         assert settled >= 50
@@ -408,40 +444,36 @@ class TestDeterminism:
 
 
 class TestWarmPenalty:
-    @pytest.mark.parametrize("rho", [np.nan, np.inf, -np.inf, 0.0, -1.0])
-    def test_non_finite_or_non_positive_is_refused(self, di_problem, rho):
-        with pytest.raises(ValueError, match="warm penalty"):
-            solve(di_problem, uniform_partition(2, 1.0), warm_penalty=rho)
-
-    @pytest.mark.parametrize("name, N, counts, rho, params", [
-        ("lq_double_integrator", 8, (16, 7), 1e3, {}),
-        ("lq_double_integrator", 64, (14, 7), 1e3, {}),
-        ("lq_double_integrator", 256, (12, 7), 1e3, {}),
-        ("affine_quadratic", 32, (19, 9), 1e2, {}),
-        ("lq_double_integrator", 4, (19, 8), 1e4,
+    @pytest.mark.parametrize("name, N, counts, params", [
+        ("lq_double_integrator", 8, (16, 7), {}),
+        ("lq_double_integrator", 64, (14, 7), {}),
+        ("lq_double_integrator", 256, (12, 7), {}),
+        ("affine_quadratic", 32, (19, 9), {}),
+        ("lq_double_integrator", 4, (19, 8),
          {"u_bound": 4.0, "x0": [0.9, 0.0]}),
     ])
-    def test_cold_solve_counts_pinned(self, name, N, counts, rho, params):
+    def test_cold_solve_counts_pinned(self, name, N, counts, params):
         """The problems and sizes of perfbench's cold `solve` workload,
         at the catalog's x0 (the bounded one from (0.9, 0)): cold solves
         start rho at PENALTY_INIT, so a warm-start change leaves their
-        (inner, outer) counts and certifying penalties where they are."""
+        (inner, outer) counts where they are."""
         prob = build_problem(name, **params)
         diags = solve(prob, uniform_partition(N, prob.horizon)).diagnostics
         assert (diags.iterations, diags.outer_iterations) == counts
-        assert diags.penalty == rho
 
 
 class TestWarmSqp:
-    """A warm start on a box takes SQP steps; any SQP failure restarts
-    the augmented Lagrangian from the same warm start."""
+    """A warm start takes SQP steps on every control set; any SQP failure
+    restarts the augmented Lagrangian from the same warm start."""
 
     def test_cascade_march_budget(self, di_problem, di_reference,
                                   monkeypatch):
-        """The double-integrator cascade N = 2..64 marches the state at
-        most 25 times and the costate at most 25 times.  A cold first row
-        took 36 and 43, and the augmented Lagrangian's multiplier rounds
-        in every row 48 and 74."""
+        """The double-integrator cascade N = 2..64, on its box and on the
+        ball of the same radius, marches the state at most 25 times and
+        the costate at most 25 times, and no row takes multiplier rounds.
+        A cold first row took 36 and 43, and the augmented Lagrangian's
+        multiplier rounds in every row 48 and 74, on the box and on the
+        ball alike."""
         import sampled_ocp.solver_sampled as solver_module
         from sampled_ocp import SweepConfig, sweep
         calls = {"integrate_state": 0, "integrate_costate": 0}
@@ -453,29 +485,76 @@ class TestWarmSqp:
                 return _march(*args, **kwargs)
 
             monkeypatch.setattr(solver_module, name, counted)
-        report = sweep(SweepConfig(problem=di_problem, reference=di_reference,
-                                   resolutions=(2, 4, 8, 16, 32, 64)))
-        assert report.all_pass()
-        assert calls["integrate_state"] <= 25
-        assert calls["integrate_costate"] <= 25
+        ball = build_problem("lq_double_integrator",
+                             control_set=Ball([0.0], 20.0))
+        for prob in (di_problem, ball):
+            calls.update(integrate_state=0, integrate_costate=0)
+            report, solutions = sweep(
+                SweepConfig(problem=prob, reference=di_reference,
+                            resolutions=(2, 4, 8, 16, 32, 64)),
+                return_solutions=True)
+            assert report.all_pass()
+            assert [s.diagnostics.outer_iterations
+                    for s in solutions.values()] == [0] * 6
+            assert calls["integrate_state"] <= 25
+            assert calls["integrate_costate"] <= 25
 
     def test_sqp_certificate(self, di_problem):
-        """p(T) = -nu exactly, the warm penalty comes back unchanged, one
-        log entry per accepted step, and the certificate passes."""
+        """p(T) = -nu exactly, one log entry per accepted step, and the
+        certificate passes."""
         coarse = solve(di_problem, uniform_partition(4, 1.0))
         part = uniform_partition(8, 1.0)
         warm = PiecewiseConstantControl(part, np.repeat(coarse.control.values,
                                                         2, axis=0))
         sol = solve(di_problem, part, warm_start=warm,
-                    warm_multiplier=coarse.multiplier, warm_penalty=123.0)
+                    warm_multiplier=coarse.multiplier)
         diags = sol.diagnostics
         np.testing.assert_array_equal(sol.multiplier,
                                       -sol.costate.final_costate)
-        assert diags.penalty == 123.0
         assert diags.outer_iterations == 0
         assert diags.iterations == len(diags.objective_log) \
             == len(diags.feasibility_log) >= 1
         assert diags.feasibility <= 1e-8 and diags.stationarity <= 1e-8
+        assert sol.residuals.all_pass()
+
+    def test_product_set_warm_solve_takes_sqp(self):
+        """An oscillator driven through a box x ball product, warm from
+        the N = 4 solution at N = 8: SQP certifies, with p(T) = -nu.  The
+        augmented Lagrangian took 11 inner steps over 7 multiplier
+        rounds."""
+        prob = build_problem("lq_generic", A=[[0.0, 1.0], [-1.0, 0.0]],
+                             x0=[1.0, 0.5],
+                             control_set=ProductSet((Box([-1.0], [1.0]),
+                                                     Ball([0.0], 0.8))))
+        coarse = solve(prob, uniform_partition(4, 1.0))
+        part = uniform_partition(8, 1.0)
+        sol = solve(prob, part, warm_start=PiecewiseConstantControl(
+            part, np.repeat(coarse.control.values, 2, axis=0)),
+            warm_multiplier=coarse.multiplier)
+        assert sol.diagnostics.outer_iterations == 0
+        assert sol.diagnostics.iterations >= 1
+        np.testing.assert_array_equal(sol.multiplier,
+                                      -sol.costate.final_costate)
+        assert sol.residuals.all_pass()
+
+    @pytest.mark.parametrize("U", [Ball([0.0], 5.0), Box([-5.0], [5.0])],
+                             ids=["ball", "box"])
+    def test_rank_deficient_rows_fall_back(self, U):
+        """x(T) does not depend on u in its second component, so C has a
+        zero row: the ball's Schur complement is singular, and so is the
+        box's KKT system.  Each raises `OracleError` inside SQP, not
+        `LinAlgError`, and the augmented Lagrangian solves from the same
+        warm start on both sets."""
+        prob = build_problem("lq_generic", A=0.0, B=[[1.0], [0.0]],
+                             x0=[1.0, 0.0], control_set=U)
+        part = uniform_partition(4, 1.0)
+        sol = solve(prob, part,
+                    warm_start=PiecewiseConstantControl(part,
+                                                        np.zeros((4, 1))),
+                    warm_multiplier=np.zeros(2))
+        diags = sol.diagnostics
+        assert (diags.iterations, diags.outer_iterations) == (10, 6)
+        assert sol.cost == pytest.approx(0.6572764381196, rel=1e-12)
         assert sol.residuals.all_pass()
 
     def test_unreachable_warm_solve_falls_back(self):
