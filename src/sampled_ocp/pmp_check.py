@@ -21,7 +21,7 @@ from .control_partition import PiecewiseConstantControl, uniform_partition
 from .errors import GridAlignmentError, MembershipError
 from .integrate import (ControlDifference, CostateTrajectory, Linearization,
                         TimeGrid, Trajectory, simpson_on_interval)
-from .problem_model import (TOL_SET, OcpProblem, grid_spacing,
+from .problem_model import (TOL_SET, OcpProblem, distance_to, grid_spacing,
                             normal_cone_residual, project, sample_grid)
 
 Array = np.ndarray
@@ -287,19 +287,25 @@ def lift_inequality(e: Extremal, v) -> float:
 
     Nonpositive for every admissible probe v exactly when (p, p0) is an
     extremal lift of (x, u); the probe must take values in the control
-    set.
+    set: a held probe on its intervals, a callable at the grid's nodes
+    and midpoints, where the variation march reads it.
     """
-    _check_probe_membership(e.problem, v)
+    _check_probe_membership(e.problem, v, e.x.grid.times)
     var = e.linearization.variation(ControlDifference(v, e.u))
     return float(e.p.final_costate @ var.final_w + e.p0 * var.final_w0)
 
 
-def _check_probe_membership(prob, v):
+def _check_probe_membership(prob, v, times):
     if isinstance(v, PiecewiseConstantControl):
         d = v.max_set_distance(prob.control_set)
-        if d > TOL_SET:
-            raise MembershipError(
-                f"probe leaves the control set by {d:.3e}")
+    elif callable(v):
+        ts = np.concatenate([times, times[:-1] + 0.5 * np.diff(times)])
+        d = float(np.max(distance_to(prob.control_set, np.array(
+            [np.atleast_1d(np.asarray(v(t), dtype=float)) for t in ts]))))
+    else:
+        return
+    if not d <= TOL_SET:
+        raise MembershipError(f"probe leaves the control set by {d:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +419,10 @@ def evaluate_extremal(e: Extremal, *, with_hm: bool = False,
     Lift probes draw random piecewise-constant controls valued in U from
     a generator seeded with 0, so a report is reproducible.
     """
-    if lift_probes < 0:
-        raise ValueError(f"lift_probes must be nonnegative, got {lift_probes!r}")
+    if not isinstance(lift_probes, (int, np.integer)) or \
+            isinstance(lift_probes, bool) or lift_probes < 0:
+        raise ValueError("lift_probes must be a nonnegative integer, got "
+                         f"{lift_probes!r}")
     e.validate()
     report = ResidualReport()
     report.feasibility = e.feasibility
@@ -440,7 +448,7 @@ def evaluate_extremal(e: Extremal, *, with_hm: bool = False,
             probe = random_admissible_control(e.problem, _probe_partition(e), rng)
             worst = max(worst, lift_inequality(e, probe))
         report.lift_inequality_worst = float(worst)
-        report.lift_probe_count = lift_probes
+        report.lift_probe_count = int(lift_probes)
         gating.append("lift_probes")
     report.gating = tuple(gating)
     return report

@@ -249,21 +249,24 @@ class _ReducedQp:
             G[i + 1][:, i * m:(i + 1) * m] += F_list[i]
         self.c, self.G = c, G
 
-        H = np.zeros((D, D))
-        g = np.zeros(D)
-        const = 0.0
-        for i in range(N):
-            W = np.zeros((n + m, D))
-            W[:n] = G[i]
-            W[n:, i * m:(i + 1) * m] = np.eye(m)
-            b = np.concatenate([c[i], np.zeros(m)])
-            SW = S_list[i] @ W
-            H += W.T @ SW
-            g += W.T @ (S_list[i] @ b)
-            const += 0.5 * float(b @ S_list[i] @ b)
+        # Interval i's cost is [x_i; u_i]' S_i [x_i; u_i] / 2 with x_i =
+        # c_i + G_i u, summed over i as stacked products: the state blocks
+        # in one (D x Nn)(Nn x D) product, the cross blocks as column
+        # block i, and S_uu,i on diagonal block i.
+        S = np.stack(S_list)
+        Sxx, Sxu = S[:, :n, :n], S[:, :n, n:]
+        Gs, cs = G[:N], c[:N]
+        H = np.tensordot(Gs, Sxx @ Gs, axes=([0, 1], [0, 1]))
+        cross = np.einsum("kad,kaj->dkj", Gs, Sxu).reshape(D, D)
+        H += cross + cross.T
+        idx = np.arange(N)
+        H.reshape(N, m, N, m)[idx, :, idx, :] += S[:, n:, n:]
+        Sc = np.einsum("kab,kb->ka", Sxx, cs)
+        g = np.einsum("kad,ka->d", Gs, Sc) + \
+            np.einsum("kaj,ka->kj", Sxu, cs).ravel()
         self.H = 0.5 * (H + H.T)
         self.g = g
-        self.const = const
+        self.const = 0.5 * float(np.sum(cs * Sc))
         self.A_eq = G[N]
         self.b_eq = data.xT - c[N]
 
@@ -351,12 +354,13 @@ def _solve_box_qp(qp: _ReducedQp, lo: Array, up: Array):
     unconstrained optimum leaves the box.
 
     Each round predicts the entries clamped at the lower and upper
-    bounds from u - grad and re-solves the KKT system with them clamped;
-    the loop stops when the prediction repeats, or at a vertex that
-    clamps every entry, whose multiplier is not unique and comes from
-    `_vertex_multiplier` instead of a KKT solve.  The point is returned
-    only if it is a KKT point of the box-constrained QP, which is then
-    the optimum when H is positive definite; otherwise `OracleError`.
+    bounds from u - grad (a step within rounding of a bound reaches it)
+    and re-solves the KKT system with them clamped; the loop stops when
+    the prediction repeats, or at a vertex that clamps every entry, whose
+    multiplier is not unique and comes from `_vertex_multiplier` instead
+    of a KKT solve.  The point is returned only if it is a KKT point of
+    the box-constrained QP, which is then the optimum when H is positive
+    definite; otherwise `OracleError`.
     """
     u, nu = qp.kkt_solve(np.array([], dtype=int), np.array([]))
     solves = 1
@@ -367,7 +371,9 @@ def _solve_box_qp(qp: _ReducedQp, lo: Array, up: Array):
     side = np.zeros(lo.size, dtype=int)  # -1 lower, +1 upper, 0 free
     for _ in range(ACTIVE_SET_MAX_ROUNDS):
         step = u - qp.gradient(u, nu)
-        predicted = np.where(step < lo, -1, np.where(step > up, 1, 0))
+        tie = 1e-12 * (1.0 + float(np.max(np.abs(u))))
+        predicted = np.where(step < lo + tie, -1,
+                             np.where(step > up - tie, 1, 0))
         if np.array_equal(predicted, side):
             break
         side = predicted

@@ -4,11 +4,13 @@ under the terminal equality constraint, and reconstruct the costate.
 A cold solve runs an augmented Lagrangian (AL), a warm start SQP on the
 condensed problem (`_sqp`; the condensing of Bock & Plitt, IFAC 1984),
 and both minimize their quasi-Newton model over the control set in one
-place, `_model_step`.  Both stop on the projected-gradient test, whose
-fixed points are exactly the points where the interval integral of
-grad_u H lies in the normal cone at each control value, so the returned
-costate is a stationarity certificate rather than a trusted by-product:
-the adjoint-equation and averaged-gradient residuals are recomputed and
+place, `_model_step`.  On LQ data SQP's model starts from the exact
+sampled oracle's Hessian, so from a warm start near the optimum one step
+certifies.  Both stop on the projected-gradient test, whose fixed points
+are exactly the points where the interval integral of grad_u H lies in
+the normal cone at each control value, so the returned costate is a
+stationarity certificate rather than a trusted by-product: the
+adjoint-equation and averaged-gradient residuals are recomputed and
 attached to every solution.
 
 Sign convention: with the normal normalization (p0 = -1) we have
@@ -292,9 +294,11 @@ def solve(prob: OcpProblem, partition: Partition,
     `warm_start` and `warm_multiplier` (a refinement cascade passes the
     coarser solution's) run SQP (`_sqp`): its multiplier nu gives p(T) =
     -nu, `iterations` counts accepted SQP steps and `outer_iterations` is
-    0; where SQP fails, the AL runs from the warm start as a cold solve
-    does.  Malformed warm arguments raise `ValueError`, a warm control
-    outside the set `MembershipError`.
+    0.  Its model starts from the Hessian of the exact sampled oracle's
+    condensed QP on LQ data (`_ReducedQp.H`, off the RK4 one by the step
+    error) and from diag(h_i) otherwise.  Where SQP fails, the AL runs
+    from the warm start as a cold solve does.  Malformed warm arguments
+    raise `ValueError`, a warm control outside the set `MembershipError`.
 
     On success the costate is p = -lambda with p(T) = -(mu + rho*defect)
     evaluated at the accepted stationary point, and p0 = -1.  The dense
@@ -324,7 +328,8 @@ def solve(prob: OcpProblem, partition: Partition,
             raise MembershipError(
                 f"warm start leaves the control set by {dist:.3e}")
         values = warm_start.values.copy()
-        sol = _sqp(aug, values, mu, B, opts)
+        model = B if prob.lq is None else _ReducedQp(prob.lq, partition).H
+        sol = _sqp(aug, values, mu, model, opts)
         if sol is not None:
             return sol
     else:
@@ -404,9 +409,11 @@ def _sqp(aug: _AugmentedObjective, values: Array, nu: Array, B: Array,
     min g_J's + 1/2 s'Bs subject to values + s in U and C s = -(x(T) -
     xT) with `_model_step`, whose multiplier is the next nu; backtracks
     on the l1 merit J + pi ||x(T) - xT||_1 with pi = max(pi, 1.1
-    ||nu||_inf); and updates B (the initial one is given) by damped BFGS
-    on the change of the Lagrangian gradient.  C is built once on LQ
-    data, where x(T) is affine in u, and at every iterate otherwise.
+    ||nu||_inf); and updates B by damped BFGS on the change of the
+    Lagrangian gradient, from the initial B the caller gives.  Gradient,
+    C, merit and stopping tests are the RK4 marches', whatever B is, so
+    B decides the steps, not the solution.  C is built once on LQ data,
+    where x(T) is affine in u, and at every iterate otherwise.
     Returns the packaged solution once the feasibility and stationarity
     tests pass, or None when a QP fails, the merit search finds no step,
     or max_inner steps pass."""

@@ -1,6 +1,7 @@
 """Optimality-condition residuals and the extremal-lift characterizations."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from sampled_ocp import (Extremal, PiecewiseConstantControl, build_problem,
                          build_time_grid, classify_normality, hamiltonian,
                          integrate_costate, integrate_state, lift_inequality,
                          uniform_partition)
-from sampled_ocp.errors import GridAlignmentError, TrivialLiftError
+from sampled_ocp.errors import (GridAlignmentError, MembershipError,
+                                TrivialLiftError)
 from sampled_ocp.control_partition import resample_onto
 from sampled_ocp.integrate import (ControlDifference, CostateTrajectory,
                                    Trajectory)
@@ -605,6 +607,46 @@ class TestScanArguments:
         evaluated"."""
         with pytest.raises(ValueError, match="lift_probes"):
             evaluate_extremal(cubic_extremal, lift_probes=-5)
+
+    @pytest.mark.parametrize("count", [True, 2.5, "3"],
+                             ids=["bool", "float", "str"])
+    def test_non_integer_probe_count_refused(self, cubic_extremal, count):
+        """`True` ran one probe and wrote `"lift_probe_count": true`;
+        2.5 raised a bare `TypeError` from `range`."""
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            evaluate_extremal(cubic_extremal, lift_probes=count)
+
+    def test_numpy_integer_probe_count(self, cubic_extremal):
+        doc = json.loads(evaluate_extremal(cubic_extremal,
+                                           lift_probes=np.int64(2)).to_json())
+        assert doc["lift_probe_count"] == 2
+
+
+class TestCallableProbes:
+    """A callable probe is read at the grid's nodes and midpoints, and
+    must lie in U there, as a held probe must on its intervals."""
+
+    def test_inside_probe_evaluated(self, lq_oracle_extremal):
+        """A constant callable inside U gives the value of the held probe
+        at the same constant."""
+        e, _ = lq_oracle_extremal
+        held = PiecewiseConstantControl(e.u.partition, np.full((8, 1), 5.0))
+        assert lift_inequality(e, lambda t: np.array([5.0])) == \
+            pytest.approx(lift_inequality(e, held), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("probe", [
+        lambda t: np.array([1e3]),
+        lambda t: np.array([1e3 if t > 0.99 else 0.0])],
+        ids=["everywhere", "last_step"])
+    def test_outside_probe_refused(self, lq_oracle_extremal, probe):
+        """On the double integrator's box [-20, 20] a callable at 1e3
+        returned 1.70e-08, where a held probe at 1e3 is refused."""
+        e, _ = lq_oracle_extremal
+        with pytest.raises(MembershipError, match="leaves the control set"):
+            lift_inequality(e, probe)
+        held = PiecewiseConstantControl(e.u.partition, np.full((8, 1), 1e3))
+        with pytest.raises(MembershipError, match="leaves the control set"):
+            lift_inequality(e, held)
 
 
 class TestCoordinateHmScan:

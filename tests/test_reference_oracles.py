@@ -5,9 +5,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from sampled_ocp import (Box, LqProblemData, build_problem,
+from sampled_ocp import (Box, LqProblemData, Partition, build_problem,
                          solve_lq_permanent, solve_lq_sampled_exact,
                          uniform_partition)
 from sampled_ocp.errors import SurrogateRejectedError, UnreachableTargetError
@@ -193,6 +195,43 @@ class TestZohBlocks:
         E, F, _ = _zoh_blocks(data, 0.25)
         np.testing.assert_allclose(E, [[1.0, 0.25], [0.0, 1.0]], atol=1e-14)
         np.testing.assert_allclose(F, [[0.03125], [0.25]], atol=1e-14)
+
+
+class TestCondensedAssembly:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           m=st.integers(1, 2), N=st.integers(1, 12))
+    def test_stacked_sums_equal_interval_loop(self, seed, n, m, N):
+        """H, g and the constant of the condensed QP, assembled as
+        stacked products, equal the sum over intervals of W_i' S_i W_i,
+        W_i' S_i b_i and b_i' S_i b_i / 2 (W_i = [G_i; E_i], E_i picking
+        interval i's control, b_i = [c_i; 0]) within 1e-13 relative, on
+        random LQ data and random partitions."""
+        rng = np.random.default_rng(seed)
+        Qh, Rh = rng.normal(size=(n, n)), rng.normal(size=(m, m))
+        data = LqProblemData(A=rng.normal(size=(n, n)),
+                             B=rng.normal(size=(n, m)), Q=Qh @ Qh.T,
+                             R=Rh @ Rh.T + 0.1 * np.eye(m), horizon=1.0,
+                             x0=rng.normal(size=n), xT=rng.normal(size=n))
+        cuts = np.sort(rng.uniform(0.0, 1.0, size=N - 1))
+        partition = Partition(np.concatenate([[0.0], cuts, [1.0]]))
+        qp = _ReducedQp(data, partition)
+        D = N * m
+        H, g, const = np.zeros((D, D)), np.zeros(D), 0.0
+        for i in range(N):
+            _, _, S = qp.step_blocks(float(partition.times[i + 1]
+                                           - partition.times[i]))
+            W = np.zeros((n + m, D))
+            W[:n] = qp.G[i]
+            W[n:, i * m:(i + 1) * m] = np.eye(m)
+            b = np.concatenate([qp.c[i], np.zeros(m)])
+            H += W.T @ S @ W
+            g += W.T @ S @ b
+            const += 0.5 * float(b @ S @ b)
+        for got, want in ((qp.H, H), (qp.g, g), (qp.const, const)):
+            np.testing.assert_allclose(
+                got, want, rtol=0,
+                atol=1e-13 * float(np.max(np.abs(want))))
 
 
 class TestSampledExact:
@@ -431,11 +470,12 @@ class TestFineSurrogate:
         assert abs(ref.cost - di_reference.cost) < 1e-4
 
     def test_surrogate_pinned(self, di_surrogates):
-        """The reference start of `sweep`'s cascade leaves the surrogate
-        chain alone: the N_ref = 256 surrogate keeps its cost and error
-        bar to the last bit."""
-        assert di_surrogates[0].cost == 6.7846968851511305
-        assert di_surrogates[0].error_bar == 2.5719085872334755e-05
+        """The N_ref = 256 surrogate's cost and error bar, to the last
+        bit.  The chain's warm links start SQP from the exact sampled
+        Hessian; from diag(h_i) the cost was 6.7846968851511305 and the
+        error bar 2.5719085872334755e-05."""
+        assert di_surrogates[0].cost == 6.784696885151051
+        assert di_surrogates[0].error_bar == 2.5716423467984317e-05
 
     def test_error_bar_shrinks_with_resolution(self, di_surrogates):
         bar256, bar512 = di_surrogates[0].error_bar, di_surrogates[1].error_bar

@@ -469,11 +469,11 @@ class TestWarmSqp:
     def test_cascade_march_budget(self, di_problem, di_reference,
                                   monkeypatch):
         """The double-integrator cascade N = 2..64, on its box and on the
-        ball of the same radius, marches the state at most 25 times and
-        the costate at most 25 times, and no row takes multiplier rounds.
-        A cold first row took 36 and 43, and the augmented Lagrangian's
-        multiplier rounds in every row 48 and 74, on the box and on the
-        ball alike."""
+        ball of the same radius, marches the state at most 12 times and
+        the costate at most 12 times, and no row takes multiplier rounds.
+        SQP from diag(h_i) took 25 and 25, a cold first row 36 and 43,
+        and the augmented Lagrangian's multiplier rounds in every row 48
+        and 74, on the box and on the ball alike."""
         import sampled_ocp.solver_sampled as solver_module
         from sampled_ocp import SweepConfig, sweep
         calls = {"integrate_state": 0, "integrate_costate": 0}
@@ -496,8 +496,35 @@ class TestWarmSqp:
             assert report.all_pass()
             assert [s.diagnostics.outer_iterations
                     for s in solutions.values()] == [0] * 6
-            assert calls["integrate_state"] <= 25
-            assert calls["integrate_costate"] <= 25
+            assert calls["integrate_state"] <= 12
+            assert calls["integrate_costate"] <= 12
+
+    @pytest.mark.parametrize("U", [
+        Box([-1.1, -0.6], [1.1, 0.6]), Ball([0.0, 0.0], 1.2),
+        ProductSet((Box([-1.0], [1.0]), Ball([0.0], 0.8)))],
+        ids=["box", "ball", "product"])
+    def test_lq_cascade_one_step_per_row(self, U):
+        """An oscillator driven from (1, 0.5) through each set, which the
+        reference's control leaves: on LQ data SQP starts from the exact
+        sampled Hessian, so every row of the cascade N = 2..16, the first
+        from the reference and each later one from its coarser row, takes
+        one step and certifies.  From diag(h_i) the ball's rows took 3-5
+        steps and the product's 2-4."""
+        from sampled_ocp import solve_lq_permanent
+        from sampled_ocp.convergence_harness import _cascade
+        from sampled_ocp.problem_model import distance_to
+        prob = build_problem("lq_generic", A=[[0.0, 1.0], [-1.0, 0.0]],
+                             x0=[1.0, 0.5], control_set=U)
+        ref = solve_lq_permanent(prob.lq)
+        assert np.max(distance_to(U, ref.u.sample(np.linspace(0, 1, 65)))) \
+            > 0.1
+        rows = list(_cascade(prob, (2, 4, 8, 16), SolverOptions(),
+                             reference=ref))
+        assert [N for N, _, _ in rows] == [2, 4, 8, 16]
+        for _, _, sol in rows:
+            diags = sol.diagnostics
+            assert (diags.iterations, diags.outer_iterations) == (1, 0)
+            assert sol.residuals.all_pass()
 
     def test_sqp_certificate(self, di_problem):
         """p(T) = -nu exactly, one log entry per accepted step, and the
@@ -567,18 +594,24 @@ class TestWarmSqp:
             solve(prob, part,
                   warm_start=PiecewiseConstantControl(part, np.zeros((4, 1))))
 
-    def test_clamped_corner_falls_back(self):
-        """From (1, 0) under u_bound=4 at N=8, started at the -4 corner,
-        the first QP's KKT system is singular, and the augmented
-        Lagrangian solves from the same warm start with its own counts
-        and cost."""
+    def test_clamped_corner_takes_sqp(self):
+        """From (1, 0) under u_bound=4 at N=8, started at the -4 corner:
+        on the exact sampled Hessian the first QP is regular, and SQP
+        lands on the one feasible control, the vertex of
+        `test_single_vertex_box_certified`, at the exact oracle's cost.
+        When the first QP on diag(h_i) was singular, the augmented
+        Lagrangian took 19 inner steps in 8 rounds to a point 3.9e-7 off
+        the vertex, whose cost 8.858332918624441 was 4.7e-8 below the
+        oracle's."""
         prob = build_problem("lq_double_integrator", u_bound=4.0)
         part = uniform_partition(8, 1.0)
         sol = solve(prob, part, warm_start=PiecewiseConstantControl(
             part, np.full((8, 1), -4.0)))
-        diags = sol.diagnostics
-        assert (diags.iterations, diags.outer_iterations) == (19, 8)
-        assert sol.cost == 8.858332918624441
+        exact = solve_lq_sampled_exact(prob.lq, part, prob.control_set)
+        assert sol.diagnostics.outer_iterations == 0
+        np.testing.assert_allclose(sol.control.values, exact.control.values,
+                                   rtol=0, atol=1e-9)
+        assert sol.cost == pytest.approx(exact.cost, rel=1e-9)
         assert sol.residuals.all_pass()
 
     def test_stalled_surrogate_link_certifies(self):
