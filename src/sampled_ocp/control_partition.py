@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError
-from .problem_model import (_FLOAT_FMT, BLOWUP_NORM, ControlSet, _frozen,
-                            distance_to)
+from .problem_model import _FLOAT_FMT, BLOWUP_NORM, _count, _frozen
 
 Array = np.ndarray
 
@@ -64,23 +63,22 @@ class Partition:
         return np.searchsorted(self.times[1:-1], t, side="right")
 
 
-def _check_partition(partition) -> None:
-    """`TypeError` unless `partition` is a `Partition`, so that a bare
-    list of times is refused where it enters."""
-    if not isinstance(partition, Partition):
-        raise TypeError(f"expected a Partition, got "
-                        f"{type(partition).__name__}: wrap the sampling "
-                        "times in Partition(...)")
+def _check_type(value, kind) -> None:
+    """`TypeError` unless `value` is a `kind` (`Partition` or
+    `PiecewiseConstantControl`): a bare list or array is refused here."""
+    if not isinstance(value, kind):
+        raise TypeError(f"expected a {kind.__name__}, got "
+                        f"{type(value).__name__}")
 
 
 def uniform_partition(N: int, horizon: float) -> Partition:
     """Uniform partition with N intervals, endpoints exact."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    N = _count("N", N, 1)
     return Partition(np.linspace(0.0, float(horizon), N + 1))
 
 
 def partition_norm(p: Partition) -> float:
+    _check_type(p, Partition)
     return p.norm
 
 
@@ -96,6 +94,7 @@ class PiecewiseConstantControl:
     values: Array  # (N, m)
 
     def __post_init__(self):
+        _check_type(self.partition, Partition)
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
         if v.ndim == 1:
             v = v[:, None]
@@ -115,9 +114,6 @@ class PiecewiseConstantControl:
     def value(self, t) -> Array:
         """u(t) for a time, or one row per time of an array of times."""
         return self.values[self.partition.interval_of(t)]
-
-    def max_set_distance(self, control_set: ControlSet) -> float:
-        return float(np.max(distance_to(control_set, self.values)))
 
     def as_signal(self) -> "SampledControlSignal":
         grid = self.partition.times
@@ -201,7 +197,7 @@ def average_onto(u, partition: Partition) -> PiecewiseConstantControl:
     one-sided limits.  Averaging preserves membership in any convex set
     containing the input values.
     """
-    _check_partition(partition)
+    _check_type(partition, Partition)
     sig = _as_signal(u)
     T = partition.horizon
     if not sig.covers(0.0, T):
@@ -275,7 +271,8 @@ def resample_onto(u: PiecewiseConstantControl,
     warm starts when a partition is split.  `CoverageError` when the
     partition spans another horizon.
     """
-    _check_partition(partition)
+    _check_type(u, PiecewiseConstantControl)
+    _check_type(partition, Partition)
     if partition.horizon != u.horizon:
         raise CoverageError(f"control on [0, {u.horizon}] cannot be "
                             f"resampled onto [0, {partition.horizon}]")

@@ -34,7 +34,7 @@ from .control_partition import (Partition, PiecewiseConstantControl,
 from .errors import (GridAlignmentError, SampledOcpError,
                      SurrogateRejectedError)
 from .integrate import MAX_GRID_STEPS
-from .problem_model import _FLOAT_FMT, OcpProblem, project
+from .problem_model import _FLOAT_FMT, OcpProblem, _count, project
 from .reference_oracles import PermanentReference
 from .solver_sampled import SolverOptions, solve
 
@@ -50,6 +50,7 @@ LIMITATION_NOTE = ("single stationary point tracked per resolution; global "
 MIN_SURROGATE_N = 256
 # Points on which the fine surrogate compares its two finest states.
 SURROGATE_COMPARISON_POINTS = 2049
+SURROGATE_PROVENANCE = "fine_surrogate"
 
 
 def default_solver_options() -> SolverOptions:
@@ -72,8 +73,7 @@ class SweepConfig:
         if self.warm_start_policy not in ("cascade", "cold"):
             raise ValueError("warm_start_policy must be 'cascade' or 'cold'")
         # t = 0 alone compares x0 with itself
-        if self.comparison_points < 2:
-            raise ValueError("comparison_points must be at least 2")
+        _count("comparison_points", self.comparison_points, 2)
         # the cascade's first row starts from the multiplier -p_ref(T)
         pT = np.asarray(self.reference.p.at(self.problem.horizon),
                         dtype=float)
@@ -88,8 +88,8 @@ def checked_resolutions(resolutions) -> tuple:
     positive, strictly increasing and griddable.  Every interval takes at
     least two grid steps, so no grid holds more than MAX_GRID_STEPS // 2
     intervals; a larger N is refused before anything is allocated."""
-    ns = tuple(int(n) for n in resolutions)
-    if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+    ns = tuple(_count("N", n, 1) for n in resolutions)
+    if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("resolutions must be positive and strictly "
                          "increasing")
     if ns[-1] > MAX_GRID_STEPS // 2:
@@ -373,6 +373,6 @@ def fine_surrogate(prob: OcpProblem, n_ref: int,
 
     return PermanentReference(
         x=fine.state, u=fine.control, p=fine.costate, p0=-1.0,
-        cost=fine.cost, provenance=f"fine_surrogate(N_ref={n_ref})",
+        cost=fine.cost, provenance=f"{SURROGATE_PROVENANCE}(N_ref={n_ref})",
         error_bar=err_bar,
         notes=[f"error bar = sup state distance between N={n_ref} and N={2 * n_ref}"])

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .control_partition import (Partition, PiecewiseConstantControl,
-                                _check_partition, _read_float_rows,
+                                _check_type, _read_float_rows,
                                 _write_float_rows)
 from .errors import (GridAlignmentError, IntegrationDivergedError,
                      TrivialLiftError)
@@ -82,7 +82,7 @@ def build_time_grid(horizon: float, partition: Optional[Partition] = None,
     Raises `GridAlignmentError`, before allocating any node, when the grid
     that `h_max` asks for has more than `MAX_GRID_STEPS` steps."""
     if partition is not None:
-        _check_partition(partition)
+        _check_type(partition, Partition)
     horizon = float(horizon)
     if h_max is None:
         h_max = horizon / DEFAULT_STEP_DIVISOR
@@ -452,8 +452,11 @@ class Linearization:
 
     def costate(self, p0: float, pT) -> CostateTrajectory:
         """Backward solve of pdot = -grad_x f' p - p0 grad_x L, p(T) = pT;
-        the result rejects a positive p0 and the trivial pair."""
+        the result rejects a positive p0 and the trivial pair, and a pT
+        that is not n finite values is refused with `ValueError`."""
         pT = np.atleast_1d(np.asarray(pT, dtype=float))
+        if pT.shape != (self.prob.n,) or not np.all(np.isfinite(pT)):
+            raise ValueError(f"pT must hold n = {self.prob.n} finite values")
         p0 = float(p0)
         fx = self.table("dynamics_jac_x")
         lx = self.table("cost_grad_x")

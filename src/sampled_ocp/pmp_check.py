@@ -18,11 +18,12 @@ from typing import Optional
 import numpy as np
 
 from .control_partition import PiecewiseConstantControl, uniform_partition
-from .errors import GridAlignmentError, MembershipError
+from .errors import GridAlignmentError
 from .integrate import (ControlDifference, CostateTrajectory, Linearization,
                         TimeGrid, Trajectory, simpson_on_interval)
-from .problem_model import (TOL_SET, OcpProblem, distance_to, grid_spacing,
-                            normal_cone_residual, project, sample_grid)
+from .problem_model import (OcpProblem, _count, grid_spacing,
+                            normal_cone_residual, project, require_in_set,
+                            sample_grid)
 
 Array = np.ndarray
 
@@ -209,9 +210,8 @@ def hm_gap(e: Extremal, density: int = 1001, time_stride: int = 1) -> HmResult:
     the point grid of U for control dimension <= 2, and coordinate
     lines through the best point so far above that.
     """
-    if density < 2 or time_stride < 1:
-        raise ValueError(f"hm scan needs density >= 2 and time_stride >= 1, "
-                         f"got {density!r}, {time_stride!r}")
+    density = _count("density", density, 2)
+    time_stride = _count("time_stride", time_stride, 1)
     prob = e.problem
     U = prob.control_set
     grid = e.x.grid
@@ -220,7 +220,7 @@ def hm_gap(e: Extremal, density: int = 1001, time_stride: int = 1) -> HmResult:
     node_controls = e.linearization.node_controls
     gaps = []
     worst_slack = 0.0
-    for k in range(0, grid.times.size, int(time_stride)):
+    for k in range(0, grid.times.size, time_stride):
         H, grad_norm = _hamiltonian_rows(prob, e.x.states[k], e.p.costates[k],
                                          e.p0, float(grid.times[k]))
         u_t = node_controls[k][None, :]
@@ -297,15 +297,14 @@ def lift_inequality(e: Extremal, v) -> float:
 
 def _check_probe_membership(prob, v, times):
     if isinstance(v, PiecewiseConstantControl):
-        d = v.max_set_distance(prob.control_set)
+        values = v.values
     elif callable(v):
         ts = np.concatenate([times, times[:-1] + 0.5 * np.diff(times)])
-        d = float(np.max(distance_to(prob.control_set, np.array(
-            [np.atleast_1d(np.asarray(v(t), dtype=float)) for t in ts]))))
+        values = np.array([np.atleast_1d(np.asarray(v(t), dtype=float))
+                           for t in ts])
     else:
         return
-    if not d <= TOL_SET:
-        raise MembershipError(f"probe leaves the control set by {d:.3e}")
+    require_in_set(prob.control_set, values, "probe")
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +418,7 @@ def evaluate_extremal(e: Extremal, *, with_hm: bool = False,
     Lift probes draw random piecewise-constant controls valued in U from
     a generator seeded with 0, so a report is reproducible.
     """
-    if not isinstance(lift_probes, (int, np.integer)) or \
-            isinstance(lift_probes, bool) or lift_probes < 0:
-        raise ValueError("lift_probes must be a nonnegative integer, got "
-                         f"{lift_probes!r}")
+    lift_probes = _count("lift_probes", lift_probes, 0)
     e.validate()
     report = ResidualReport()
     report.feasibility = e.feasibility
@@ -448,7 +444,7 @@ def evaluate_extremal(e: Extremal, *, with_hm: bool = False,
             probe = random_admissible_control(e.problem, _probe_partition(e), rng)
             worst = max(worst, lift_inequality(e, probe))
         report.lift_inequality_worst = float(worst)
-        report.lift_probe_count = int(lift_probes)
+        report.lift_probe_count = lift_probes
         gating.append("lift_probes")
     report.gating = tuple(gating)
     return report

@@ -38,6 +38,15 @@ def _frozen(a) -> Array:
     return out
 
 
+def _count(name: str, value, least: int) -> int:
+    """`value` as an int; `ValueError` unless it is an int or numpy
+    integer, not a bool, and at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _check_endpoints(x0: Array, xT: Array) -> None:
     """`ValueError` unless every entry of x0 and xT is finite and at most
     BLOWUP_NORM in magnitude, where every march would stop."""
@@ -175,20 +184,24 @@ def distance_to(control_set: ControlSet, v: Array):
     return np.linalg.norm(v - control_set.project(v), axis=-1)
 
 
-def normal_cone_residual(control_set: ControlSet, u: Array, g: Array,
-                         tol: float = TOL_SET):
+def require_in_set(control_set: ControlSet, values: Array, what: str) -> None:
+    """`MembershipError` naming `what` unless every row of `values` lies
+    within TOL_SET of the control set; a NaN row is refused too."""
+    d = float(np.max(distance_to(control_set, values)))
+    if not d <= TOL_SET:
+        raise MembershipError(f"{what} leaves the control set by {d:.3e}")
+
+
+def normal_cone_residual(control_set: ControlSet, u: Array, g: Array):
     """Distance-based test of g belonging to the normal cone at u, one
     value per row of u and g.
 
     Returns ||project(U, u + g) - u||.  The value is zero (in exact
     arithmetic) exactly when g is normal to U at u.  Requires every row
-    of u to lie in U up to `tol`.
+    of u to lie in U (`require_in_set`).
     """
     u = np.asarray(u, dtype=float)
-    d = np.max(distance_to(control_set, u))
-    if d > tol:
-        raise MembershipError(
-            f"point is outside the control set by {d:.3e} (> {tol:.1e})")
+    require_in_set(control_set, u, "point")
     moved = control_set.project(u + np.asarray(g, dtype=float))
     return np.linalg.norm(moved - u, axis=-1)
 

@@ -29,7 +29,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import expm
 
-from .control_partition import Partition, PiecewiseConstantControl
+from .control_partition import (Partition, PiecewiseConstantControl,
+                                _check_type)
 from .errors import OracleError, UnreachableTargetError
 from .integrate import (CostateTrajectory, HermitePath, Trajectory,
                         build_time_grid)
@@ -45,6 +46,7 @@ SHOOTING_CONDITION_LIMIT = 1e12
 ACTIVE_SET_MAX_ROUNDS = 50
 # Steps of the permanent LQ reference's dense paths.
 PERMANENT_RESOLUTION = 4096
+LQ_PROVENANCE = "lq_analytic"
 
 
 @functools.cache
@@ -187,7 +189,7 @@ def solve_lq_permanent(data: LqProblemData) -> PermanentReference:
         notes.append("zero transfer: the normal lift is (p = 0, p0 = -1), "
                      "nontrivial through p0")
     return PermanentReference(x=x_path, u=u_path, p=p_path, p0=-1.0,
-                              cost=cost, provenance="lq_analytic", notes=notes)
+                              cost=cost, provenance=LQ_PROVENANCE, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +412,7 @@ def solve_lq_sampled_exact(data: LqProblemData, partition: Partition,
     The returned bundle carries exact nodal state/costate paths, so the
     averaged-gradient residual of the result is quadrature-level small.
     """
+    _check_type(partition, Partition)
     N, m, n = partition.N, data.m, data.n
     if control_set is None:
         lo, up = np.full(N * m, -np.inf), np.full(N * m, np.inf)

@@ -30,16 +30,16 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .control_partition import (Partition, PiecewiseConstantControl,
-                                write_control_csv)
+                                _check_type, write_control_csv)
 from .errors import (InfeasibleStalledError, IntegrationDivergedError,
-                     MaxIterationsError, MembershipError,
-                     MultiplierDivergedError, OracleError)
+                     MaxIterationsError, MultiplierDivergedError, OracleError)
 from .integrate import (Linearization, TimeGrid, Trajectory, build_time_grid,
                         integrate_costate, integrate_state, write_costate_csv,
                         write_state_csv)
 from .pmp_check import (Extremal, SampledSolution, SolveDiagnostics,
                         evaluate_extremal, interval_grad_integrals)
-from .problem_model import TOL_SET, Box, ControlSet, OcpProblem, project
+from .problem_model import (Box, ControlSet, OcpProblem, _count, project,
+                            require_in_set)
 from .reference_oracles import _ReducedQp, _single_blas_thread, _solve_box_qp
 
 Array = np.ndarray
@@ -79,10 +79,8 @@ class SolverOptions:
     h_max: Optional[float] = None
 
     def __post_init__(self):
-        limits = (self.max_outer, self.max_inner)
-        if not all(isinstance(v, (int, np.integer)) and
-                   not isinstance(v, bool) and v > 0 for v in limits):
-            raise ValueError("iteration limits must be positive integers")
+        _count("max_outer", self.max_outer, 1)
+        _count("max_inner", self.max_inner, 1)
         if not all(np.isfinite(v) and v > 0
                    for v in (self.feas_tol, self.stat_tol)):
             raise ValueError("solver tolerances must be finite and positive")
@@ -223,7 +221,8 @@ def _model_step(U: ControlSet, values: Array, g: Array, model: Array,
             scale = 2.0 if primal > dual else 0.5
             sigma, lam = sigma * scale, lam / scale
             factor = None
-    if rows and max(primal, dual) > ADMM_TOL:
+    # NaN (an overflowed nu) fails too: SQP's next p(T) = -nu stays finite
+    if rows and not max(primal, dual) <= ADMM_TOL:
         raise OracleError(f"ADMM did not settle within {ADMM_MAX_ITER} "
                           "iterations")
     return (s if rows else w).reshape(values.shape), nu
@@ -298,7 +297,8 @@ def solve(prob: OcpProblem, partition: Partition,
     condensed QP on LQ data (`_ReducedQp.H`, off the RK4 one by the step
     error) and from diag(h_i) otherwise.  Where SQP fails, the AL runs
     from the warm start as a cold solve does.  Malformed warm arguments
-    raise `ValueError`, a warm control outside the set `MembershipError`.
+    raise `ValueError` (`TypeError` for a warm start that is not held), a
+    warm control outside the set `MembershipError`.
 
     On success the costate is p = -lambda with p(T) = -(mu + rho*defect)
     evaluated at the accepted stationary point, and p0 = -1.  The dense
@@ -316,6 +316,7 @@ def solve(prob: OcpProblem, partition: Partition,
     B = np.diag(np.repeat(np.diff(partition.times), prob.m))
 
     if warm_start is not None:
+        _check_type(warm_start, PiecewiseConstantControl)
         if warm_start.partition.N != partition.N or \
                 not np.array_equal(warm_start.partition.times, partition.times):
             raise ValueError("warm start lives on a different partition")
@@ -323,10 +324,7 @@ def solve(prob: OcpProblem, partition: Partition,
                 not np.all(np.isfinite(warm_start.values)):
             raise ValueError(f"warm_start must hold finite values with "
                              f"m = {prob.m} columns")
-        dist = warm_start.max_set_distance(prob.control_set)
-        if dist > TOL_SET:
-            raise MembershipError(
-                f"warm start leaves the control set by {dist:.3e}")
+        require_in_set(prob.control_set, warm_start.values, "warm start")
         values = warm_start.values.copy()
         model = B if prob.lq is None else _ReducedQp(prob.lq, partition).H
         sol = _sqp(aug, values, mu, model, opts)
@@ -483,6 +481,7 @@ def gradient_check(prob: OcpProblem, partition: Partition,
     about fourfold on problems with genuine third derivatives.  The
     marches run on the default grid, h <= T / 1024.
     """
+    _check_type(u, PiecewiseConstantControl)
     if not (np.isfinite(fd_step) and fd_step > 0):
         raise ValueError("fd_step must be finite and positive")
     grid = build_time_grid(prob.horizon, partition)

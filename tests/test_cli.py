@@ -606,10 +606,10 @@ class TestCatalog:
         column = {line.split()[0]: line.split()[1]
                   for line in capsys.readouterr().out.splitlines()}
         assert column == {
-            "cubic_counterexample": "reference=fine_partition_surrogate",
-            "lq_double_integrator": "reference=lq_exact",
-            "lq_generic": "reference=lq_exact",
-            "affine_quadratic": "reference=fine_partition_surrogate"}
+            "cubic_counterexample": "reference=fine_surrogate",
+            "lq_double_integrator": "reference=lq_analytic",
+            "lq_generic": "reference=lq_analytic",
+            "affine_quadratic": "reference=fine_surrogate"}
 
     def test_no_subcommand_usage(self):
         assert cli.main([]) == 1
@@ -787,8 +787,11 @@ def _edit_csv(text, kind, *args):
             rows[i], rows[j] = rows[j], rows[i]
         elif kind == "scale_times":
             for row in rows:
-                if row and row[0]:
+                # an earlier "entry" edit may have put a non-number there
+                try:
                     row[0] = repr(float(row[0]) * args[0])
+                except (IndexError, ValueError):
+                    pass
     if kind == "drop_column":
         header = [",".join(header[0].split(",")[:-1])] if header else []
         rows = [row[:-1] for row in rows]
@@ -817,6 +820,9 @@ class TestCheckFuzz:
     @example(edits=[("control.csv", ("scale_times", 2.0))], flags=[])
     @example(edits=[("costate.csv", ("entry", 3, 1, "1e300"))],
              flags=["--require-hm"])
+    @example(edits=[("control.csv", ("entry", 0, 0, "x")),
+                    ("control.csv", ("scale_times", 0.5))],
+             flags=["--probes", "0"])
     @given(edits=st.lists(st.tuples(st.sampled_from(_CSV_NAMES), _EDITS),
                           min_size=1, max_size=3),
            flags=st.lists(st.sampled_from(

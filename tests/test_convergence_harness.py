@@ -14,6 +14,8 @@ from sampled_ocp import (PermanentReference, SolverOptions, SweepConfig,
 from sampled_ocp.convergence_harness import (REPORT_HEADER, _decreasing_with_noise,
                                              default_solver_options,
                                              fit_rates, write_report)
+from sampled_ocp.errors import GridAlignmentError
+from sampled_ocp.problem_model import distance_to
 
 
 class TestSweepOnDoubleIntegrator:
@@ -131,7 +133,8 @@ class TestCascadeCarriesPenalty:
         sweep(SweepConfig(problem=prob, reference=ref, resolutions=(4, 8),
                           comparison_points=257))
         first = starts[0]
-        assert first["warm_start"].max_set_distance(prob.control_set) == 0.0
+        assert np.max(distance_to(prob.control_set,
+                                  first["warm_start"].values)) == 0.0
         assert np.max(np.abs(first["warm_start"].values)) == 4.0
         np.testing.assert_array_equal(first["warm_multiplier"],
                                       -ref.p.at(1.0))
@@ -219,6 +222,16 @@ class TestDegenerateSweep:
         for row in report.rows:
             assert row.cost_err == 0.0
             assert row.state_sup_err == 0.0
+
+    def test_ungriddable_step_bound_raised(self, di_problem, di_reference):
+        """A step bound under which no grid can be built is not a row
+        failure: `sweep` raises the `GridAlignmentError` of its first
+        solve."""
+        cfg = SweepConfig(problem=di_problem, reference=di_reference,
+                          resolutions=(2, 4),
+                          solver_options=SolverOptions(h_max=1e-300))
+        with pytest.raises(GridAlignmentError, match="grid steps"):
+            sweep(cfg)
 
 
 class TestCertificationGate:

@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used there,
 no module imports another inside a function, every module-level
-constant is read, every name the benchmark's tracer hooks exists, and
-the CLI starts without the modules only some commands need."""
+constant is read, the count and membership rules each have one copy,
+every name the benchmark's tracer hooks exists, and the CLI starts
+without the modules only some commands need."""
 
 import ast
 import importlib.util
@@ -83,6 +84,46 @@ def test_no_unread_constants():
     unread = sorted(f"{module}:{name}" for module, name in defined
                     if name not in read)
     assert not unread, f"constants never read: {unread}"
+
+
+def _scoped_nodes(tree, scope=None):
+    """(name of the innermost enclosing function, node) for every node."""
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield inner, node
+        yield from _scoped_nodes(node, inner)
+
+
+def _names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _is_bool_test(node):
+    return isinstance(node, ast.Call) and \
+        getattr(node.func, "id", None) == "isinstance" and \
+        len(node.args) == 2 and "bool" in _names(node.args[1])
+
+
+def _is_tol_set_comparison(node):
+    return isinstance(node, ast.Compare) and "TOL_SET" in _names(node)
+
+
+@pytest.mark.parametrize("matches, helper", [
+    (_is_bool_test, "_count"),
+    (_is_tol_set_comparison, "require_in_set")], ids=["count", "membership"])
+def test_one_rule_per_argument_kind(matches, helper):
+    """The bool exclusion of a count test and the comparison with TOL_SET
+    of a membership test each appear once, in their helper, so a copy of
+    either rule fails here instead of growing back."""
+    found = [(scope, f"{path.name}:{node.lineno}") for path in MODULES
+             for scope, node in _scoped_nodes(
+                 ast.parse(path.read_text(encoding="utf-8")))
+             if matches(node)]
+    assert [scope for scope, _ in found] == [helper], \
+        f"expected one test, in {helper}; found {found}"
 
 
 # `perfbench/tracing.py` still hooks this removed name, which the next

@@ -281,6 +281,32 @@ class TestCostateIntegration:
             integrate_costate(prob, traj, lambda t: np.array([0.0]),
                               p0=0.0, pT=np.array([0.0]))
 
+    @pytest.mark.parametrize("pT", [np.zeros(3), [np.nan, 0.0],
+                                    [np.inf, 0.0], np.zeros((2, 1))],
+                             ids=["length_3", "nan", "inf", "column"])
+    def test_malformed_terminal_costate_refused(self, di_problem, pT):
+        """A pT that is not n finite values is a `ValueError` where it
+        enters; the march used to report it as a blow-up at its first
+        step."""
+        grid = build_time_grid(1.0, h_max=0.25)
+        u = lambda t: np.array([1.0])
+        traj = integrate_state(di_problem, u, grid)
+        with pytest.raises(ValueError, match="pT must hold n = 2 finite"):
+            integrate_costate(di_problem, traj, u, p0=-1.0, pT=pT)
+
+    def test_valid_terminal_costate_kept_bit_for_bit(self, di_problem):
+        """A list, a tuple and an array give one costate, which ends at
+        pT exactly."""
+        grid = build_time_grid(1.0, h_max=0.25)
+        u = lambda t: np.array([1.0])
+        traj = integrate_state(di_problem, u, grid)
+        pT = [0.1, -2.0 / 3.0]
+        runs = [integrate_costate(di_problem, traj, u, -1.0, form(pT))
+                for form in (list, tuple, np.array)]
+        for p in runs:
+            np.testing.assert_array_equal(p.final_costate, pT)
+            np.testing.assert_array_equal(p.costates, runs[0].costates)
+
 
 def _hermite_point_by_point(times, values, d_right, d_left, ts):
     """Reference dense output: one segment lookup and one scalar cubic

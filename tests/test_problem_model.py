@@ -3,16 +3,24 @@
 import dataclasses
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sampled_ocp import (Ball, Box, ProductSet, build_problem, catalog,
-                         load_problem_config, normal_cone_residual, project)
+from sampled_ocp import (Ball, Box, PiecewiseConstantControl, ProductSet,
+                         SolverOptions, SweepConfig, build_problem, catalog,
+                         gradient_check, load_problem_config,
+                         normal_cone_residual, partition_norm, project,
+                         resample_onto, solve, solve_lq_sampled_exact,
+                         uniform_partition)
+from sampled_ocp.convergence_harness import (checked_resolutions,
+                                             surrogate_chain)
 from sampled_ocp.errors import (ConfigFormatError, MembershipError,
                                 ProblemLookupError)
+from sampled_ocp.pmp_check import Extremal, hm_gap
 from sampled_ocp.problem_model import (distance_to, finite_difference_derivatives,
                                        problem_from_callables)
 
@@ -131,6 +139,9 @@ class TestNormalCone:
         with pytest.raises(MembershipError, match="by 5.000e-01"):
             normal_cone_residual(U, np.array([[0.0], [1.5], [1.2]]),
                                  np.zeros((3, 1)))
+        # a NaN row used to come back as a NaN residual
+        with pytest.raises(MembershipError, match="by nan"):
+            normal_cone_residual(U, [[np.nan]], [[0.0]])
 
     @pytest.mark.parametrize("U", [Box([-1.0], [1.0]),
                                    Box([-1.0, 0.0], [2.0, 1.0]),
@@ -145,6 +156,72 @@ class TestNormalCone:
             residual = normal_cone_residual(U, u, g)
             in_cone = bool(np.max(vs @ g - float(u @ g)) <= 1e-9)
             assert (residual <= 1e-9) == in_cone
+
+
+# One row per argument each rule refuses where it enters: counts
+# (`_count`), partitions and held controls (`_check_type`); `ctx` holds
+# the exact oracle's DI extremal on 8 intervals, its partition and the
+# permanent reference.
+_REFUSED = {
+    "hm_density_float": (ValueError,
+                         lambda c: hm_gap(c.e, density=11.5)),
+    "hm_stride_float": (ValueError, lambda c: hm_gap(c.e, time_stride=1.9)),
+    "hm_stride_bool": (ValueError, lambda c: hm_gap(c.e, time_stride=True)),
+    "comparison_points_float": (ValueError, lambda c: SweepConfig(
+        problem=c.prob, reference=c.ref, comparison_points=2.5)),
+    "resolutions_float": (ValueError, lambda c: SweepConfig(
+        problem=c.prob, reference=c.ref, resolutions=(2.5, 4))),
+    "resolutions_bool": (ValueError,
+                         lambda c: checked_resolutions([True, 2])),
+    "uniform_bool": (ValueError, lambda c: uniform_partition(True, 1.0)),
+    "uniform_float": (ValueError, lambda c: uniform_partition(2.5, 1.0)),
+    "surrogate_chain_float": (ValueError, lambda c: surrogate_chain(256.5)),
+    "partition_norm_of_list": (TypeError,
+                               lambda c: partition_norm([0.0, 1.0])),
+    "held_control_on_list": (TypeError, lambda c: PiecewiseConstantControl(
+        [0.0, 0.5, 1.0], [[0.0], [0.0]])),
+    "exact_oracle_on_list": (TypeError, lambda c: solve_lq_sampled_exact(
+        c.prob.lq, [0.0, 0.5, 1.0], c.prob.control_set)),
+    "warm_start_array": (TypeError, lambda c: solve(
+        c.prob, c.part, warm_start=np.zeros((8, 1)))),
+    "resample_array": (TypeError,
+                       lambda c: resample_onto(np.zeros((8, 1)), c.part)),
+    "gradient_check_array": (TypeError, lambda c: gradient_check(
+        c.prob, c.part, np.zeros((8, 1)), np.zeros(2), 1.0)),
+}
+
+
+class TestArgumentRules:
+    @pytest.fixture(scope="class")
+    def ctx(self, di_problem, di_reference):
+        part = uniform_partition(8, 1.0)
+        sol = solve_lq_sampled_exact(di_problem.lq, part,
+                                     di_problem.control_set)
+        e = Extremal(di_problem, sol.state, sol.control, sol.costate, -1.0)
+        return SimpleNamespace(prob=di_problem, ref=di_reference, part=part,
+                               e=e)
+
+    @pytest.mark.parametrize("name", sorted(_REFUSED))
+    def test_refused_where_it_enters(self, ctx, name):
+        """Each used to run silently on a truncated value, or fail late
+        with a numpy `TypeError` or an `AttributeError`."""
+        error, call = _REFUSED[name]
+        with pytest.raises(error):
+            call(ctx)
+
+    def test_numpy_integers_are_counts(self, ctx):
+        """A numpy integer is a count, and gives what the int gives."""
+        np.testing.assert_array_equal(
+            uniform_partition(np.int64(4), 1.0).times,
+            uniform_partition(4, 1.0).times)
+        assert checked_resolutions(np.array([2, 4])) == (2, 4)
+        assert all(type(n) is int for n in checked_resolutions(
+            np.array([2, 4])))
+        a = hm_gap(ctx.e, density=np.int32(51), time_stride=np.int64(4))
+        b = hm_gap(ctx.e, density=51, time_stride=4)
+        assert a.sup == b.sup
+        np.testing.assert_array_equal(a.per_node, b.per_node)
+        assert SolverOptions(max_outer=np.int64(3)).max_outer == 3
 
 
 class TestCatalog:

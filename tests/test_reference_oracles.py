@@ -427,8 +427,9 @@ class TestFineSurrogate:
     def test_chain_reaches_n_ref(self, aq_problem, monkeypatch, n_ref, chain):
         """The warm chain halves n_ref while the half is an integer >= 16
         and ends at 2 n_ref; its first link is cold, as the chain has no
-        reference; the error bar compares the n_ref and 2 n_ref solves.
-        The solves are stubbed: each state is N in its first component."""
+        reference; the error bar compares the n_ref and 2 n_ref solves,
+        and rejects the surrogate above `reject_above`.  The solves are
+        stubbed: each state is N in its first component."""
         import sampled_ocp.convergence_harness as convergence_harness
         from types import SimpleNamespace
 
@@ -456,6 +457,11 @@ class TestFineSurrogate:
         assert cold == [True] + [False] * (len(chain) - 1)
         assert ref.error_bar == float(n_ref)
         assert ref.cost == float(2 * n_ref)
+        # an error bar at the limit passes, one above it is rejected
+        assert fine_surrogate(aq_problem, n_ref,
+                              reject_above=float(n_ref)) is not None
+        with pytest.raises(SurrogateRejectedError, match="error bar"):
+            fine_surrogate(aq_problem, n_ref, reject_above=n_ref - 0.5)
 
     def test_lq_surrogate_agrees_with_analytic(self, di_surrogates,
                                                di_reference):

@@ -12,7 +12,8 @@ from sampled_ocp import (Ball, Box, PiecewiseConstantControl, ProductSet,
                          SolverOptions, build_problem, gradient_check, solve,
                          solve_lq_sampled_exact, uniform_partition)
 from sampled_ocp.errors import (InfeasibleStalledError, MembershipError,
-                                OracleError, SampledOcpError, SolverError,
+                                MultiplierDivergedError, OracleError,
+                                SampledOcpError, SolverError,
                                 UnreachableTargetError)
 
 
@@ -69,7 +70,8 @@ class TestBasics:
     def test_non_integer_iteration_limit_refused(self, limit, value):
         """A float limit used to reach `range` inside `solve` and fail
         there with a TypeError."""
-        with pytest.raises(ValueError, match="positive integers"):
+        with pytest.raises(ValueError,
+                           match=f"{limit} must be an integer >= 1"):
             SolverOptions(**{limit: value})
 
 
@@ -676,6 +678,51 @@ class TestFailureModes:
         with pytest.raises(MaxIterationsError):
             solve(di_problem, uniform_partition(8, 1.0),
                   SolverOptions(max_outer=1, max_inner=3))
+
+    def test_diverging_multiplier_reported(self, di_problem):
+        """A cold solve from a multiplier past MULTIPLIER_LIMIT does not
+        meet the target in its first round and stops there."""
+        with pytest.raises(MultiplierDivergedError, match="1.000e\\+09"):
+            solve(di_problem, uniform_partition(4, 1.0),
+                  warm_multiplier=[1e9, 0.0])
+
+    def test_diverging_trial_step_backtracks(self, monkeypatch):
+        """On x' = x^2 + u from 0 to 3 over one interval, a trial step's
+        state march blows up; the line search reads it as an infinite
+        objective, backtracks, and the solve certifies."""
+        import sampled_ocp.solver_sampled as solver_module
+        from sampled_ocp.errors import IntegrationDivergedError
+        from sampled_ocp.problem_model import problem_from_callables
+        diverged = []
+        march = solver_module.integrate_state
+
+        def recorded(*args, **kwargs):
+            try:
+                return march(*args, **kwargs)
+            except IntegrationDivergedError:
+                diverged.append(1)
+                raise
+
+        monkeypatch.setattr(solver_module, "integrate_state", recorded)
+        prob = problem_from_callables(
+            lambda x, u, t: np.array([x[0] ** 2 + u[0]]),
+            lambda x, u, t: 0.5 * float(u @ u), n=1, m=1, horizon=1.0,
+            x0=[0.0], xT=[3.0], control_set=Box([-5.0], [5.0]))
+        sol = solve(prob, uniform_partition(1, 1.0))
+        assert diverged
+        assert sol.residuals.all_pass()
+
+    def test_sqp_hands_off_after_max_inner(self, aq_problem):
+        """SQP from the zero control on `affine_quadratic` does not pass
+        its tests in one step, so with max_inner = 1 the augmented
+        Lagrangian solves from the warm start (SQP reports no outer
+        rounds) and certifies."""
+        part = uniform_partition(8, aq_problem.horizon)
+        sol = solve(aq_problem, part, SolverOptions(max_inner=1),
+                    warm_start=PiecewiseConstantControl(
+                        part, np.zeros((8, aq_problem.m))))
+        assert sol.diagnostics.outer_iterations > 0
+        assert sol.residuals.all_pass()
 
 
 class TestGradientCheck:
