@@ -59,14 +59,16 @@ def _build_parser() -> _Parser:
         p.add_argument("--problem", help="catalog problem name")
         p.add_argument("--config", help="problem configuration file (JSON)")
 
+    def add_solver_flags(p):
+        for flag in ("--feas-tol", "--stat-tol", "--h-max"):
+            p.add_argument(flag, type=float)
+
     p_solve = sub.add_parser("solve", help="solve on one partition")
     add_problem_flags(p_solve)
     p_solve.add_argument("--out", help="output directory")
     p_solve.add_argument("--N", type=int, help="uniform partition intervals")
     p_solve.add_argument("--times-file", help="file with explicit sampling times")
-    p_solve.add_argument("--feas-tol", type=float)
-    p_solve.add_argument("--stat-tol", type=float)
-    p_solve.add_argument("--h-max", type=float)
+    add_solver_flags(p_solve)
     p_solve.add_argument("--max-outer", type=int)
     p_solve.add_argument("--max-inner", type=int)
 
@@ -89,9 +91,7 @@ def _build_parser() -> _Parser:
                              "reference, each later row from the last "
                              "row's solution; cold: every row is solved "
                              "as `solve` would")
-    p_conv.add_argument("--feas-tol", type=float)
-    p_conv.add_argument("--stat-tol", type=float)
-    p_conv.add_argument("--h-max", type=float)
+    add_solver_flags(p_conv)
     p_conv.add_argument("--surrogate-N", type=int, default=256,
                         help="resolution of the fine-partition surrogate")
     p_conv.add_argument("--reference-reject-above", type=float, default=None,
@@ -248,7 +248,7 @@ def run_converge(args) -> int:
     # output directory is made
     ns = _resolutions(args.Ns.split(","), "--Ns") if args.Ns \
         else (2, 4, 8, 16, 32, 64)
-    solver_opts = _solver_options(args, harness.default_solver_options())
+    solver_opts = _solver_options(args, harness.SWEEP_SOLVER_OPTIONS)
     _check_grids(prob, [uniform_partition(n, prob.horizon) for n in ns],
                  solver_opts, "--Ns")
     try:
@@ -259,7 +259,7 @@ def run_converge(args) -> int:
                 raise _UsageError(f"--surrogate-N: {exc}") from exc
             _check_grids(prob,
                          [uniform_partition(n, prob.horizon) for n in chain],
-                         SolverOptions(), "--surrogate-N")
+                         harness.SURROGATE_SOLVER_OPTIONS, "--surrogate-N")
         reference = (solve_lq_permanent(prob.lq) if prob.lq is not None else
                      fine_surrogate(prob, args.surrogate_N,
                                     reject_above=args.reference_reject_above,

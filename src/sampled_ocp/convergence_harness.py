@@ -53,10 +53,10 @@ SURROGATE_COMPARISON_POINTS = 2049
 SURROGATE_PROVENANCE = "fine_surrogate"
 
 
-def default_solver_options() -> SolverOptions:
-    # Tighter terminal feasibility than the general default so the
-    # cost-floor comparison against the reference keeps a clean margin.
-    return SolverOptions(feas_tol=1e-9)
+# The sweep tightens terminal feasibility so the cost-floor comparison
+# keeps a clean margin; the fine surrogate's links take the defaults.
+SWEEP_SOLVER_OPTIONS = SolverOptions(feas_tol=1e-9)
+SURROGATE_SOLVER_OPTIONS = SolverOptions()
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class SweepConfig:
     resolutions: Sequence[int] = (2, 4, 8, 16, 32, 64)
     warm_start_policy: str = "cascade"  # or "cold"
     comparison_points: int = 4096
-    solver_options: Optional[SolverOptions] = None
+    solver_options: SolverOptions = SWEEP_SOLVER_OPTIONS
 
     def __post_init__(self):
         ns = checked_resolutions(self.resolutions)
@@ -215,8 +215,7 @@ def sweep(cfg: SweepConfig, return_solutions: bool = False):
     """
     prob = cfg.problem
     ref = cfg.reference
-    opts = cfg.solver_options if cfg.solver_options is not None \
-        else default_solver_options()
+    opts = cfg.solver_options
     ts = np.linspace(0.0, prob.horizon, cfg.comparison_points)
     ref_x = ref.x.sample(ts)
     ref_p = ref.p.sample(ts)
@@ -351,13 +350,14 @@ def fine_surrogate(prob: OcpProblem, n_ref: int,
                    reject_above: Optional[float] = None,
                    sweep_max_n: Optional[int] = None) -> PermanentReference:
     """Very fine sampled solution standing in for the permanent optimum:
-    the cascade over `surrogate_chain` under `SolverOptions()`, with the
-    sup distance of the n_ref and 2 n_ref states as its error bar.
+    the cascade over `surrogate_chain` under `SURROGATE_SOLVER_OPTIONS`,
+    with the sup distance of the n_ref and 2 n_ref states as its error
+    bar.
     `SurrogateRejectedError` under the chain's rules, when a link fails
     (naming its N), or when the error bar exceeds `reject_above`."""
     fine = None
     for N, _, sol in _cascade(prob, surrogate_chain(n_ref, sweep_max_n),
-                              SolverOptions()):
+                              SURROGATE_SOLVER_OPTIONS):
         if isinstance(sol, SampledOcpError):
             raise SurrogateRejectedError(
                 f"surrogate link N={N} failed: {type(sol).__name__}: "

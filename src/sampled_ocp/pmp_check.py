@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .control_partition import PiecewiseConstantControl, uniform_partition
+from .control_partition import (Partition, PiecewiseConstantControl,
+                                _check_type, uniform_partition)
 from .errors import GridAlignmentError
 from .integrate import (ControlDifference, CostateTrajectory, Linearization,
                         TimeGrid, Trajectory, simpson_on_interval)
@@ -458,6 +459,7 @@ def _probe_partition(e: Extremal):
 
 def random_admissible_control(prob: OcpProblem, partition, rng) -> PiecewiseConstantControl:
     """Random PC control valued in U: uniform in the bounding box, projected."""
+    _check_type(partition, Partition)
     lo, up = prob.control_set.bounding_box()
     raw = rng.uniform(lo, up, size=(partition.N, prob.m))
     return PiecewiseConstantControl(partition, project(prob.control_set, raw))

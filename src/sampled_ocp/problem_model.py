@@ -483,9 +483,6 @@ def build_lq_generic(A=0.0, B=None, Q=None, R=None, horizon: float = 1.0,
         x0 = np.zeros(2)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = x0.size
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 0:
-        A = float(A) * np.eye(n)
     A = _as_matrix(A, n, n, "A")
     if B is None:
         B = np.eye(n)

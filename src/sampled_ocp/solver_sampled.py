@@ -38,8 +38,8 @@ from .integrate import (Linearization, TimeGrid, Trajectory, build_time_grid,
                         write_state_csv)
 from .pmp_check import (Extremal, SampledSolution, SolveDiagnostics,
                         evaluate_extremal, interval_grad_integrals)
-from .problem_model import (Box, ControlSet, OcpProblem, _count, project,
-                            require_in_set)
+from .problem_model import (Box, ControlSet, OcpProblem, _count,
+                            normal_cone_residual, project, require_in_set)
 from .reference_oracles import _ReducedQp, _single_blas_thread, _solve_box_qp
 
 Array = np.ndarray
@@ -129,21 +129,21 @@ class _AugmentedObjective:
 
 
 def _stationarity(prob: OcpProblem, values: Array, g: Array) -> float:
-    """Projected-gradient norm: sup_i ||u_i - proj(u_i - g_i)||."""
-    moved = project(prob.control_set, values - g)
-    return float(np.max(np.linalg.norm(values - moved, axis=1)))
+    """Projected-gradient norm sup_i ||proj(u_i - g_i) - u_i||: the
+    certificate's normal-cone residual of -g."""
+    return float(np.max(normal_cone_residual(prob.control_set, values, -g)))
 
 
 def _terminal_jacobian(prob: OcpProblem, traj: Trajectory,
                        u: PiecewiseConstantControl) -> Array:
     """C = dx(T)/du, (n, N*m) over the stacked held values: row j is the
-    interval integral of grad_u f' p along the costate with p0 = 0 and
-    p(T) = e_j, marched on the linearization along (x, u)."""
-    lin = Linearization(prob, traj, u)
+    interval integral of grad_u f' p, p(t) = Phi(T, t)' e_j the costate
+    with p0 = 0 and p(T) = e_j, all n from one march along (x, u)."""
+    phi = Linearization(prob, traj, u).at_final()
     return np.array([
         interval_grad_integrals(prob, traj.grid, traj.states, u,
-                                lin.costate(0.0, e).costates, 0.0).ravel()
-        for e in np.eye(prob.n)])
+                                phi[:, j], 0.0).ravel()
+        for j in range(prob.n)])
 
 
 def _damped_bfgs(B: Array, s: Array, y: Array) -> Array:
@@ -280,15 +280,15 @@ def solve(prob: OcpProblem, partition: Partition,
     loop: multiplier update mu <- mu + rho * (x(T) - xT), penalty
     growth only when feasibility fails to contract by 10x.  Inner loop:
     projected quasi-Newton steps on the model B + rho C'C, one algorithm
-    for every control set.  C = dx(T)/du is rebuilt from n adjoint
-    marches at the start of each round whose rho differs from the one C
-    was built at (for LQ data C does not depend on u).  B is a damped
-    BFGS estimate of the rest of the Hessian, started at diag(h_i) and
-    carried across rounds.  Each step minimizes the model over the
-    control set (`_model_step`) and backtracks from the unit step under
-    an Armijo test loosened by the rounding level of the objective; an
-    accepted step that changes the objective by no more than that level
-    ends the round.
+    for every control set.  C = dx(T)/du comes from one transition
+    march, once per solve on LQ data, where it does not depend on u, and
+    otherwise at the start of each round whose rho differs from C's.  B
+    is a damped BFGS estimate of the rest of the Hessian, started at
+    diag(h_i) and carried across rounds.  Each step minimizes the model
+    over the control set (`_model_step`) and backtracks from the unit
+    step under an Armijo test loosened by the rounding level of the
+    objective; an accepted step that changes the objective by no more
+    than that level ends the round.
 
     `warm_start` and `warm_multiplier` (a refinement cascade passes the
     coarser solution's) run SQP (`_sqp`): its multiplier nu gives p(T) =
@@ -344,7 +344,7 @@ def solve(prob: OcpProblem, partition: Partition,
         inner_tol = max(opts.stat_tol, 1e-3 * (0.1 ** outer))
         g, costate, defect = aug.gradient(values, traj, mu, rho)
         phi = aug.value(traj, mu, rho)
-        if rho != C_rho:
+        if C is None or (prob.lq is None and rho != C_rho):
             C = _terminal_jacobian(prob, traj, aug.control(values))
             C_rho = rho
         for _ in range(opts.max_inner):

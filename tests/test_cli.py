@@ -732,8 +732,8 @@ class TestFuzz:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(err), \
-                    mock.patch.object(cli.harness, "default_solver_options",
-                                      lambda: self.CONVERGE_OPTIONS):
+                    mock.patch.object(cli.harness, "SWEEP_SOLVER_OPTIONS",
+                                      self.CONVERGE_OPTIONS):
                 code = cli.main([command, "--config", cfg, *flags,
                                  "--out", os.path.join(tmp, "o")])
         assert 0 <= code <= 4

@@ -12,7 +12,7 @@ from sampled_ocp import (PermanentReference, SolverOptions, SweepConfig,
                          solve_lq_permanent, solve_lq_sampled_exact, sweep,
                          uniform_partition)
 from sampled_ocp.convergence_harness import (REPORT_HEADER, _decreasing_with_noise,
-                                             default_solver_options,
+                                             SWEEP_SOLVER_OPTIONS,
                                              fit_rates, write_report)
 from sampled_ocp.errors import GridAlignmentError
 from sampled_ocp.problem_model import distance_to
@@ -111,7 +111,7 @@ class TestCascadeCarriesPenalty:
         the independent cold solve reaches."""
         _, solutions = di_sweep
         cold = solve(di_problem, uniform_partition(2, 1.0),
-                     default_solver_options())
+                     SWEEP_SOLVER_OPTIONS)
         assert solutions[2].cost == pytest.approx(cold.cost, rel=1e-9)
         np.testing.assert_allclose(solutions[2].control.values,
                                    cold.control.values, rtol=0, atol=1e-6)
@@ -181,7 +181,7 @@ class TestCascadeCarriesPenalty:
         assert sorted(solutions) == [2, 4]
         for N, sol in solutions.items():
             cold = solve(di_problem, uniform_partition(N, 1.0),
-                         default_solver_options())
+                         SWEEP_SOLVER_OPTIONS)
             np.testing.assert_array_equal(sol.control.values,
                                           cold.control.values)
             np.testing.assert_array_equal(sol.multiplier, cold.multiplier)

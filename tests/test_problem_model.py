@@ -20,7 +20,7 @@ from sampled_ocp.convergence_harness import (checked_resolutions,
                                              surrogate_chain)
 from sampled_ocp.errors import (ConfigFormatError, MembershipError,
                                 ProblemLookupError)
-from sampled_ocp.pmp_check import Extremal, hm_gap
+from sampled_ocp.pmp_check import Extremal, hm_gap, random_admissible_control
 from sampled_ocp.problem_model import (distance_to, finite_difference_derivatives,
                                        problem_from_callables)
 
@@ -182,6 +182,8 @@ _REFUSED = {
         [0.0, 0.5, 1.0], [[0.0], [0.0]])),
     "exact_oracle_on_list": (TypeError, lambda c: solve_lq_sampled_exact(
         c.prob.lq, [0.0, 0.5, 1.0], c.prob.control_set)),
+    "random_control_on_list": (TypeError, lambda c: random_admissible_control(
+        c.prob, [0.0, 0.5, 1.0], np.random.default_rng(0))),
     "warm_start_array": (TypeError, lambda c: solve(
         c.prob, c.part, warm_start=np.zeros((8, 1)))),
     "resample_array": (TypeError,

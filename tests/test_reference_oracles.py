@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from sampled_ocp import (Box, LqProblemData, Partition, build_problem,
+from sampled_ocp import (Box, LqProblemData, Partition, build_problem, solve,
                          solve_lq_permanent, solve_lq_sampled_exact,
                          uniform_partition)
 from sampled_ocp.errors import SurrogateRejectedError, UnreachableTargetError
@@ -522,3 +522,37 @@ class TestSingleBlasThread:
                 assert [get() for get, _ in controls] == [1] * len(controls)
             assert [get() for get, _ in controls] == [1] * len(controls)
         assert [get() for get, _ in controls] == before
+
+    @pytest.mark.parametrize("module, name, call", [
+        ("solver_sampled", "_model_step",
+         lambda p: solve(p, uniform_partition(8, 1.0))),
+        ("reference_oracles", "expm",
+         lambda p: solve_lq_sampled_exact(p.lq, uniform_partition(8, 1.0))),
+        ("reference_oracles", "expm", lambda p: solve_lq_permanent(p.lq))],
+        ids=["solve", "solve_lq_sampled_exact", "solve_lq_permanent"])
+    def test_entry_points_run_one_thread(self, monkeypatch, module, name,
+                                         call):
+        """Started at two threads, each bundled OpenBLAS reads one inside
+        the call, where its dense algebra runs."""
+        import importlib
+        from sampled_ocp.reference_oracles import _openblas_thread_controls
+        controls = _openblas_thread_controls()
+        if not controls:
+            pytest.skip("numpy and scipy bundle no OpenBLAS here")
+        target = importlib.import_module(f"sampled_ocp.{module}")
+        inner, seen = getattr(target, name), []
+
+        def recorded(*args, **kwargs):
+            seen.append([get() for get, _ in controls])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, recorded)
+        before = [get() for get, _ in controls]
+        try:
+            for _, put in controls:
+                put(2)
+            call(build_problem("lq_double_integrator"))
+        finally:
+            for (_, put), count in zip(controls, before):
+                put(count)
+        assert seen and all(counts == [1] * len(controls) for counts in seen)

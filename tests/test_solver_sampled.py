@@ -195,6 +195,76 @@ class TestQuasiNewtonStep:
         exact = _ReducedQp(prob.lq, part).A_eq
         assert np.linalg.norm(C - exact) <= 1e-10 * np.linalg.norm(exact)
 
+    @pytest.mark.parametrize("name, params, N", [
+        ("lq_double_integrator", {}, 8),
+        ("lq_double_integrator", {}, 64),
+        ("affine_quadratic", {}, 32),
+        ("lq_generic", {"A": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                              [-1.0, -0.5, -0.2]],
+                        "B": [[0.0], [0.5], [1.0]], "x0": [1.0, 0.0, -1.0]},
+         16)], ids=["di8", "di64", "aq32", "lq_generic_n3"])
+    def test_terminal_jacobian_is_the_adjoint_marches(self, name, params, N):
+        """Row j of C read from the one transition march equals, bit for
+        bit, the one from the costate march with p0 = 0 and p(T) = e_j."""
+        from sampled_ocp.integrate import Linearization
+        from sampled_ocp.pmp_check import interval_grad_integrals
+        from sampled_ocp.problem_model import project
+        from sampled_ocp.solver_sampled import (SolverOptions,
+                                                _AugmentedObjective,
+                                                _terminal_jacobian,
+                                                solver_grid)
+        prob = build_problem(name, **params)
+        part = uniform_partition(N, prob.horizon)
+        aug = _AugmentedObjective(prob, part,
+                                  solver_grid(prob, part, SolverOptions()))
+        values = project(prob.control_set, np.random.default_rng(N).uniform(
+            -1.0, 1.0, size=(N, prob.m)))
+        traj, u = aug.forward(values), aug.control(values)
+        lin = Linearization(prob, traj, u)
+        marches = np.array([
+            interval_grad_integrals(prob, traj.grid, traj.states, u,
+                                    lin.costate(0.0, e).costates, 0.0).ravel()
+            for e in np.eye(prob.n)])
+        np.testing.assert_array_equal(_terminal_jacobian(prob, traj, u),
+                                      marches)
+
+    def test_terminal_jacobian_marches_once(self, di_problem, monkeypatch):
+        """One build of C runs one RK4 march, whatever n is."""
+        import sampled_ocp.integrate as integrate_module
+        from sampled_ocp.solver_sampled import (_AugmentedObjective,
+                                                _terminal_jacobian)
+        part = uniform_partition(8, 1.0)
+        aug = _AugmentedObjective(di_problem, part,
+                                  integrate_module.build_time_grid(1.0, part))
+        values = np.zeros((8, 1))
+        traj = aug.forward(values)
+        calls = []
+        march = integrate_module._rk4_march
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return march(*args, **kwargs)
+
+        monkeypatch.setattr(integrate_module, "_rk4_march", counted)
+        _terminal_jacobian(di_problem, traj, aug.control(values))
+        assert len(calls) == 1
+
+    def test_cold_lq_solve_builds_C_once(self, di_problem, monkeypatch):
+        """On LQ data C does not depend on u, so a cold solve builds it
+        once, whatever penalties its augmented Lagrangian passes."""
+        import sampled_ocp.solver_sampled as solver_module
+        calls = []
+        build = solver_module._terminal_jacobian
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "_terminal_jacobian", counted)
+        sol = solve(di_problem, uniform_partition(64, 1.0))
+        assert sol.diagnostics.outer_iterations > 1
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("N", [8, 64])
     def test_cold_solve_state_march_budget(self, di_problem, monkeypatch, N):
         """A cold double-integrator solve marches the state at most 40
