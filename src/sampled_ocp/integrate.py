@@ -305,7 +305,8 @@ def costate_from_nodes(grid: TimeGrid, costates: Array,
 @np.errstate(over="ignore", invalid="ignore")
 def _rk4_march(rhs, grid: TimeGrid, y0: Array, forward: bool, what: str,
                jumps: Array):
-    """March RK4 over all segments; stores endpoint derivatives.
+    """March RK4 over all segments, on a state `y0` of any shape; stores
+    endpoint derivatives.
 
     rhs(k, t, y, stage) evaluates the vector field on segment k; `stage`
     is 0 at the step's starting node, 1 at the midpoint, 2 at the
@@ -317,10 +318,9 @@ def _rk4_march(rhs, grid: TimeGrid, y0: Array, forward: bool, what: str,
     the next segment's field is evaluated afresh.
     """
     K = grid.K
-    dim = y0.size
-    ys = np.empty((K + 1, dim))
-    d_right = np.zeros((K, dim))
-    d_left = np.zeros((K + 1, dim))
+    ys = np.empty((K + 1,) + y0.shape)
+    d_right = np.zeros((K,) + y0.shape)
+    d_left = np.zeros((K + 1,) + y0.shape)
     order = range(K) if forward else range(K - 1, -1, -1)
     ys[0 if forward else K] = y0
     fresh = np.zeros(K + 1, dtype=bool)
@@ -407,15 +407,15 @@ class VariationResult:
 class Linearization:
     """Derivatives of (f, L) along (x, u) at the RK4 stage points.
 
-    The costate, variation and transition marches are linear ODEs along
-    this one linearization.  Each derivative a march asks for is
-    evaluated once, on first use, at the three stage points of every
-    segment k: `[k][0]` at node k, `[k][1]` at the Hermite midpoint and
-    `[k][2]` at node k+1, all under segment k's control.  Forward marches
-    read `[k][stage]`, backward ones `[k][2 - stage]`.  The midpoint time
-    t_k + h/2 equals a backward step's t_{k+1} - h/2 bit for bit whenever
-    the step t_{k+1} - t_k is exact, e.g. when t_k = 0 or t_{k+1} <= 2 t_k
-    (Sterbenz).
+    The costate, variation and transition marches are linear ODEs along this
+    one linearization.  Each derivative a march asks for is evaluated once,
+    on first use, at the three stage points of every segment k: `[k][0]` at
+    node k, `[k][1]` at the Hermite midpoint and `[k][2]` at node k+1, all
+    under segment k's control, which is `stage_controls[k]`.  Forward
+    marches read `[k][stage]`, backward ones `[k][2 - stage]`.  The midpoint
+    time t_k + h/2 equals a backward step's t_{k+1} - h/2 bit for bit
+    whenever the step t_{k+1} - t_k is exact, e.g. when t_k = 0 or t_{k+1}
+    <= 2 t_k (Sterbenz).
     """
 
     def __init__(self, prob: OcpProblem, x: Trajectory, u):
@@ -424,22 +424,28 @@ class Linearization:
         times = self.grid.times
         nodes, mids = x.states, x.path.midpoints()
         t_mid = times[:-1] + 0.5 * (times[1:] - times[:-1])
-        uval, self._jumps = _on_segments(u, self.grid)
+        self._times = list(zip(times[:-1], t_mid, times[1:]))
+        self.stage_controls, self._jumps = self.stage_values(u)
         # per segment: (states, controls, times) at the three stage points
-        self._stages = [
-            ((nodes[k], mids[k], nodes[k + 1]),
-             (uval(k, times[k]), uval(k, t_mid[k]), uval(k, times[k + 1])),
-             (times[k], t_mid[k], times[k + 1]))
-            for k in range(self.grid.K)]
+        self._stages = list(zip(zip(nodes[:-1], mids, nodes[1:]),
+                                self.stage_controls, self._times))
         self._tables: dict = {}
+
+    def stage_values(self, u):
+        """(values, jumps): `values[k]` the control-like `u` at the three
+        stage points of segment k under that segment's rule, `jumps` the
+        nodes where u may jump."""
+        uval, jumps = _on_segments(u, self.grid)
+        return [(uval(k, t0), uval(k, tm), uval(k, t1))
+                for k, (t0, tm, t1) in enumerate(self._times)], jumps
 
     @cached_property
     def node_controls(self) -> Array:
         """(K+1, m) right-continuous control u(t_k) at every grid node:
         segment k's stage control at its left node, and at T the last
         segment's."""
-        return np.array([controls[0] for _, controls, _ in self._stages]
-                        + [self._stages[-1][1][2]])
+        return np.array([controls[0] for controls in self.stage_controls]
+                        + [self.stage_controls[-1][2]])
 
     def table(self, name: str) -> list:
         """Nested list [k][j] of the problem's evaluator `name`."""
@@ -470,28 +476,38 @@ class Linearization:
                                  _frozen(dl))
 
     def variation(self, direction) -> VariationResult:
-        """Forward solve of the coupled linear variation equations.
+        """Linearized response (w, w0) to one control direction: the
+        P = 1 case of `variations`."""
+        values, jumps = self.stage_values(direction)
+        ys = self.variations(np.asarray(values)[..., None], jumps)[..., 0]
+        return VariationResult(self.grid, _frozen(ys[:, :-1]),
+                               _frozen(ys[:, -1]))
+
+    def variations(self, v: Array, jumps) -> Array:
+        """(K+1, n+1, P) responses [w; w0] to P directions from one
+        forward march, on the (n+1) x P matrix of them, of
 
         wdot  = grad_x f w + grad_u f v,          w(0) = 0
         w0dot = <grad_x L, w> + <grad_u L, v>,    w0(0) = 0
-        """
+
+        `v[k, s]` is the (m, P) matrix of the directions at stage point s
+        of segment k (see `stage_values`), `jumps` the nodes where any of
+        them may jump."""
         n = self.prob.n
         fx, fu = self.table("dynamics_jac_x"), self.table("dynamics_jac_u")
         lx, lu = self.table("cost_grad_x"), self.table("cost_grad_u")
-        vval, vjumps = _on_segments(direction, self.grid)
 
         def rhs(k, t, y, stage):
-            w = y[:n]
-            vv = vval(k, t)
-            out = np.empty(n + 1)
+            w, vv = y[:n], v[k, stage]
+            out = np.empty_like(y)
             out[:n] = fx[k][stage] @ w + fu[k][stage] @ vv
             out[n] = lx[k][stage] @ w + lu[k][stage] @ vv
             return out
 
-        ys, _, _ = _rk4_march(rhs, self.grid, np.zeros(n + 1), forward=True,
-                              what="variation integration",
-                              jumps=np.union1d(self._jumps, vjumps))
-        return VariationResult(self.grid, _frozen(ys[:, :n]), _frozen(ys[:, n]))
+        ys, _, _ = _rk4_march(rhs, self.grid, np.zeros((n + 1, v.shape[-1])),
+                              forward=True, what="variation integration",
+                              jumps=np.union1d(self._jumps, jumps))
+        return ys
 
     def at_final(self) -> Array:
         """(K+1, n, n) array of Phi(T, t_k) on the grid nodes, from one
@@ -499,13 +515,12 @@ class Linearization:
         n = self.prob.n
         fx = self.table("dynamics_jac_x")
 
-        def rhs(k, t, m_flat, stage):
-            return (-m_flat.reshape(n, n) @ fx[k][2 - stage]).ravel()
+        def rhs(k, t, m, stage):
+            return -m @ fx[k][2 - stage]
 
-        ms, _, _ = _rk4_march(rhs, self.grid, np.eye(n).ravel(),
-                              forward=False, what="transition matrix",
-                              jumps=self._jumps)
-        return ms.reshape(-1, n, n)
+        ms, _, _ = _rk4_march(rhs, self.grid, np.eye(n), forward=False,
+                              what="transition matrix", jumps=self._jumps)
+        return ms
 
 
 def integrate_costate(prob: OcpProblem, x: Trajectory, u, p0: float,

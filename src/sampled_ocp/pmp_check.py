@@ -20,8 +20,8 @@ import numpy as np
 from .control_partition import (Partition, PiecewiseConstantControl,
                                 _check_type, uniform_partition)
 from .errors import GridAlignmentError
-from .integrate import (ControlDifference, CostateTrajectory, Linearization,
-                        TimeGrid, Trajectory, simpson_on_interval)
+from .integrate import (CostateTrajectory, Linearization, TimeGrid,
+                        Trajectory, simpson_on_interval)
 from .problem_model import (OcpProblem, _count, grid_spacing,
                             normal_cone_residual, project, require_in_set,
                             sample_grid)
@@ -287,25 +287,24 @@ def lift_inequality(e: Extremal, v) -> float:
     """Terminal variational value z_v(T) = <p(T), w(T)> + p0 w0(T).
 
     Nonpositive for every admissible probe v exactly when (p, p0) is an
-    extremal lift of (x, u); the probe must take values in the control
-    set: a held probe on its intervals, a callable at the grid's nodes
-    and midpoints, where the variation march reads it.
+    extremal lift of (x, u).  `v` is one probe or a list or tuple of
+    probes, marched together in one variation march; the value is the
+    largest z_v(T) among them.  Each probe is read at the stage points of
+    every grid segment, where the march reads it, and must take values
+    in the control set there; all are checked before the march.
     """
-    _check_probe_membership(e.problem, v, e.x.grid.times)
-    var = e.linearization.variation(ControlDifference(v, e.u))
-    return float(e.p.final_costate @ var.final_w + e.p0 * var.final_w0)
-
-
-def _check_probe_membership(prob, v, times):
-    if isinstance(v, PiecewiseConstantControl):
-        values = v.values
-    elif callable(v):
-        ts = np.concatenate([times, times[:-1] + 0.5 * np.diff(times)])
-        values = np.array([np.atleast_1d(np.asarray(v(t), dtype=float))
-                           for t in ts])
-    else:
-        return
-    require_in_set(prob.control_set, values, "probe")
+    lin = e.linearization
+    reads = [(np.asarray(values), jumps) for values, jumps in map(
+        lin.stage_values, v if isinstance(v, (list, tuple)) else [v])]
+    for values, _ in reads:
+        require_in_set(e.problem.control_set,
+                       values.reshape(-1, e.problem.m), "probe")
+    u_values = np.asarray(lin.stage_controls)
+    final = lin.variations(
+        np.stack([values - u_values for values, _ in reads], -1),
+        np.concatenate([jumps for _, jumps in reads]))[-1]
+    return max(float(e.p.final_costate @ w[:-1] + e.p0 * w[-1])
+               for w in final.T)
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +438,11 @@ def evaluate_extremal(e: Extremal, *, with_hm: bool = False,
                                time_stride=hm_time_stride).sup
         gating.append("hm")
     if lift_probes > 0:
-        worst = -np.inf
         rng = np.random.default_rng(0)
-        for _ in range(lift_probes):
-            probe = random_admissible_control(e.problem, _probe_partition(e), rng)
-            worst = max(worst, lift_inequality(e, probe))
-        report.lift_inequality_worst = float(worst)
+        partition = _probe_partition(e)
+        probes = [random_admissible_control(e.problem, partition, rng)
+                  for _ in range(lift_probes)]
+        report.lift_inequality_worst = lift_inequality(e, probes)
         report.lift_probe_count = lift_probes
         gating.append("lift_probes")
     report.gating = tuple(gating)

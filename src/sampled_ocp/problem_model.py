@@ -47,12 +47,11 @@ def _count(name: str, value, least: int) -> int:
     return int(value)
 
 
-def _check_endpoints(x0: Array, xT: Array) -> None:
-    """`ValueError` unless every entry of x0 and xT is finite and at most
-    BLOWUP_NORM in magnitude, where every march would stop."""
-    if not (np.all(np.abs(x0) <= BLOWUP_NORM)
-            and np.all(np.abs(xT) <= BLOWUP_NORM)):
-        raise ValueError(f"endpoint states must be finite and at most "
+def _check_magnitude(what: str, *arrays) -> None:
+    """`ValueError` naming `what` unless every entry of `arrays` is finite
+    and at most BLOWUP_NORM in magnitude, where every march would stop."""
+    if not all(np.all(np.abs(a) <= BLOWUP_NORM) for a in arrays):
+        raise ValueError(f"{what} must be finite and at most "
                          f"{BLOWUP_NORM:g} in magnitude")
 
 
@@ -77,8 +76,7 @@ class Box:
         up = _frozen(np.atleast_1d(self.upper))
         if lo.shape != up.shape or lo.ndim != 1:
             raise ValueError("box bounds must be 1-D arrays of equal length")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(up))):
-            raise ValueError("box bounds must be finite (compact set)")
+        _check_magnitude("box bounds", lo, up)
         if np.any(lo > up):
             raise ValueError("box is empty: lower > upper somewhere")
         object.__setattr__(self, "lower", lo)
@@ -105,10 +103,9 @@ class Ball:
     def __post_init__(self):
         c = _frozen(np.atleast_1d(self.center))
         r = float(self.radius)
-        if not (math.isfinite(r) and r > 0):
-            raise ValueError("ball radius must be finite and positive")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("ball center must be finite")
+        _check_magnitude("ball center and radius", c, r)
+        if not r > 0:
+            raise ValueError("ball radius must be positive")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
 
@@ -272,7 +269,7 @@ class LqProblemData:
         xT = _frozen(np.atleast_1d(self.xT))
         if not all(np.all(np.isfinite(a)) for a in (A, B, Q, R)):
             raise ValueError("LQ matrices must be finite")
-        _check_endpoints(x0, xT)
+        _check_magnitude("endpoint states", x0, xT)
         n = A.shape[0]
         if A.shape != (n, n) or B.shape[0] != n or Q.shape != (n, n):
             raise ValueError("inconsistent LQ matrix shapes")
@@ -345,7 +342,7 @@ class OcpProblem:
         object.__setattr__(self, "xT", _frozen(np.atleast_1d(self.xT)))
         if self.x0.shape != (self.n,) or self.xT.shape != (self.n,):
             raise ValueError("endpoint states must have length n")
-        _check_endpoints(self.x0, self.xT)
+        _check_magnitude("endpoint states", self.x0, self.xT)
         if self.control_set.dim != self.m:
             raise ValueError("control set dimension must equal m")
         if self.control_hessian is not None:

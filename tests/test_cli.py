@@ -289,6 +289,31 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("control_set", [
+    {"kind": "ball", "center": [1e308], "radius": 1e308},
+    {"kind": "box", "lower": [1e308], "upper": [1e308]}],
+    ids=["ball", "box"])
+@pytest.mark.parametrize("command", [["solve", "--N", "4"],
+                                     ["converge", "--Ns", "2,4"]],
+                         ids=["solve", "converge"])
+def test_oversized_control_set_is_usage_error(tmp_path, capsys, command,
+                                              control_set):
+    """Set data past BLOWUP_NORM is refused where the set is built, as an
+    endpoint is.  At 1e308, numpy's overflow warning from `Ball.project`
+    came first, then a solver blow-up (`solve`) or a rejected reference
+    (`converge`)."""
+    cfg = _write_config(tmp_path / "c.json", {
+        "problem": "lq_double_integrator", "control_set": control_set})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([command[0], "--config", cfg, *command[1:],
+                         "--out", str(tmp_path / "o")])
+    assert code == 1 and caught == []
+    err = capsys.readouterr().err
+    assert "bad problem specification" in err and "1e+12" in err
+    assert "Warning" not in err and "Traceback" not in err
+
+
 class TestCheck:
     def test_bundle_passes(self, di_bundle):
         code = cli.main(["check", str(di_bundle), "--problem",

@@ -393,6 +393,25 @@ class TestSharedLinearization:
         assert grid.K == 64
         assert calls[0] == 3 * grid.K
 
+    @pytest.mark.parametrize("probes", [1, 5, 20])
+    def test_report_marches_variations_once(self, lq_oracle_extremal,
+                                            monkeypatch, probes):
+        """A report's lift probes go through one variation march, whatever
+        their count."""
+        import sampled_ocp.integrate as integrate_module
+        e, _ = lq_oracle_extremal
+        marches = []
+        march = integrate_module._rk4_march
+
+        def counted(*args, **kwargs):
+            marches.append(kwargs["what"])
+            return march(*args, **kwargs)
+
+        monkeypatch.setattr(integrate_module, "_rk4_march", counted)
+        report = evaluate_extremal(e, lift_probes=probes)
+        assert marches == ["variation integration"]
+        assert report.lift_probe_count == probes
+
     def test_control_difference_reports_as_its_held_value(self, aq_problem):
         """Every control a march accepts is one the certificates accept:
         under ControlDifference(u, v) of two held controls the report
@@ -455,6 +474,53 @@ def test_lift_probe_matches_fresh_variation_march(di_probe_extremal, data):
     var = integrate_variation(e.problem, e.x, e.u, ControlDifference(v, e.u))
     fresh = float(e.p.final_costate @ var.final_w + e.p0 * var.final_w0)
     assert lift_inequality(e, v) == fresh
+
+
+@pytest.fixture(scope="module")
+def di_difference_extremal():
+    """The probe extremal's setting under a `ControlDifference` control:
+    a held control on 4 intervals minus one on 2."""
+    prob = build_problem("lq_double_integrator")
+    fine, coarse = uniform_partition(4, 1.0), uniform_partition(2, 1.0)
+    u = ControlDifference(
+        PiecewiseConstantControl(fine, np.array([[1.5], [-0.5], [0.25],
+                                                 [-2.0]])),
+        PiecewiseConstantControl(coarse, np.array([[0.75], [-1.25]])))
+    x = integrate_state(prob, u, build_time_grid(1.0, fine, h_max=1.0 / 64.0))
+    p = integrate_costate(prob, x, u, p0=-1.0, pT=[0.7, -1.3])
+    return Extremal(prob, x, u, p, -1.0)
+
+
+@pytest.mark.parametrize("fixture", ["di_probe_extremal",
+                                     "di_difference_extremal"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_batched_lift_is_the_largest_single_probe(request, fixture, data):
+    """Held and callable probes marched together give the largest of
+    their single-probe values, and a batch of one is the single probe bit
+    for bit."""
+    e = request.getfixturevalue(fixture)
+    U = e.problem.control_set
+    lo, up = U.bounding_box()
+    amp = float(np.min(np.minimum(-lo, up)))
+    part = uniform_partition(data.draw(st.sampled_from([1, 2, 4, 8])), 1.0)
+    probes = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        if data.draw(st.booleans()):
+            values = np.array([[data.draw(st.floats(float(lo[j]),
+                                                    float(up[j])))
+                                for j in range(e.problem.m)]
+                               for _ in range(part.N)])
+            probes.append(PiecewiseConstantControl(part, values))
+        else:
+            c = data.draw(st.floats(-amp, amp))
+            w = data.draw(st.floats(0.0, 20.0))
+            probes.append(lambda t, c=c, w=w: np.array([c * np.cos(w * t)]))
+    singles = [lift_inequality(e, v) for v in probes]
+    assert lift_inequality(e, probes) == pytest.approx(max(singles),
+                                                       rel=0, abs=1e-14)
+    assert lift_inequality(e, [probes[0]]) == singles[0]
+    assert lift_inequality(e, tuple(probes[:1])) == singles[0]
 
 
 def _random_extremal(prob, seed, p0):
@@ -649,6 +715,28 @@ class TestCallableProbes:
         held = PiecewiseConstantControl(e.u.partition, np.full((8, 1), 1e3))
         with pytest.raises(MembershipError, match="leaves the control set"):
             lift_inequality(e, held)
+
+    @pytest.mark.parametrize("outside", [
+        lambda part: PiecewiseConstantControl(part, np.full((8, 1), 1e3)),
+        lambda part: (lambda t: np.array([1e3 if t > 0.99 else 0.0]))],
+        ids=["held", "callable_last_step"])
+    def test_outside_probe_refuses_its_batch(self, lq_oracle_extremal,
+                                             monkeypatch, outside):
+        """A batch holding one probe outside U raises that probe's own
+        `MembershipError` before any march."""
+        import sampled_ocp.integrate as integrate_module
+        e, _ = lq_oracle_extremal
+        probe = outside(e.u.partition)
+        inside = PiecewiseConstantControl(e.u.partition, np.full((8, 1), 5.0))
+        with pytest.raises(MembershipError) as single:
+            lift_inequality(e, probe)
+        marches = []
+        monkeypatch.setattr(integrate_module, "_rk4_march",
+                            lambda *args, **kwargs: marches.append(1))
+        with pytest.raises(MembershipError) as batch:
+            lift_inequality(e, [inside, probe, inside])
+        assert str(batch.value) == str(single.value)
+        assert marches == []
 
 
 class TestCoordinateHmScan:

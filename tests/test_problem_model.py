@@ -116,6 +116,22 @@ class TestProjection:
         with pytest.raises(ValueError):
             Box([-np.inf], [1.0])
 
+    @pytest.mark.parametrize("build", [
+        lambda: Box([1e308], [1e308]), lambda: Box([0.0], [2e12]),
+        lambda: Ball([1e308], 1e308), lambda: Ball([0.0], 2e12),
+        lambda: Ball([-2e12], 1.0), lambda: Ball([np.nan], 1.0),
+        lambda: Ball([0.0], np.inf)],
+        ids=["box_1e308", "box_2e12", "ball_1e308", "ball_radius_2e12",
+             "ball_center_2e12", "ball_nan", "ball_inf"])
+    def test_oversized_set_data_rejected(self, build):
+        """Set data past BLOWUP_NORM, where every march stops, is refused
+        as an endpoint is; at 1e308 a ball's projection overflowed."""
+        with pytest.raises(ValueError, match="at most 1e\\+12 in magnitude"):
+            build()
+
+    def test_set_data_at_blowup_norm_accepted(self):
+        assert Box([-1e12], [1e12]).dim == Ball([1e12], 1e12).dim == 1
+
 
 class TestNormalCone:
     def test_boundary_outward_normal(self):
