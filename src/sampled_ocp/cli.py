@@ -144,9 +144,9 @@ def _resolutions(ns, flag: str) -> tuple:
 
 
 def _partition_from_args(args, horizon: float) -> Partition:
-    if bool(args.N) == bool(args.times_file):
+    if (args.N is None) == (args.times_file is None):
         raise _UsageError("exactly one of --N or --times-file is required")
-    if args.N:
+    if args.N is not None:
         return uniform_partition(_resolutions([args.N], "--N")[0], horizon)
     try:
         with open(args.times_file, "r", encoding="utf-8") as fh:
@@ -180,7 +180,7 @@ def run_solve(args) -> int:
     partition = _partition_from_args(args, prob.horizon)
     opts = _solver_options(args, SolverOptions())
     _check_grids(prob, [partition], opts,
-                 "--N" if args.N else "--times-file")
+                 "--N" if args.N is not None else "--times-file")
     out = _output_dir(args, "solution")
     try:
         sol = solve(prob, partition, opts)
@@ -246,7 +246,7 @@ def run_converge(args) -> int:
     prob = _load_problem(args)
     # every argument is checked before the reference is built and the
     # output directory is made
-    ns = _resolutions(args.Ns.split(","), "--Ns") if args.Ns \
+    ns = _resolutions(args.Ns.split(","), "--Ns") if args.Ns is not None \
         else (2, 4, 8, 16, 32, 64)
     solver_opts = _solver_options(args, harness.SWEEP_SOLVER_OPTIONS)
     _check_grids(prob, [uniform_partition(n, prob.horizon) for n in ns],

@@ -44,7 +44,7 @@ SHOOTING_CONDITION_LIMIT = 1e12
 # gives up; bounded double-integrator instances up to N=256 settle in
 # under ten.
 ACTIVE_SET_MAX_ROUNDS = 50
-# Steps of the permanent LQ reference's dense paths.
+# Steps of the permanent LQ reference's dense paths; a power of two.
 PERMANENT_RESOLUTION = 4096
 LQ_PROVENANCE = "lq_analytic"
 
@@ -123,7 +123,8 @@ class PermanentReference:
 # Permanent LQ reference
 
 
-def _hamiltonian_system_matrix(data: LqProblemData) -> Array:
+def _hamiltonian_system_matrix(data: LqProblemData) -> tuple:
+    """The Hamiltonian system's matrix M, and R^{-1} B' that reads u off p."""
     n = data.n
     Rinv_Bt = np.linalg.solve(data.R, data.B.T)
     M = np.zeros((2 * n, 2 * n))
@@ -131,7 +132,7 @@ def _hamiltonian_system_matrix(data: LqProblemData) -> Array:
     M[:n, n:] = data.B @ Rinv_Bt
     M[n:, :n] = data.Q
     M[n:, n:] = -data.A.T
-    return M
+    return M, Rinv_Bt
 
 
 @_single_blas_thread
@@ -145,8 +146,11 @@ def solve_lq_permanent(data: LqProblemData) -> PermanentReference:
     n-by-n linear system so that x(T) hits the target.
     """
     n = data.n
-    M = _hamiltonian_system_matrix(data)
-    ET = expm(M * data.horizon)
+    M, Rinv_Bt = _hamiltonian_system_matrix(data)
+    # exp(M 2^j h) for each bit j of a node's index; 2^12 h = T exactly
+    powers = expm(M * (data.horizon / PERMANENT_RESOLUTION * 2.0 ** np.arange(
+        PERMANENT_RESOLUTION.bit_length()))[:, None, None])
+    ET = powers[-1]
     E11, E12 = ET[:n, :n], ET[:n, n:]
     # an overflowed exponential counts as infinitely ill-conditioned
     cond = np.linalg.cond(E12) if np.all(np.isfinite(ET)) else np.inf
@@ -158,11 +162,12 @@ def solve_lq_permanent(data: LqProblemData) -> PermanentReference:
     times = np.linspace(0.0, data.horizon, PERMANENT_RESOLUTION + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         p0vec = np.linalg.solve(E12, data.xT - E11 @ data.x0)
-        # each node from its own exponential: chained step products would
-        # compound rounding along the Hamiltonian's unstable modes
-        Z = expm(M * times[:, None, None]) @ np.concatenate([data.x0, p0vec])
+        # node k is z0 times the powers of k's set bits: at most 13 factors,
+        # so no long chain of step products compounds rounding
+        Z = np.concatenate([data.x0, p0vec])[None]
+        for E in powers:
+            Z = np.concatenate([Z, Z[:len(times) - len(Z)] @ E.T])
         dZ = Z @ M.T
-        Rinv_Bt = np.linalg.solve(data.R, data.B.T)
         Upath = Z[:, n:] @ Rinv_Bt.T
         dU = dZ[:, n:] @ Rinv_Bt.T
         # d/dt <p, x> = x'Qx + u'Ru along the extremal, so the cost is half

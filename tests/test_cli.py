@@ -314,6 +314,23 @@ def test_oversized_control_set_is_usage_error(tmp_path, capsys, command,
     assert "Warning" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,flag", [
+    (["converge", "--Ns", ""], "--Ns"), (["solve", "--N", "0"], "--N")],
+    ids=["converge_Ns_empty", "solve_N_zero"])
+def test_falsy_resolution_is_refused_by_its_flag(tmp_path, capsys, command,
+                                                 flag):
+    """A given but falsy resolution goes through the resolution check.
+    `--Ns ""` used to run the default sweep and exit 0, and `--N 0` was
+    read as no --N at all."""
+    out = tmp_path / "o"
+    code = cli.main([command[0], "--problem", "lq_double_integrator",
+                     *command[1:], "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {flag}: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestCheck:
     def test_bundle_passes(self, di_bundle):
         code = cli.main(["check", str(di_bundle), "--problem",

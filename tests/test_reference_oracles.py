@@ -14,7 +14,9 @@ from sampled_ocp import (Box, LqProblemData, Partition, build_problem, solve,
                          uniform_partition)
 from sampled_ocp.errors import SurrogateRejectedError, UnreachableTargetError
 from sampled_ocp.convergence_harness import fine_surrogate
-from sampled_ocp.reference_oracles import (_ReducedQp, _solve_box_qp,
+from sampled_ocp import reference_oracles
+from sampled_ocp.reference_oracles import (_hamiltonian_system_matrix,
+                                           _ReducedQp, _solve_box_qp,
                                            _zoh_blocks)
 
 
@@ -137,12 +139,47 @@ class TestPermanentLq:
                                          rel=1e-9, abs=0.0)
 
     def test_dense_path_reaches_target(self):
-        """The dense state path ends on the target: each node comes from
-        its own exponential, so no rounding compounds along the unstable
-        mode (a chain of step products missed x_T by 4.1e-8)."""
+        """The dense state path ends on the target: each node is z0 times
+        the exponentials of its index's binary digits, at most 13 factors,
+        so no long chain compounds rounding along the unstable mode (a
+        chain of 4,096 step products missed x_T by 4.1e-8)."""
         data = _unstable_hamiltonian()
         ref = solve_lq_permanent(data)
         assert np.linalg.norm(ref.x.at(data.horizon) - data.xT) <= 1e-9
+
+    def test_one_solve_exponentiates_thirteen_matrices(self, monkeypatch):
+        """The 4,097 nodes need exp(M 2^j h) for j = 0..12 only, the last
+        of them the shooting map; one exponential per node took 4,098."""
+        matrices = []
+
+        def counting_expm(a):
+            matrices.append(int(np.prod(np.shape(a)[:-2])))
+            return expm(a)
+
+        monkeypatch.setattr(reference_oracles, "expm", counting_expm)
+        solve_lq_permanent(build_problem("lq_double_integrator").lq)
+        assert 0 < sum(matrices) <= 13
+
+    @pytest.mark.parametrize("make_data,rel", [
+        (lambda: build_problem("lq_double_integrator").lq, 1e-14),
+        (_unstable_hamiltonian, 1e-10)], ids=["catalog_di", "unstable"])
+    def test_nodes_match_their_own_exponential(self, make_data, rel):
+        """Nodes with one to twelve set bits agree with expm(M t_k) z0."""
+        data = make_data()
+        ref = solve_lq_permanent(data)
+        M = _hamiltonian_system_matrix(data)[0]
+        Z = np.hstack([ref.x.values, ref.p.values])
+        for k in (1, 7, 511, 2047, 2731, 4095):
+            exact = expm(M * ref.x.times[k]) @ Z[0]
+            assert np.linalg.norm(Z[k] - exact) <= rel * np.linalg.norm(exact)
+
+    def test_node_at_horizon_is_the_shooting_map(self):
+        """The node at T is one factor, the shooting exponential itself."""
+        data = _unstable_hamiltonian()
+        ref = solve_lq_permanent(data)
+        ET = expm(_hamiltonian_system_matrix(data)[0] * data.horizon)
+        Z = np.hstack([ref.x.values, ref.p.values])
+        assert np.array_equal(Z[-1], ET @ Z[0])
 
     def test_catalog_cost_to_high_precision(self):
         """The catalog double integrator's optimal cost, computed with
