@@ -26,7 +26,7 @@ from .errors import (ConfigFormatError, GridAlignmentError,
                      IntegrationDivergedError, MembershipError, OracleError,
                      ProblemLookupError, SampledOcpError, SolverError)
 from .integrate import costate_from_nodes, read_costate_csv, read_state_csv
-from .pmp_check import Extremal, evaluate_extremal
+from .pmp_check import Extremal, evaluate_extremal, probe_count
 from .problem_model import (BLOWUP_NORM, OcpProblem, build_problem, catalog,
                             load_problem_config, require_in_set)
 from .reference_oracles import LQ_PROVENANCE, solve_lq_permanent
@@ -199,8 +199,6 @@ def run_solve(args) -> int:
 
 
 def run_check(args) -> int:
-    if args.probes < 0:
-        raise _UsageError("--probes must be nonnegative")
     if args.p0 is not None and abs(args.p0) > BLOWUP_NORM:
         raise _UsageError(f"--p0: {args.p0!r} exceeds {BLOWUP_NORM:g} in "
                           "magnitude")
@@ -223,6 +221,10 @@ def run_check(args) -> int:
             not np.array_equal(times, traj.grid.times):
         print("malformed bundle: state and costate grids differ", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        probe_count("--probes", args.probes, traj.grid.K)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     p0 = p0_file if args.p0 is None else float(args.p0)
     try:
         costate = costate_from_nodes(traj.grid, P, p0)

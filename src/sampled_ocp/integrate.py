@@ -64,6 +64,13 @@ class TimeGrid:
         """Node index range [lo, hi] covering partition interval i."""
         return slice(int(self.boundaries[i]), int(self.boundaries[i + 1]) + 1)
 
+    @cached_property
+    def stage_times(self) -> Array:
+        """(K, 3) times of the RK4 stage points of every step, t_k,
+        t_k + h/2 and t_{k+1}: the one formula for a stage time."""
+        t = self.times
+        return np.stack([t[:-1], t[:-1] + 0.5 * (t[1:] - t[:-1]), t[1:]], 1)
+
     def boundaries_of(self, partition: Partition) -> Array:
         """Node index of every sampling time of `partition`, which must
         span the grid: each time is a node (bit-equal), the first node is
@@ -122,22 +129,22 @@ class ControlDifference:
 
 
 def _on_segments(u, grid: TimeGrid):
-    """(value, jumps): `value(k, t)` is the control-like `u` on segment k
-    at stage time t, `jumps` the nodes where u may jump.  A held control
-    is frozen per segment (stages never cross a sampling time on aligned
-    grids) and jumps at its sampling times, a difference where either
-    part does; a callable is evaluated at stage times and jumps nowhere."""
+    """(values, jumps): the (K, 3, m) table of the control-like `u` at
+    every stage point, and the nodes where u may jump.  A held control
+    keeps segment k's value on the whole segment, its right node included
+    (stages never cross a sampling time on aligned grids), and jumps at its
+    sampling times; a difference jumps where either part does; a callable
+    is evaluated once at every stage time and jumps nowhere."""
     if isinstance(u, PiecewiseConstantControl):
         bounds = grid.boundaries_of(u.partition)
         per_seg = np.repeat(u.values, np.diff(bounds), axis=0)
-        return (lambda k, t: per_seg[k]), bounds
+        return np.repeat(per_seg[:, None], 3, axis=1), bounds
     if isinstance(u, ControlDifference):
-        va, ja = _on_segments(u.a, grid)
-        vb, jb = _on_segments(u.b, grid)
-        return (lambda k, t: va(k, t) - vb(k, t)), np.union1d(ja, jb)
+        (va, ja), (vb, jb) = _on_segments(u.a, grid), _on_segments(u.b, grid)
+        return va - vb, np.union1d(ja, jb)
     if callable(u):
-        return ((lambda k, t: np.atleast_1d(np.asarray(u(t), dtype=float))),
-                np.empty(0, dtype=int))
+        values = np.array([u(t) for t in grid.stage_times.ravel()], float)
+        return values.reshape(grid.K, 3, -1), np.empty(0, dtype=int)
     raise TypeError(f"unsupported control of type {type(u)!r}")
 
 
@@ -182,12 +189,14 @@ class HermitePath:
     def at(self, t: float) -> Array:
         return self.sample([t])[0]
 
-    def midpoints(self) -> Array:
-        """Values at every segment midpoint in closed form (s = 1/2); the
-        RK4 stage tables read these instead of sampling at t_k + h/2."""
+    def stages(self) -> Array:
+        """(K, 3, n) values at the stage points of every segment: node k,
+        the midpoint in closed form (s = 1/2) and node k+1; the RK4 stage
+        tables read these instead of sampling at t_k + h/2."""
         h = (self.times[1:] - self.times[:-1])[:, None]
-        return (0.5 * (self.values[:-1] + self.values[1:])
+        mids = (0.5 * (self.values[:-1] + self.values[1:])
                 + 0.125 * h * (self.deriv_right - self.deriv_left[1:]))
+        return np.stack([self.values[:-1], mids, self.values[1:]], 1)
 
 
 @dataclass(frozen=True)
@@ -308,38 +317,33 @@ def _rk4_march(rhs, grid: TimeGrid, y0: Array, forward: bool, what: str,
     """March RK4 over all segments, on a state `y0` of any shape; stores
     endpoint derivatives.
 
-    rhs(k, t, y, stage) evaluates the vector field on segment k; `stage`
-    is 0 at the step's starting node, 1 at the midpoint, 2 at the
-    arrival node, letting callers serve precomputed stage data instead
-    of interpolating.  Backward marching runs the same formulas from the
-    terminal node with negative steps.  A step's end derivative is the
-    next step's first stage bit for bit (first same as last) unless the
-    shared node is a grid boundary or one of the control's `jumps`, where
-    the next segment's field is evaluated afresh.
+    rhs(k, y, stage) evaluates the vector field on segment k at column
+    `stage` of the segment's stage tables (see `TimeGrid.stage_times`): 0
+    at t_k, 1 at the midpoint, 2 at t_{k+1}.  A forward step reads 0, 1,
+    1, 2; backward marching runs the same formulas from the terminal node
+    with negative steps, so its step reads 2, 1, 1, 0.  A step's end
+    derivative is the next step's first stage bit for bit (first same as
+    last) unless the shared node is a grid boundary or one of the
+    control's `jumps`, where the next segment's field is evaluated afresh.
     """
     K = grid.K
     ys = np.empty((K + 1,) + y0.shape)
     d_right = np.zeros((K,) + y0.shape)
     d_left = np.zeros((K + 1,) + y0.shape)
     order = range(K) if forward else range(K - 1, -1, -1)
+    first, last = (0, 2) if forward else (2, 0)
     ys[0 if forward else K] = y0
-    fresh = np.zeros(K + 1, dtype=bool)
-    fresh[grid.boundaries] = True
-    fresh[jumps] = True
+    fresh = np.isin(np.arange(K + 1), np.union1d(grid.boundaries, jumps))
     kend = None
     for k in order:
-        ta, tb = grid.times[k], grid.times[k + 1]
-        if forward:
-            t0, t1, y, start = ta, tb, ys[k], k
-        else:
-            t0, t1, y, start = tb, ta, ys[k + 1], k + 1
-        h = t1 - t0
-        tm = t0 + 0.5 * h
+        start, end = (k, k + 1) if forward else (k + 1, k)
+        y, t1 = ys[start], grid.times[end]
+        h = t1 - grid.times[start]
         try:
-            k1 = rhs(k, t0, y, 0) if fresh[start] else kend
-            k2 = rhs(k, tm, y + 0.5 * h * k1, 1)
-            k3 = rhs(k, tm, y + 0.5 * h * k2, 1)
-            k4 = rhs(k, t1, y + h * k3, 2)
+            k1 = rhs(k, y, first) if fresh[start] else kend
+            k2 = rhs(k, y + 0.5 * h * k1, 1)
+            k3 = rhs(k, y + 0.5 * h * k2, 1)
+            k4 = rhs(k, y + h * k3, last)
         except (ValueError, OverflowError) as exc:
             # an evaluator built on `math` refuses the inf of an
             # overflowing stage, which numpy would pass to the test below
@@ -351,15 +355,9 @@ def _rk4_march(rhs, grid: TimeGrid, y0: Array, forward: bool, what: str,
         if not np.abs(ynew).max() <= BLOWUP_NORM:
             raise IntegrationDivergedError(
                 f"{what} blew up at t = {t1:.6g}", t_bad=float(t1))
-        kend = rhs(k, t1, ynew, 2)
-        if forward:
-            ys[k + 1] = ynew
-            d_right[k] = k1
-            d_left[k + 1] = kend
-        else:
-            ys[k] = ynew
-            d_left[k + 1] = k1
-            d_right[k] = kend
+        kend = rhs(k, ynew, last)
+        ys[end] = ynew
+        d_right[k], d_left[k + 1] = (k1, kend) if forward else (kend, k1)
     return ys, d_right, d_left
 
 
@@ -369,15 +367,14 @@ def integrate_state(prob: OcpProblem, u, grid: TimeGrid) -> Trajectory:
     The running cost integral rides along as one extra RK4 state, so the
     returned `cost` carries the same fourth-order accuracy as the state.
     """
-    uval, jumps = _on_segments(u, grid)
+    uu, jumps = _on_segments(u, grid)
     n = prob.n
 
-    def rhs(k, t, y, stage):
-        x = y[:n]
-        uu = uval(k, t)
+    def rhs(k, y, stage):
+        x, uk, t = y[:n], uu[k, stage], grid.stage_times[k, stage]
         out = np.empty(n + 1)
-        out[:n] = prob.dynamics(x, uu, t)
-        out[n] = prob.cost(x, uu, t)
+        out[:n] = prob.dynamics(x, uk, t)
+        out[n] = prob.cost(x, uk, t)
         return out
 
     y0 = np.concatenate([prob.x0, [0.0]])
@@ -404,56 +401,55 @@ class VariationResult:
         return float(self.w0[-1])
 
 
+def _at_stages(d, states: Array, controls: Array, times: Array) -> Array:
+    """(K, s, ...) array of d(x, u, t) at the s stage points of every
+    segment whose states, controls and times are the (K, s, ...) inputs."""
+    rows = times.size
+    out = np.array([d(*point) for point in zip(
+        states.reshape(rows, -1), controls.reshape(rows, -1), times.ravel())])
+    return out.reshape(times.shape + out.shape[1:])
+
+
+def _at_nodes(stages: Array) -> Array:
+    """(K+1, ...) right-continuous node values of a (K, 3, ...) stage
+    table: segment k's stage 0 at node k, and at T the last segment's
+    stage 2."""
+    return np.concatenate([stages[:, 0], stages[-1:, 2]])
+
+
 class Linearization:
     """Derivatives of (f, L) along (x, u) at the RK4 stage points.
 
     The costate, variation and transition marches are linear ODEs along this
     one linearization.  Each derivative a march asks for is evaluated once,
-    on first use, at the three stage points of every segment k: `[k][0]` at
-    node k, `[k][1]` at the Hermite midpoint and `[k][2]` at node k+1, all
-    under segment k's control, which is `stage_controls[k]`.  Forward
-    marches read `[k][stage]`, backward ones `[k][2 - stage]`.  The midpoint
-    time t_k + h/2 equals a backward step's t_{k+1} - h/2 bit for bit
-    whenever the step t_{k+1} - t_k is exact, e.g. when t_k = 0 or t_{k+1}
-    <= 2 t_k (Sterbenz).
+    on first use, at the three stage points of every segment k and held in
+    a (K, 3, ...) table: `[k, 0]` at node k, `[k, 1]` at the Hermite
+    midpoint and `[k, 2]` at node k+1, all at `grid.stage_times[k]` and
+    under segment k's control, which is `stage_controls[k]`.
     """
 
     def __init__(self, prob: OcpProblem, x: Trajectory, u):
         self.prob = prob
         self.grid = x.grid
-        times = self.grid.times
-        nodes, mids = x.states, x.path.midpoints()
-        t_mid = times[:-1] + 0.5 * (times[1:] - times[:-1])
-        self._times = list(zip(times[:-1], t_mid, times[1:]))
-        self.stage_controls, self._jumps = self.stage_values(u)
-        # per segment: (states, controls, times) at the three stage points
-        self._stages = list(zip(zip(nodes[:-1], mids, nodes[1:]),
-                                self.stage_controls, self._times))
+        self.stage_controls, self._jumps = _on_segments(u, self.grid)
+        self._stage_states = x.path.stages()
         self._tables: dict = {}
-
-    def stage_values(self, u):
-        """(values, jumps): `values[k]` the control-like `u` at the three
-        stage points of segment k under that segment's rule, `jumps` the
-        nodes where u may jump."""
-        uval, jumps = _on_segments(u, self.grid)
-        return [(uval(k, t0), uval(k, tm), uval(k, t1))
-                for k, (t0, tm, t1) in enumerate(self._times)], jumps
 
     @cached_property
     def node_controls(self) -> Array:
         """(K+1, m) right-continuous control u(t_k) at every grid node:
         segment k's stage control at its left node, and at T the last
         segment's."""
-        return np.array([controls[0] for controls in self.stage_controls]
-                        + [self.stage_controls[-1][2]])
+        return _at_nodes(self.stage_controls)
 
-    def table(self, name: str) -> list:
-        """Nested list [k][j] of the problem's evaluator `name`."""
+    def table(self, name: str) -> Array:
+        """(K, 3, ...) array of the problem's evaluator `name` at every
+        stage point."""
         table = self._tables.get(name)
         if table is None:
-            d = getattr(self.prob, name)
-            table = self._tables[name] = [[d(*point) for point in zip(*stage)]
-                                          for stage in self._stages]
+            table = self._tables[name] = _at_stages(
+                getattr(self.prob, name), self._stage_states,
+                self.stage_controls, self.grid.stage_times)
         return table
 
     def costate(self, p0: float, pT) -> CostateTrajectory:
@@ -464,24 +460,17 @@ class Linearization:
         if pT.shape != (self.prob.n,) or not np.all(np.isfinite(pT)):
             raise ValueError(f"pT must hold n = {self.prob.n} finite values")
         p0 = float(p0)
-        fx = self.table("dynamics_jac_x")
-        lx = self.table("cost_grad_x")
+        # formed once; exact negation keeps every stage -f_x' p - p0 L_x
+        a = -self.table("dynamics_jac_x").swapaxes(2, 3)
+        c = -p0 * self.table("cost_grad_x")
 
-        def rhs(k, t, p, stage):
-            return -fx[k][2 - stage].T @ p - p0 * lx[k][2 - stage]
+        def rhs(k, y, stage):
+            return a[k, stage] @ y + c[k, stage]
 
         ps, dr, dl = _rk4_march(rhs, self.grid, pT, forward=False,
                                 what="costate integration", jumps=self._jumps)
         return CostateTrajectory(self.grid, _frozen(ps), p0, _frozen(dr),
                                  _frozen(dl))
-
-    def variation(self, direction) -> VariationResult:
-        """Linearized response (w, w0) to one control direction: the
-        P = 1 case of `variations`."""
-        values, jumps = self.stage_values(direction)
-        ys = self.variations(np.asarray(values)[..., None], jumps)[..., 0]
-        return VariationResult(self.grid, _frozen(ys[:, :-1]),
-                               _frozen(ys[:, -1]))
 
     def variations(self, v: Array, jumps) -> Array:
         """(K+1, n+1, P) responses [w; w0] to P directions from one
@@ -491,36 +480,33 @@ class Linearization:
         w0dot = <grad_x L, w> + <grad_u L, v>,    w0(0) = 0
 
         `v[k, s]` is the (m, P) matrix of the directions at stage point s
-        of segment k (see `stage_values`), `jumps` the nodes where any of
+        of segment k (see `_on_segments`), `jumps` the nodes where any of
         them may jump."""
         n = self.prob.n
         fx, fu = self.table("dynamics_jac_x"), self.table("dynamics_jac_u")
         lx, lu = self.table("cost_grad_x"), self.table("cost_grad_u")
 
-        def rhs(k, t, y, stage):
+        def rhs(k, y, stage):
             w, vv = y[:n], v[k, stage]
             out = np.empty_like(y)
-            out[:n] = fx[k][stage] @ w + fu[k][stage] @ vv
-            out[n] = lx[k][stage] @ w + lu[k][stage] @ vv
+            out[:n] = fx[k, stage] @ w + fu[k, stage] @ vv
+            out[n] = lx[k, stage] @ w + lu[k, stage] @ vv
             return out
 
-        ys, _, _ = _rk4_march(rhs, self.grid, np.zeros((n + 1, v.shape[-1])),
-                              forward=True, what="variation integration",
-                              jumps=np.union1d(self._jumps, jumps))
-        return ys
+        return _rk4_march(rhs, self.grid, np.zeros((n + 1, v.shape[-1])),
+                          forward=True, what="variation integration",
+                          jumps=np.union1d(self._jumps, jumps))[0]
 
     def at_final(self) -> Array:
         """(K+1, n, n) array of Phi(T, t_k) on the grid nodes, from one
         backward sweep of d/ds Phi(T, s) = -Phi(T, s) A(s)."""
-        n = self.prob.n
-        fx = self.table("dynamics_jac_x")
+        a = -self.table("dynamics_jac_x")
 
-        def rhs(k, t, m, stage):
-            return -m @ fx[k][2 - stage]
+        def rhs(k, y, stage):
+            return y @ a[k, stage]
 
-        ms, _, _ = _rk4_march(rhs, self.grid, np.eye(n), forward=False,
-                              what="transition matrix", jumps=self._jumps)
-        return ms
+        return _rk4_march(rhs, self.grid, np.eye(self.prob.n), forward=False,
+                          what="transition matrix", jumps=self._jumps)[0]
 
 
 def integrate_costate(prob: OcpProblem, x: Trajectory, u, p0: float,
@@ -532,8 +518,12 @@ def integrate_costate(prob: OcpProblem, x: Trajectory, u, p0: float,
 def integrate_variation(prob: OcpProblem, x: Trajectory, u,
                         direction) -> VariationResult:
     """Linearized response (w, w0) to the control perturbation
-    `direction`, given as a control-like object or callable."""
-    return Linearization(prob, x, u).variation(direction)
+    `direction`, given as a control-like object or callable: the P = 1
+    case of `Linearization.variations`."""
+    lin = Linearization(prob, x, u)
+    values, jumps = _on_segments(direction, lin.grid)
+    ys = lin.variations(values[..., None], jumps)[..., 0]
+    return VariationResult(lin.grid, _frozen(ys[:, :-1]), _frozen(ys[:, -1]))
 
 
 def transition_matrix(prob: OcpProblem, x: Trajectory, u) -> Linearization:
@@ -616,23 +606,15 @@ def read_state_csv(path, prob: OcpProblem, u) -> Trajectory:
                          f"has n = {prob.n}")
     partition = u.partition if isinstance(u, PiecewiseConstantControl) else None
     grid = grid_from_times(t, partition)
-    uval, _ = _on_segments(u, grid)
-    K = grid.K
-    dr = np.empty((K, prob.n))
-    dl = np.empty((K + 1, prob.n))
-    for k in range(K):
-        dr[k] = prob.dynamics(X[k], uval(k, grid.times[k]), float(grid.times[k]))
-        dl[k + 1] = prob.dynamics(X[k + 1], uval(k, grid.times[k + 1]),
-                                  float(grid.times[k + 1]))
-    mids = HermitePath(grid.times, X, dr, dl).midpoints()
-    cost = np.zeros(t.size)
-    for k in range(K):
-        ta, tb = float(grid.times[k]), float(grid.times[k + 1])
-        tm = ta + 0.5 * (tb - ta)
-        simpson = (prob.cost(X[k], uval(k, ta), ta)
-                   + 4.0 * prob.cost(mids[k], uval(k, tm), tm)
-                   + prob.cost(X[k + 1], uval(k, tb), tb))
-        cost[k + 1] = cost[k] + (tb - ta) / 6.0 * simpson
+    uu, _ = _on_segments(u, grid)
+    ts = grid.stage_times
+    ends = _at_stages(prob.dynamics, np.stack([X[:-1], X[1:]], 1),
+                      uu[:, ::2], ts[:, ::2])
+    dr, dl = ends[:, 0], np.concatenate([np.zeros((1, prob.n)), ends[:, 1]])
+    L = _at_stages(prob.cost, HermitePath(grid.times, X, dr, dl).stages(),
+                   uu, ts)
+    cost = np.cumsum(np.r_[0.0, (ts[:, 2] - ts[:, 0]) / 6.0
+                           * (L[:, 0] + 4.0 * L[:, 1] + L[:, 2])])
     return Trajectory(grid, _frozen(X), _frozen(dr), _frozen(dl), _frozen(cost))
 
 

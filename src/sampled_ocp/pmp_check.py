@@ -20,8 +20,9 @@ import numpy as np
 from .control_partition import (Partition, PiecewiseConstantControl,
                                 _check_type, uniform_partition)
 from .errors import GridAlignmentError
-from .integrate import (CostateTrajectory, Linearization, TimeGrid,
-                        Trajectory, simpson_on_interval)
+from .integrate import (MAX_GRID_STEPS, CostateTrajectory, Linearization,
+                        TimeGrid, Trajectory, _at_nodes, _on_segments,
+                        simpson_on_interval)
 from .problem_model import (OcpProblem, _count, grid_spacing,
                             normal_cone_residual, project, require_in_set,
                             sample_grid)
@@ -30,6 +31,9 @@ Array = np.ndarray
 
 PASS_THRESHOLD = 1e-6
 WARN_THRESHOLD = 1e-3
+# Most lift probes times grid steps a report may march, at about 140 bytes
+# each: 0.6 GB, or the default 20 probes on about 200,000 steps.
+MAX_PROBE_STEPS = 4 * MAX_GRID_STEPS
 
 
 def hamiltonian(prob: OcpProblem, x: Array, u: Array, p: Array, p0: float,
@@ -97,15 +101,6 @@ def classify_normality(e: Extremal) -> str:
 # Residuals
 
 
-def _nodal_grad_u(e: Extremal):
-    """grad_u H at every grid node with the right-continuous control."""
-    uu = e.linearization.node_controls
-    out = np.array([grad_u_hamiltonian(e.problem, e.x.states[k], uu[k],
-                                       e.p.costates[k], e.p0, float(t))
-                    for k, t in enumerate(e.x.grid.times)])
-    return uu, out
-
-
 @dataclass(frozen=True)
 class ProfileResult:
     sup: float
@@ -119,27 +114,22 @@ def ae_residual(e: Extremal) -> ProfileResult:
     The right-hand side at every node, read from the extremal's
     linearization with the same stage data the costate march uses, is
     compared with the costate's stored derivative on each side of the
-    node, which certifies that the stored triple solves the adjoint
+    node (right of node k: stage 0 of segment k; left of node k+1: its
+    stage 2), which certifies that the stored triple solves the adjoint
     equation (rather than some other trajectory's).  A costate loaded
     from a file carries derivatives differentiated from its nodes
     (`costate_from_nodes`).
     """
-    grid = e.p.grid
-    p = e.p.costates
-    fx = e.linearization.table("dynamics_jac_x")
-    lx = e.linearization.table("cost_grad_x")
-
-    def rhs(k, stage, node):
-        """Adjoint right-hand side at `node`, stage `stage` of segment k."""
-        return -fx[k][stage].T @ p[node] - e.p0 * lx[k][stage]
-
-    res = np.zeros(grid.times.size)
-    for k in range(grid.K):
-        res[k] = max(res[k], float(np.linalg.norm(
-            e.p.deriv_right[k] - rhs(k, 0, k))))
-        res[k + 1] = max(res[k + 1], float(np.linalg.norm(
-            e.p.deriv_left[k + 1] - rhs(k, 2, k + 1))))
-    return ProfileResult(float(np.max(res)), grid.times, res)
+    lin, p = e.linearization, e.p.costates
+    fx, lx = lin.table("dynamics_jac_x"), lin.table("cost_grad_x")
+    # batched products, which round as one node's f_x' p and norm do
+    defect = np.stack([
+        e.p.deriv_right - (-(p[:-1, None] @ fx[:, 0])[:, 0] - e.p0 * lx[:, 0]),
+        e.p.deriv_left[1:] - (-(p[1:, None] @ fx[:, 2])[:, 0]
+                              - e.p0 * lx[:, 2])])
+    norms = np.sqrt(defect[..., None, :] @ defect[..., None])[..., 0, 0]
+    res = np.maximum(np.r_[norms[0], 0.0], np.r_[0.0, norms[1]])
+    return ProfileResult(float(np.max(res)), e.p.grid.times, res)
 
 
 def hg_residual(e: Extremal) -> ProfileResult:
@@ -148,7 +138,10 @@ def hg_residual(e: Extremal) -> ProfileResult:
     sampled optimum leaves an O(partition norm) defect here, so
     `evaluate_extremal` gates piecewise-constant controls on the averaged
     condition (`ahg_residual`) and leaves hg not evaluated."""
-    uu, gu = _nodal_grad_u(e)
+    lin = e.linearization
+    fu = _at_nodes(lin.table("dynamics_jac_u"))
+    lu = _at_nodes(lin.table("cost_grad_u"))
+    uu, gu = lin.node_controls, (e.p.costates[:, None] @ fu)[:, 0] + e.p0 * lu
     per_node = normal_cone_residual(e.problem.control_set, uu, gu)
     return ProfileResult(float(np.max(per_node)), e.x.grid.times, per_node)
 
@@ -287,21 +280,22 @@ def lift_inequality(e: Extremal, v) -> float:
     """Terminal variational value z_v(T) = <p(T), w(T)> + p0 w0(T).
 
     Nonpositive for every admissible probe v exactly when (p, p0) is an
-    extremal lift of (x, u).  `v` is one probe or a list or tuple of
-    probes, marched together in one variation march; the value is the
-    largest z_v(T) among them.  Each probe is read at the stage points of
-    every grid segment, where the march reads it, and must take values
+    extremal lift of (x, u).  `v` is one probe or a non-empty list or
+    tuple of probes, marched together in one variation march; the value is
+    the largest z_v(T) among them.  Each probe is read at the stage points
+    of every grid segment, where the march reads it, and must take values
     in the control set there; all are checked before the march.
     """
     lin = e.linearization
-    reads = [(np.asarray(values), jumps) for values, jumps in map(
-        lin.stage_values, v if isinstance(v, (list, tuple)) else [v])]
+    reads = [_on_segments(probe, lin.grid)
+             for probe in (v if isinstance(v, (list, tuple)) else [v])]
+    if not reads:
+        raise ValueError("lift_inequality needs at least one probe")
     for values, _ in reads:
         require_in_set(e.problem.control_set,
                        values.reshape(-1, e.problem.m), "probe")
-    u_values = np.asarray(lin.stage_controls)
     final = lin.variations(
-        np.stack([values - u_values for values, _ in reads], -1),
+        np.stack([values - lin.stage_controls for values, _ in reads], -1),
         np.concatenate([jumps for _, jumps in reads]))[-1]
     return max(float(e.p.final_costate @ w[:-1] + e.p0 * w[-1])
                for w in final.T)
@@ -418,7 +412,7 @@ def evaluate_extremal(e: Extremal, *, with_hm: bool = False,
     Lift probes draw random piecewise-constant controls valued in U from
     a generator seeded with 0, so a report is reproducible.
     """
-    lift_probes = _count("lift_probes", lift_probes, 0)
+    lift_probes = probe_count("lift_probes", lift_probes, e.x.grid.K)
     e.validate()
     report = ResidualReport()
     report.feasibility = e.feasibility
@@ -449,10 +443,27 @@ def evaluate_extremal(e: Extremal, *, with_hm: bool = False,
     return report
 
 
-def _probe_partition(e: Extremal):
+def probe_count(name: str, value, steps: int) -> int:
+    """`value` as a count of lift probes on a grid of `steps` steps;
+    `ValueError` naming `name` unless it is a count (`_count`) whose
+    probes times steps stay within MAX_PROBE_STEPS."""
+    value = _count(name, value, 0)
+    if value * steps > MAX_PROBE_STEPS:
+        raise ValueError(f"{name} = {value} on {steps} grid steps exceeds "
+                         f"the budget of {MAX_PROBE_STEPS} probe-steps")
+    return value
+
+
+def _probe_partition(e: Extremal) -> Partition:
+    """A held control's own partition; else the grid nodes nearest the
+    ends of eight equal intervals, repeats dropped."""
     if isinstance(e.u, PiecewiseConstantControl):
         return e.u.partition
-    return uniform_partition(8, e.problem.horizon)
+    times = e.x.grid.times
+    ends = uniform_partition(8, e.problem.horizon).times
+    idx = np.searchsorted(times, ends).clip(1, times.size - 1)
+    idx -= ends - times[idx - 1] < times[idx] - ends
+    return Partition(times[np.unique(idx)])
 
 
 def random_admissible_control(prob: OcpProblem, partition, rng) -> PiecewiseConstantControl:

@@ -905,3 +905,16 @@ class TestCheckFuzz:
 def _refuse_constant(name):
     """`json.loads` hook: Infinity, -Infinity and NaN are not JSON."""
     raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def test_probe_count_over_budget_exits_1_at_once(capsys):
+    """`--probes` past the probe-step budget of the bundle's grid is a
+    usage error naming the flag, refused before the report starts."""
+    bundle = BUNDLES / "v0" / "lq"
+    with mock.patch.object(cli, "evaluate_extremal",
+                           side_effect=AssertionError("report started")):
+        code = cli.main(["check", str(bundle), "--config",
+                         str(bundle / "problem.json"), "--require-hm",
+                         "--probes", "1000000000"])
+    assert code == 1
+    assert "--probes" in capsys.readouterr().err

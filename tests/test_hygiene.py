@@ -164,3 +164,31 @@ def test_cli_import_leaves_out_scipy_optimize():
                             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr or "scipy.optimize imported"
+
+
+def test_march_callbacks_take_k_y_stage():
+    """Every callback handed to `integrate._rk4_march` is defined as
+    `rhs(k, y, stage)` and reads its stage tables at [k, stage]: a time
+    argument or a per-call control closure cannot grow back."""
+    wanted = ast.dump(ast.parse("def rhs(k, y, stage): pass").body[0].args)
+    found = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)]
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call)
+                    and "_rk4_march" in _names(call.func)):
+                continue
+            arg = call.args[0] if call.args else None
+            if isinstance(arg, ast.Name):
+                # the nearest definition above the call
+                arg = max((d for d in defs if d.name == arg.id
+                           and d.lineno < call.lineno),
+                          key=lambda d: d.lineno, default=None)
+            found[f"{path.name}:{call.lineno}"] = (
+                ast.dump(arg.args) if isinstance(
+                    arg, (ast.FunctionDef, ast.Lambda)) else None)
+    assert len(found) >= 4, f"too few marches found: {sorted(found)}"
+    other = sorted(site for site, args in found.items() if args != wanted)
+    assert not other, f"callbacks not taking (k, y, stage): {other}"

@@ -647,3 +647,108 @@ class TestZvIdentity:
             h = float(grid.times[sl.start + 1] - grid.times[sl.start])
             rhs += float(simpson_on_interval(vals, h)[0])
         assert lhs == pytest.approx(rhs, abs=1e-6)
+
+
+def _stage_case(kind):
+    """(grid, control) on a grid of non-dyadic steps: a held control, a
+    callable or the difference of two held controls."""
+    part = Partition([0.0, 0.3, 0.7, 1.0])
+    grid = build_time_grid(1.0, part, h_max=0.1)
+    held = PiecewiseConstantControl(part, [[1.0], [-2.0], [0.5]])
+    if kind == "held":
+        return grid, held
+    if kind == "callable":
+        return grid, (lambda t: np.array([np.cos(3.0 * t)]))
+    coarse = PiecewiseConstantControl(Partition([0.0, 0.7, 1.0]),
+                                      [[0.25], [-1.5]])
+    return grid, integrate.ControlDifference(held, coarse)
+
+
+def _per_point_read(u, grid, k, t):
+    """`u` on segment k at time t by the per-call rule the stage tables
+    replace: a held control is its interval's value on the whole segment,
+    a difference the difference of its parts, a callable its value."""
+    if isinstance(u, integrate.ControlDifference):
+        return _per_point_read(u.a, grid, k, t) - _per_point_read(u.b, grid,
+                                                                  k, t)
+    if isinstance(u, PiecewiseConstantControl):
+        bounds = grid.boundaries_of(u.partition)
+        return u.values[np.searchsorted(bounds, k, side="right") - 1]
+    return np.atleast_1d(np.asarray(u(t), dtype=float))
+
+
+class TestStageTables:
+    """Every stage point of a path is read from one (K, 3, ...) table."""
+
+    @pytest.mark.parametrize("kind", ["held", "callable", "difference"])
+    def test_stage_times_are_the_forward_march_times(self, kind):
+        """Without repeats, the times a forward march hands the dynamics
+        are t_0, t_0 + h/2, t_1, ..., t_K: `stage_times`, bit for bit."""
+        grid, u = _stage_case(kind)
+        seen = []
+
+        def f(x, v, t):
+            seen.append(t)
+            return np.zeros(1)
+        integrate_state(_scalar_problem(f), u, grid)
+        seen = np.array(seen)
+        distinct = seen[np.r_[True, seen[1:] != seen[:-1]]]
+        ts = grid.stage_times
+        assert ts.shape == (grid.K, 3)
+        np.testing.assert_array_equal(ts[:, 0], grid.times[:-1])
+        np.testing.assert_array_equal(ts[:, 2], grid.times[1:])
+        np.testing.assert_array_equal(distinct,
+                                      np.append(ts[:, :2].ravel(), ts[-1, 2]))
+
+    @pytest.mark.parametrize("kind", ["held", "callable", "difference"])
+    def test_on_segments_is_the_per_point_rule(self, kind):
+        """The (K, 3, m) table holds the per-call read at every stage
+        point; a held control jumps only at its sampling times."""
+        grid, u = _stage_case(kind)
+        values, jumps = integrate._on_segments(u, grid)
+        assert values.shape == (grid.K, 3, 1)
+        np.testing.assert_array_equal(values, [
+            [_per_point_read(u, grid, k, t) for t in grid.stage_times[k]]
+            for k in range(grid.K)])
+        if kind == "callable":
+            assert jumps.size == 0
+        else:
+            assert set(jumps) >= set(grid.boundaries[1:-1])
+
+    def test_held_control_keeps_its_segment_value_at_the_right_node(self):
+        """On the segment that ends at a sampling time, stage 2 holds that
+        segment's value, not the next interval's value at the node."""
+        grid, u = _stage_case("held")
+        values, _ = integrate._on_segments(u, grid)
+        k = grid.boundaries[1] - 1
+        np.testing.assert_array_equal(values[k, 2], u.values[0])
+        np.testing.assert_array_equal(u.value(grid.times[k + 1:k + 2])[0],
+                                      u.values[1])
+
+    @pytest.mark.parametrize("name", ["dynamics_jac_x", "dynamics_jac_u",
+                                      "cost_grad_x", "cost_grad_u"])
+    @pytest.mark.parametrize("kind", ["held", "callable"])
+    def test_table_is_the_evaluator_at_every_stage_point(self, aq_problem,
+                                                         name, kind):
+        """`table(name)` is a (K, 3, ...) array of the evaluator at node
+        k, the closed-form Hermite midpoint and node k+1 of every segment,
+        under that segment's control and at `stage_times`."""
+        grid, u = _stage_case(kind)
+        x = integrate_state(aq_problem, u, grid)
+        lin = integrate.Linearization(aq_problem, x, u)
+        table = lin.table(name)
+        d = getattr(aq_problem, name)
+        stages = x.path.stages()
+        np.testing.assert_array_equal(stages[:, 0], x.states[:-1])
+        np.testing.assert_array_equal(stages[:, 2], x.states[1:])
+        np.testing.assert_allclose(stages[:, 1],
+                                   x.sample(grid.stage_times[:, 1]),
+                                   rtol=0, atol=1e-14)
+        controls, _ = integrate._on_segments(u, grid)
+        np.testing.assert_array_equal(lin.stage_controls, controls)
+        expected = np.array([[d(stages[k, j], controls[k, j],
+                                grid.stage_times[k, j]) for j in range(3)]
+                             for k in range(grid.K)])
+        assert table.shape == (grid.K, 3) + np.shape(expected[0, 0])
+        np.testing.assert_array_equal(table, expected)
+        assert lin.table(name) is table

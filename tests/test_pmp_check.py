@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,16 +15,18 @@ from sampled_ocp import (Extremal, PiecewiseConstantControl, build_problem,
                          uniform_partition)
 from sampled_ocp.errors import (GridAlignmentError, MembershipError,
                                 TrivialLiftError)
-from sampled_ocp.control_partition import resample_onto
+from sampled_ocp.control_partition import read_control_csv, resample_onto
 from sampled_ocp.integrate import (ControlDifference, CostateTrajectory,
-                                   Trajectory)
-from sampled_ocp.pmp_check import (ResidualReport, _hamiltonian_rows,
+                                   Trajectory, costate_from_nodes,
+                                   read_costate_csv, read_state_csv)
+from sampled_ocp.pmp_check import (MAX_PROBE_STEPS, ResidualReport,
+                                   _hamiltonian_rows, _probe_partition,
                                    ae_residual, ahg_residual,
                                    evaluate_extremal, grad_u_hamiltonian,
                                    hg_residual, hm_gap,
-                                   interval_grad_integrals,
+                                   interval_grad_integrals, probe_count,
                                    random_admissible_control)
-from sampled_ocp.problem_model import catalog
+from sampled_ocp.problem_model import catalog, load_problem_config
 
 
 @pytest.fixture(scope="module")
@@ -790,3 +793,131 @@ def test_lift_value_is_the_averaged_gradient_pairing(request, fixture, tol,
                                 e.p.costates, e.p0)
     pairing = float(np.sum(G * (values - e.u.values)))
     assert lift_inequality(e, v) == pytest.approx(pairing, abs=tol)
+
+
+# bundles stored with the benchmark; tests only read them
+_BUNDLES = Path(__file__).resolve().parents[1] / "perfbench" / "bundles"
+
+
+def _bundle_extremal(name, shifted):
+    """The extremal `check` builds from a stored bundle; `shifted` moves
+    one interior costate node by 0.05, as a corrupted bundle would."""
+    root = _BUNDLES / name
+    prob = load_problem_config(str(root / "problem.json"))
+    u = read_control_csv(str(root / "control.csv"))
+    x = read_state_csv(str(root / "state.csv"), prob, u)
+    _, P, p0 = read_costate_csv(str(root / "costate.csv"))
+    if shifted:
+        P = P.copy()
+        P[P.shape[0] // 3, 0] += 0.05
+    return Extremal(prob, x, u, costate_from_nodes(x.grid, P, p0), p0,
+                    feas_tol=1.0)
+
+
+def _per_node_ae(e):
+    """The adjoint defect node by node: on each side of node k, the norm
+    of the stored derivative minus -f_x' p - p0 L_x with that side's
+    segment control, by one product per node."""
+    prob, x, p = e.problem, e.x, e.p
+    u = e.linearization.stage_controls
+    times = x.grid.times
+    res = np.zeros(times.size)
+    for k in range(x.grid.K):
+        for node, side, deriv in ((k, 0, p.deriv_right[k]),
+                                  (k + 1, 2, p.deriv_left[k + 1])):
+            args = (x.states[node], u[k, side], times[node])
+            rhs = (-prob.dynamics_jac_x(*args).T @ p.costates[node]
+                   - e.p0 * prob.cost_grad_x(*args))
+            res[node] = max(res[node], float(np.linalg.norm(deriv - rhs)))
+    return res
+
+
+class TestAdjointProfile:
+    @pytest.mark.parametrize("shifted", [False, True],
+                             ids=["stored", "shifted"])
+    @pytest.mark.parametrize("name", ["v0/lq", "v0/aq", "cubic"])
+    def test_profile_is_the_per_node_loop(self, name, shifted):
+        """`ae_residual` reads its tables in one array expression per side
+        of a node; its profile is the per-node loop's, bit for bit."""
+        e = _bundle_extremal(name, shifted)
+        res = ae_residual(e)
+        np.testing.assert_array_equal(res.per_node, _per_node_ae(e))
+        assert res.sup == float(np.max(res.per_node))
+        if shifted:
+            assert res.sup > 1e-3
+
+
+class TestProbeBudget:
+    def test_count_over_budget_refused_before_any_draw(self,
+                                                       lq_oracle_extremal,
+                                                       monkeypatch):
+        """A count whose probes times grid steps exceed MAX_PROBE_STEPS
+        raises a `ValueError` naming `lift_probes` before a probe is drawn
+        or a march runs."""
+        import sampled_ocp.pmp_check as pmp_module
+        e, _ = lq_oracle_extremal
+        monkeypatch.setattr(pmp_module, "random_admissible_control",
+                            lambda *args: pytest.fail("probe drawn"))
+        monkeypatch.setattr(pmp_module, "ae_residual",
+                            lambda *args: pytest.fail("residual computed"))
+        for count in (MAX_PROBE_STEPS // e.x.grid.K + 1, 10 ** 9):
+            with pytest.raises(ValueError, match="lift_probes"):
+                evaluate_extremal(e, lift_probes=count)
+
+    def test_default_count_fits_two_hundred_thousand_steps(self):
+        assert probe_count("n", 20, 200_000) == 20
+        assert probe_count("n", 20, MAX_PROBE_STEPS // 20) == 20
+        with pytest.raises(ValueError, match="n = 20 on"):
+            probe_count("n", 20, MAX_PROBE_STEPS // 20 + 1)
+
+    @pytest.mark.parametrize("empty", [[], ()], ids=["list", "tuple"])
+    def test_empty_probe_list_refused(self, lq_oracle_extremal, empty):
+        e, _ = lq_oracle_extremal
+        with pytest.raises(ValueError, match="at least one probe"):
+            lift_inequality(e, empty)
+
+
+def _permanent_extremal(di_problem, reference, h_max, feas_tol=1e-6):
+    """The permanent LQ optimum as a callable control on a grid without
+    a partition, with its costate marched back from the reference's."""
+    grid = build_time_grid(1.0, None, h_max=h_max)
+    u = reference.u.at
+    x = integrate_state(di_problem, u, grid)
+    p = integrate_costate(di_problem, x, u, p0=-1.0,
+                          pT=reference.p.at(1.0))
+    return Extremal(di_problem, x, u, p, -1.0, feas_tol=feas_tol)
+
+
+class TestProbePartition:
+    def test_probes_on_any_grid(self, di_problem, di_reference):
+        """On K = 1004 steps the eight probe intervals end at grid nodes,
+        so a permanent control's report marches its probes."""
+        e = _permanent_extremal(di_problem, di_reference, 1.0 / 1002)
+        assert e.x.grid.K == 1004
+        report = evaluate_extremal(e, lift_probes=3)
+        assert report.lift_probe_count == 3
+        assert report.lift_inequality_worst <= 1e-9
+
+    def test_aligned_grid_keeps_the_eight_equal_intervals(self, di_problem,
+                                                          di_reference):
+        """Where the eight equal intervals end at nodes (K = 1024), the
+        probes are the ones drawn on them, and so is the lift value."""
+        e = _permanent_extremal(di_problem, di_reference, 1.0 / 1024)
+        assert e.x.grid.K == 1024
+        rng = np.random.default_rng(0)
+        probes = [random_admissible_control(
+            di_problem, uniform_partition(8, 1.0), rng) for _ in range(3)]
+        report = evaluate_extremal(e, lift_probes=3)
+        assert report.lift_inequality_worst == lift_inequality(e, probes)
+
+    @pytest.mark.parametrize("steps", [2, 6])
+    def test_short_grid_drops_repeated_ends(self, di_problem, di_reference,
+                                            steps):
+        """A grid of fewer than eight steps gives one interval per step."""
+        e = _permanent_extremal(di_problem, di_reference, 1.0 / steps,
+                                feas_tol=1.0)
+        assert e.x.grid.K == steps
+        np.testing.assert_array_equal(_probe_partition(e).times,
+                                      e.x.grid.times)
+        report = evaluate_extremal(e, lift_probes=2)
+        assert report.lift_probe_count == 2
